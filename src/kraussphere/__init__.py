@@ -32,7 +32,6 @@ from .optimizer import (
     central_difference,
     dominant_kraus_report,
     learn_quasi_inverse,
-    loss,
 )
 from .sampling import (
     SampleConfig,
@@ -76,7 +75,6 @@ __all__ = [
     "identity_frame",
     "kraus_to_frame",
     "learn_quasi_inverse",
-    "loss",
     "matrix_exp_series",
     "psd_sqrt",
     "sample_bloch_ball",

@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,11 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
 CSV_HEADER = "p,fidelity_before,fidelity_after,iterations_used,wall_time_seconds"
+
+# optimizer fields of older configs that no longer mean anything (the
+# central-difference step and its thread count): read, dropped, and
+# listed in the manifest as ignored
+RETIRED_OPTIMIZER_FIELDS = ("epsilon", "threads")
 
 
 class ConfigError(ValueError):
@@ -78,6 +83,7 @@ class ExperimentConfig:
     output_dir: str
     p_grid: list[float] | None = None
     format_version: int = FORMAT_VERSION
+    ignored_fields: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.format_version != FORMAT_VERSION:
@@ -116,7 +122,6 @@ class ExperimentConfig:
             },
             "optimizer": {
                 "eta0": self.optimizer.eta0,
-                "epsilon": self.optimizer.epsilon,
                 "max_iters": self.optimizer.max_iters,
                 "loss_tol": self.optimizer.loss_tol,
                 "patience": self.optimizer.patience,
@@ -127,8 +132,6 @@ class ExperimentConfig:
             },
             "output_dir": self.output_dir,
         }
-        if self.optimizer.threads is not None:
-            data["optimizer"]["threads"] = self.optimizer.threads
         if self.p_grid is not None:
             data["p_grid"] = list(self.p_grid)
         return data
@@ -182,11 +185,14 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             "sample",
         )
         sample = SampleConfig(**sample_fields)
+        section = top.get("optimizer", {})
+        ignored = [
+            f"optimizer.{key}" for key in RETIRED_OPTIMIZER_FIELDS if key in section
+        ]
         optimizer_fields = _take_fields(
-            top.get("optimizer", {}),
+            {k: v for k, v in section.items() if k not in RETIRED_OPTIMIZER_FIELDS},
             {
                 "eta0": float,
-                "epsilon": float,
                 "max_iters": int,
                 "loss_tol": float,
                 "patience": int,
@@ -194,7 +200,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 "init_scale": float,
                 "m": int,
                 "seed": int,
-                "threads": int,
             },
             "optimizer",
         )
@@ -208,6 +213,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         output_dir=top["output_dir"],
         p_grid=[float(p) for p in top["p_grid"]] if "p_grid" in top else None,
         format_version=top.get("format_version", FORMAT_VERSION),
+        ignored_fields=ignored,
     )
 
 
@@ -234,6 +240,7 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig) -> None:
             "config": config.to_dict(),
             "sample_seed": config.sample.seed,
             "optimizer_seed": config.optimizer.seed,
+            "ignored_fields": config.ignored_fields,
         },
     )
 

@@ -12,6 +12,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-8
 PSD_EIG_FLOOR = -1e-10
 FIDELITY_BAND = 1e-8
+EPS = np.finfo(float).eps
 
 
 def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -38,14 +39,39 @@ def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def psd_sqrt(rho: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues in [-1e-10, 0) are treated as rounding noise and clamped
-    to zero before the square root; anything more negative raises.
+    Eigenvalues under :func:`floor_eigenvalues` are treated as rounding
+    noise and zeroed before the square root; one below -1e-10 raises.
     """
     w, v = hermitian_eig(rho)
     if w[0] < PSD_EIG_FLOOR:
         raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return (v * np.sqrt(floor_eigenvalues(w))) @ v.conj().T
+
+
+def floor_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Zero the eigenvalues at or below d * eps * (largest eigenvalue).
+
+    Works along the last axis of ``w``, which holds the d eigenvalues of
+    a PSD matrix.  Eigenvalues at that level are rounding noise: a pure
+    state's zero eigenvalues come out near 1e-17, and their square roots
+    (~3e-9 each) would otherwise push its fidelities past 1 + 1e-8.
+    """
+    w = np.asarray(w, dtype=float)
+    top = np.clip(np.max(w, axis=-1, keepdims=True), 0.0, None)
+    return np.where(w > w.shape[-1] * EPS * top, w, 0.0)
+
+
+def qubit_dets(rho: np.ndarray) -> np.ndarray:
+    """Determinants of (..., 2, 2) PSD matrices under the same floor.
+
+    The smaller eigenvalue is det / top with top the larger one, so the
+    determinant is zeroed exactly where floor_eigenvalues would zero the
+    smaller eigenvalue.
+    """
+    det = (rho[..., 0, 0] * rho[..., 1, 1] - rho[..., 0, 1] * rho[..., 1, 0]).real
+    half = (rho[..., 0, 0] + rho[..., 1, 1]).real / 2.0
+    top = half + np.sqrt(np.clip(half**2 - det, 0.0, None))
+    return np.where(det > 2.0 * EPS * top**2, det, 0.0)
 
 
 def uhlmann_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
@@ -62,8 +88,8 @@ def uhlmann_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     root = psd_sqrt(a)
     inner = root @ b @ root
     # symmetrize before eigvalsh: inner is Hermitian up to rounding
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
-    fid = float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
+    w = floor_eigenvalues(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0))
+    fid = float(np.sum(np.sqrt(w)) ** 2)
     return clamp_fidelity(fid)
 
 

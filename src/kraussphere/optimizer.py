@@ -2,23 +2,27 @@
 
 The loss is 1 minus the ensemble-average Uhlmann fidelity between
 original states and the states recovered by the angle-parameterized
-channel; its gradient is taken by central differences in angle space and
-followed with plain fixed-rate descent.  Every angle vector corresponds
-to a CPTP channel by construction, so no iterate ever leaves the
-physical set.
+channel.  Its exact gradient comes from one forward sweep of the
+one-angle transforms over the d frame rows, the analytic fidelity
+cotangent, and one reverse sweep (the adjoint method); plain fixed-rate
+descent follows it.  Every angle vector corresponds to a CPTP channel by
+construction, so no iterate ever leaves the physical set.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import apply_channel_batch
-from .geometry import KrausSet, identity_frame, vectors_to_operator_stack
-from .linalg import FIDELITY_BAND, uhlmann_fidelity
+from .geometry import (
+    KrausSet,
+    identity_frame,
+    operator_stack_to_vectors,
+    vectors_to_operator_stack,
+)
+from .linalg import FIDELITY_BAND, floor_eigenvalues, qubit_dets, uhlmann_fidelity
 from .sampling import philox_rng
 from .transforms import (
     Generator,
@@ -27,12 +31,6 @@ from .transforms import (
     finite_transform,
     generator_basis,
 )
-
-THREADS_ENV_VAR = "KRAUS_SPHERE_THREADS"
-
-# memory budget for batched gradient evaluation: cap the largest complex
-# intermediate at ~100 MB regardless of ansatz size
-_CHUNK_BUDGET_ENTRIES = 6_000_000
 
 INIT_MODES = ("zeros", "small_random")
 
@@ -50,7 +48,6 @@ class OptimizerConfig:
     """Gradient-descent settings; defaults follow the experiments."""
 
     eta0: float = 0.1
-    epsilon: float = 1e-6
     max_iters: int = 500
     loss_tol: float = 1e-7
     patience: int = 25
@@ -58,11 +55,10 @@ class OptimizerConfig:
     init_scale: float = 0.1
     m: int | None = None  # ansatz Kraus count; None means d**2
     seed: int = 0
-    threads: int | None = None  # None: honor KRAUS_SPHERE_THREADS, default serial
 
     def __post_init__(self):
-        if self.eta0 <= 0 or self.epsilon <= 0:
-            raise ValueError("eta0 and epsilon must be positive")
+        if self.eta0 <= 0:
+            raise ValueError("eta0 must be positive")
         if self.init not in INIT_MODES:
             raise ValueError(
                 f"unknown init {self.init!r}; expected one of {INIT_MODES}"
@@ -122,25 +118,22 @@ def average_fidelity(pairs) -> float:
 class _EnsembleFidelity:
     """Uhlmann fidelities of recovered batches against fixed originals.
 
-    For qubits the closed form Tr(a b) + 2 sqrt(det a det b) avoids any
+    For qubits the closed form Tr(a o) + 2 sqrt(det a det o) avoids any
     per-call eigendecomposition; otherwise the square roots of the
     originals are precomputed once and a single batched eigvalsh per
     call does the rest.  Either path equals uhlmann_fidelity to rounding
-    (see the optimizer tests).
+    (see the optimizer tests), and both zero rounding-level eigenvalues
+    with :func:`floor_eigenvalues`.
     """
 
     def __init__(self, originals: np.ndarray):
         self.originals = originals
         self.dim = originals.shape[-1]
         if self.dim == 2:
-            dets = (
-                originals[:, 0, 0] * originals[:, 1, 1]
-                - originals[:, 0, 1] * originals[:, 1, 0]
-            ).real
-            self._dets = np.clip(dets, 0.0, None)
+            self._dets = qubit_dets(originals)
         else:
             w, v = np.linalg.eigh(originals)
-            w = np.clip(w, 0.0, None)
+            w = floor_eigenvalues(w)
             self._sqrts = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
     def __call__(self, recovered: np.ndarray) -> np.ndarray:
@@ -149,15 +142,9 @@ class _EnsembleFidelity:
             overlap = np.einsum(
                 "...nij,nji->...n", recovered, self.originals, optimize=True
             ).real
-            dets = (
-                recovered[..., 0, 0] * recovered[..., 1, 1]
-                - recovered[..., 0, 1] * recovered[..., 1, 0]
-            ).real
-            fid = overlap + 2.0 * np.sqrt(np.clip(dets, 0.0, None) * self._dets)
+            fid = overlap + 2.0 * np.sqrt(qubit_dets(recovered) * self._dets)
         else:
-            inner = self._sqrts @ recovered @ self._sqrts
-            inner = (inner + inner.conj().swapaxes(-1, -2)) / 2.0
-            w = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
+            w = floor_eigenvalues(np.linalg.eigvalsh(self._inner(recovered)))
             fid = np.sum(np.sqrt(w), axis=-1) ** 2
         low, high = fid.min(), fid.max()
         if low < -FIDELITY_BAND or high > 1.0 + FIDELITY_BAND:
@@ -166,27 +153,50 @@ class _EnsembleFidelity:
             )
         return np.clip(fid, 0.0, 1.0)
 
+    def cotangent(self, recovered: np.ndarray) -> np.ndarray:
+        """(N, d, d) recovered states a -> Hermitian Q with dF = Tr(Q da).
+
+        Qubits: Q = o + sqrt(det o / det a) adj(a), the square-root term
+        dropped where det a is zero.  General d: with X = sqrt(o) a
+        sqrt(o), Q = sqrt(F) sqrt(o) X^(-1/2) sqrt(o), where X^(-1/2) is a
+        pseudo-inverse: eigenvalues zeroed by the floor contribute nothing.
+        """
+        if self.dim == 2:
+            dets = qubit_dets(recovered)
+            ratio = np.divide(
+                self._dets, dets, out=np.zeros_like(dets), where=dets > 0.0
+            )
+            # adj(a) = Tr(a) I - a for 2 x 2 matrices
+            traces = np.trace(recovered, axis1=-2, axis2=-1)[:, None, None]
+            adj = traces * np.eye(2) - recovered
+            return self.originals + np.sqrt(ratio)[:, None, None] * adj
+        w, v = np.linalg.eigh(self._inner(recovered))
+        roots = np.sqrt(floor_eigenvalues(w))
+        inverse_roots = np.divide(
+            1.0, roots, out=np.zeros_like(roots), where=roots > 0.0
+        )
+        scale = roots.sum(axis=-1)[:, None] * inverse_roots  # sqrt(F) X^(-1/2)
+        middle = (v * scale[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        return self._sqrts @ middle @ self._sqrts
+
+    def _inner(self, recovered: np.ndarray) -> np.ndarray:
+        inner = self._sqrts @ recovered @ self._sqrts
+        return (inner + inner.conj().swapaxes(-1, -2)) / 2.0
+
 
 class LossContext:
     """Precomputed state for repeated loss and gradient evaluations.
 
     Holds the corrupted/original ensembles, the generator basis of the
-    ansatz, and the fidelity machinery; immutable during a run, so
-    gradient components can be evaluated concurrently.
+    ansatz, and the fidelity machinery; immutable during a run.
     """
 
-    def __init__(self, corrupted, originals, d: int, m: int, basis=None):
+    def __init__(self, corrupted, originals, d: int, m: int):
         self.d, self.m = d, m
         if len(corrupted) == 0 or len(originals) == 0:
             raise ValueError("state ensemble is empty")
-        self.corrupted = np.asarray(
-            corrupted if isinstance(corrupted, np.ndarray) else np.stack(corrupted),
-            dtype=complex,
-        )
-        self.originals = np.asarray(
-            originals if isinstance(originals, np.ndarray) else np.stack(originals),
-            dtype=complex,
-        )
+        self.corrupted = np.asarray(corrupted, dtype=complex)
+        self.originals = np.asarray(originals, dtype=complex)
         if self.corrupted.shape != self.originals.shape:
             raise ValueError(
                 f"corrupted/original shapes differ: "
@@ -196,85 +206,62 @@ class LossContext:
             raise ValueError(
                 f"expected states of shape (N, {d}, {d}), got {self.corrupted.shape}"
             )
-        self.basis: list[Generator] = (
-            generator_basis(2 * m * d) if basis is None else basis
-        )
+        self.basis: list[Generator] = generator_basis(2 * m * d)
         self.n_angles = angle_count(d, m)
         self.base_vectors = identity_frame(d, m).vectors
         self._fidelity = _EnsembleFidelity(self.originals)
 
     def loss(self, angles: np.ndarray) -> float:
-        angles = self._check_angles(angles)
-        total = np.eye(2 * self.m * self.d)
-        for gen, theta in zip(self.basis, angles):
-            if theta != 0.0:
-                total = finite_transform(gen, theta) @ total
-        return float(self._losses_from_totals(total[None])[0])
+        frames = self._forward(self._check_angles(angles))
+        _, recovered = self._recover(frames[-1])
+        return float(1.0 - self._fidelity(recovered).mean())
 
-    def gradient(self, angles: np.ndarray, epsilon: float, threads=None) -> np.ndarray:
-        """Central-difference gradient, one +/- pair per angle.
+    def gradient(self, angles: np.ndarray) -> np.ndarray:
+        """Exact gradient of the loss: one forward and one reverse sweep.
 
-        Variant transformations reuse shared prefix/suffix products of
-        the unperturbed factors, so each component costs two matrix
-        products plus one loss evaluation per sign.  Components are
-        independent; the gather is by index, making the result identical
-        for any worker count.
+        With frame rows V_a = V_{a-1} M_a^T and C_a = dL/dV_a, angle a
+        contributes <C_a, V_{a-1} dM_a^T>, dM_a = cos(theta) J - sin(theta) P,
+        and the cotangent moves back as C_{a-1} = C_a M_a (the adjoint
+        method).  C_n comes from the fidelity cotangent Q of each state:
+        dL/dK_a = -(2/N) sum_n Q_n K_a sigma_n, sigma_n the corrupted
+        states, relabeled to frame layout.
         """
         angles = self._check_angles(angles)
-        n = self.n_angles
-        dim = 2 * self.m * self.d
-        eye = np.eye(dim)
-        # None marks a zero angle (identity factor); the product lists
-        # then share references, safe because nothing here mutates them
-        factors = [
-            finite_transform(gen, theta) if theta != 0.0 else None
-            for gen, theta in zip(self.basis, angles)
-        ]
-        before = [eye]  # before[a] = M_{a-1} ... M_1
-        for fac in factors[:-1]:
-            before.append(fac @ before[-1] if fac is not None else before[-1])
-        after = [eye] * (n + 1)  # after[a] = M_n ... M_{a+1}
-        for a in range(n - 1, -1, -1):
-            after[a] = (
-                after[a + 1] @ factors[a] if factors[a] is not None else after[a + 1]
-            )
+        frames = self._forward(angles)
+        stack, recovered = self._recover(frames[-1])
+        q = self._fidelity.cotangent(recovered)
+        d_stack = np.einsum("nij,ajk,nkl->ail", q, stack, self.corrupted, optimize=True)
+        cot = operator_stack_to_vectors(d_stack * (-2.0 / len(self.corrupted)))
+        grad = np.empty(self.n_angles)
+        for a in range(self.n_angles - 1, -1, -1):
+            gen, theta = self.basis[a], angles[a]
+            cot_j, cot_p = cot @ gen.matrix, cot @ gen.projector
+            cos, sin = np.cos(theta), np.sin(theta)
+            grad[a] = np.sum((cos * cot_j - sin * cot_p) * frames[a])
+            if theta != 0.0:
+                cot = cot + (cos - 1.0) * cot_p + sin * cot_j
+        return grad
 
-        losses = np.empty(2 * n)
-        n_states = self.corrupted.shape[0]
-        chunk = max(2, _CHUNK_BUDGET_ENTRIES // (self.m * n_states * self.d**2))
-        spans = [(lo, min(lo + chunk, 2 * n)) for lo in range(0, 2 * n, chunk)]
+    def _forward(self, angles: np.ndarray) -> list[np.ndarray]:
+        """Frame rows after each transform: frames[a] = V_a, frames[0] = V_0.
 
-        def eval_span(span):
-            lo, hi = span
-            totals = np.empty((hi - lo, dim, dim))
-            for index in range(lo, hi):
-                a, offset = divmod(index, 2)
-                sign = 1.0 if offset == 0 else -1.0
-                shifted = finite_transform(self.basis[a], angles[a] + sign * epsilon)
-                totals[index - lo] = after[a + 1] @ shifted @ before[a]
-            losses[lo:hi] = self._losses_from_totals(totals)
+        Zero angles are identity factors and share the previous frame.
+        """
+        frames = [self.base_vectors]
+        for gen, theta in zip(self.basis, angles):
+            frame = frames[-1]
+            if theta != 0.0:
+                frame = frame @ finite_transform(gen, theta).T
+            frames.append(frame)
+        return frames
 
-        workers = _gradient_workers(len(spans), threads)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(eval_span, spans))
-        else:
-            for span in spans:
-                eval_span(span)
-        return (losses[0::2] - losses[1::2]) / (2.0 * epsilon)
-
-    def _losses_from_totals(self, totals: np.ndarray) -> np.ndarray:
-        """(V, dim, dim) composed transformations -> (V,) loss values."""
-        vectors = self.base_vectors @ totals.swapaxes(-1, -2)
-        stacks = vectors_to_operator_stack(vectors, self.d, self.m)
+    def _recover(self, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Frame rows -> (operator stack, recovered states sum_a K_a sigma K_a^+)."""
+        stack = vectors_to_operator_stack(vectors, self.d, self.m)
         recovered = np.einsum(
-            "vaij,njk,valk->vnil",
-            stacks,
-            self.corrupted,
-            stacks.conj(),
-            optimize=True,
+            "aij,njk,alk->nil", stack, self.corrupted, stack.conj(), optimize=True
         )
-        return 1.0 - self._fidelity(recovered).mean(axis=-1)
+        return stack, recovered
 
     def _check_angles(self, angles) -> np.ndarray:
         angles = np.asarray(angles, dtype=float)
@@ -287,17 +274,11 @@ class LossContext:
         return angles
 
 
-def loss(angles, corrupted, originals, d: int, m: int) -> float:
-    """1 - average fidelity of the angle-parameterized recovery.
-
-    Functional form of :meth:`LossContext.loss`; builds the context each
-    call, so prefer the context in loops.
-    """
-    return LossContext(corrupted, originals, d, m).loss(angles)
-
-
 def central_difference(func, x: np.ndarray, epsilon: float) -> np.ndarray:
-    """Generic central-difference gradient [f(x+eps e_i) - f(x-eps e_i)] / 2eps."""
+    """Generic central-difference gradient [f(x+eps e_i) - f(x-eps e_i)] / 2eps.
+
+    The reference the exact gradient of LossContext is tested against.
+    """
     x = np.asarray(x, dtype=float)
     grad = np.empty_like(x)
     for i in range(x.size):
@@ -305,21 +286,6 @@ def central_difference(func, x: np.ndarray, epsilon: float) -> np.ndarray:
         shift[i] = epsilon
         grad[i] = (func(x + shift) - func(x - shift)) / (2.0 * epsilon)
     return grad
-
-
-def _gradient_workers(n_tasks: int, requested=None) -> int:
-    if requested is None:
-        env = os.environ.get(THREADS_ENV_VAR, "").strip()
-        if env:
-            try:
-                requested = int(env)
-            except ValueError:
-                raise ValueError(
-                    f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
-                ) from None
-        else:
-            requested = 1
-    return max(1, min(int(requested), n_tasks))
 
 
 def learn_quasi_inverse(
@@ -366,7 +332,7 @@ def learn_quasi_inverse(
             current = ctx.loss(theta)
         if not np.isfinite(current):
             raise NonFiniteLossError(iteration, current)
-        grad = ctx.gradient(theta, cfg.epsilon, cfg.threads)
+        grad = ctx.gradient(theta)
         if not np.all(np.isfinite(grad)):
             raise NonFiniteLossError(iteration, float(np.sum(grad)))
         history.append(

@@ -12,6 +12,13 @@ def random_density(rng, dim):
     return (rho + rho.conj().T) / 2.0
 
 
+def pure_density(rng, dim):
+    """Random pure state |v><v| (complex Gaussian direction)."""
+    vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    vec /= np.linalg.norm(vec)
+    return np.outer(vec, vec.conj())
+
+
 def random_hermitian(rng, dim):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return (g + g.conj().T) / 2.0

@@ -397,7 +397,7 @@ def test_criterion_12_gradient_oracle():
 @pytest.mark.slow_optional
 @pytest.mark.skipif(
     os.environ.get("KRAUSSPHERE_RUN_SLOW") != "1",
-    reason="general two-qubit ansatz takes ~45 min; set KRAUSSPHERE_RUN_SLOW=1",
+    reason="general two-qubit ansatz takes ~40 s; set KRAUSSPHERE_RUN_SLOW=1",
 )
 def test_optional_general_two_qubit_ansatz():
     """Criterion 5 thresholds under the full 16-operator ansatz (4095 angles)."""
@@ -411,5 +411,5 @@ def test_optional_general_two_qubit_ansatz():
         "5-optional",
         before_ok and after_ok,
         f"general ansatz before={result.fidelity_before:.4f} "
-        f"after={result.fidelity_after:.4f}",
+        f"after={result.fidelity_after:.4f}, {result.iterations_used} iterations",
     )

@@ -123,6 +123,18 @@ class TestRunSingle:
         states = load_states(out / "states.json")
         assert len(states) == 25 and states[0].shape == (2, 2)
 
+    def test_retired_optimizer_fields_load_and_are_listed(self, tmp_path):
+        # older configs carried the central-difference step and thread count
+        data = base_config(tmp_path / "run")
+        data["optimizer"].update({"epsilon": 1e-6, "threads": 2})
+        config = config_from_dict(data)
+        assert config.ignored_fields == ["optimizer.epsilon", "optimizer.threads"]
+        assert set(config.to_dict()["optimizer"]).isdisjoint({"epsilon", "threads"})
+        run_single(config)
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["ignored_fields"] == ["optimizer.epsilon", "optimizer.threads"]
+        assert "epsilon" not in manifest["config"]["optimizer"]
+
     def test_rerun_bit_identical(self, tmp_path):
         for name in ("a", "b"):
             config = config_from_dict(base_config(tmp_path / name))

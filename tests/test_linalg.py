@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from kraussphere.linalg import (
+    floor_eigenvalues,
     hermitian_eig,
     matrix_exp_series,
     psd_sqrt,
+    qubit_dets,
     uhlmann_fidelity,
     validate_density_matrix,
 )
 
-from conftest import random_density, random_hermitian
+from conftest import pure_density, random_density, random_hermitian
 
 
 class TestHermitianEig:
@@ -107,6 +109,30 @@ class TestUhlmannFidelity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             uhlmann_fidelity(np.eye(2) / 2, np.eye(4) / 4)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_pure_state_with_itself(self, dim):
+        # its zero eigenvalues come out at rounding level; unfloored, their
+        # square roots pushed the fidelity past 1 + 1e-8 and it raised
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            psi = pure_density(rng, dim)
+            assert uhlmann_fidelity(psi, psi) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestEigenvalueFloor:
+    def test_zeroes_rounding_level_only(self):
+        w = np.array([[-1e-17, 1e-17, 1e-3, 0.5], [0.0, 0.25, 0.25, 0.5]])
+        assert np.array_equal(
+            floor_eigenvalues(w), [[0.0, 0.0, 1e-3, 0.5], [0.0, 0.25, 0.25, 0.5]]
+        )
+
+    def test_qubit_dets_match_the_floor(self):
+        rng = np.random.default_rng(6)
+        pure, mixed = pure_density(rng, 2), random_density(rng, 2)
+        dets = qubit_dets(np.stack([pure, mixed]))
+        assert dets[0] == 0.0
+        assert dets[1] == pytest.approx(np.linalg.det(mixed).real, rel=1e-12)
 
 
 class TestMatrixExpSeries:
