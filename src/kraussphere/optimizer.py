@@ -4,9 +4,14 @@ The loss is 1 minus the ensemble-average Uhlmann fidelity between
 original states and the states recovered by the angle-parameterized
 channel.  Its exact gradient comes from one forward sweep of the
 one-angle transforms over the d frame rows, the analytic fidelity
-cotangent, and one reverse sweep (the adjoint method); plain fixed-rate
-descent follows it.  Every angle vector corresponds to a CPTP channel by
-construction, so no iterate ever leaves the physical set.
+cotangent, and one reverse sweep (the adjoint method); the same sweep
+gives the loss, so each descent step costs one ``(loss, grad)`` call.
+The reverse sweep takes a dense step only at nonzero angles: every run
+of zero angles leaves the cotangent and the frame unchanged, so its
+gradient entries all come from one complex md x md product
+(:func:`generator_pairings`).  Plain fixed-rate descent follows.  Every
+angle vector corresponds to a CPTP channel by construction, so no
+iterate ever leaves the physical set.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .transforms import (
     channel_from_angles,
     finite_transform,
     generator_basis,
+    generator_pairings,
 )
 
 INIT_MODES = ("zeros", "small_random")
@@ -92,6 +98,8 @@ class QuasiInverseResult:
     history: list[TrainingRecord]
     fidelity_before: float
     fidelity_after: float
+    stop_reason: str  # "loss_tol", "patience" or "max_iters"
+    best_iteration: int | None  # history index of ``angles``; None: identity
 
     @property
     def iterations_used(self) -> int:
@@ -104,6 +112,8 @@ class QuasiInverseResult:
             "history": [rec.to_dict() for rec in self.history],
             "fidelity_before": self.fidelity_before,
             "fidelity_after": self.fidelity_after,
+            "stop_reason": self.stop_reason,
+            "best_iteration": self.best_iteration,
         }
 
 
@@ -216,8 +226,8 @@ class LossContext:
         _, recovered = self._recover(frames[-1])
         return float(1.0 - self._fidelity(recovered).mean())
 
-    def gradient(self, angles: np.ndarray) -> np.ndarray:
-        """Exact gradient of the loss: one forward and one reverse sweep.
+    def gradient(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
+        """Loss and exact gradient: one forward and one reverse sweep.
 
         With frame rows V_a = V_{a-1} M_a^T and C_a = dL/dV_a, angle a
         contributes <C_a, V_{a-1} dM_a^T>, dM_a = cos(theta) J - sin(theta) P,
@@ -225,22 +235,34 @@ class LossContext:
         method).  C_n comes from the fidelity cotangent Q of each state:
         dL/dK_a = -(2/N) sum_n Q_n K_a sigma_n, sigma_n the corrupted
         states, relabeled to frame layout.
+
+        Zero angles are identity factors, so C and V stay fixed across
+        each run of them and that run's entries are <J_a, C^T V>, all read
+        from one generator_pairings call; only nonzero angles take a dense
+        step.  The loss is the one :meth:`loss` returns, from the same
+        forward sweep.
         """
         angles = self._check_angles(angles)
         frames = self._forward(angles)
         stack, recovered = self._recover(frames[-1])
+        loss = float(1.0 - self._fidelity(recovered).mean())
         q = self._fidelity.cotangent(recovered)
         d_stack = np.einsum("nij,ajk,nkl->ail", q, stack, self.corrupted, optimize=True)
         cot = operator_stack_to_vectors(d_stack * (-2.0 / len(self.corrupted)))
         grad = np.empty(self.n_angles)
-        for a in range(self.n_angles - 1, -1, -1):
+        end = self.n_angles  # angles a+1 .. end-1 are zeros
+        for a in np.flatnonzero(angles)[::-1]:
+            if a + 1 < end:
+                grad[a + 1 : end] = generator_pairings(cot, frames[a + 1])[a + 1 : end]
             gen, theta = self.basis[a], angles[a]
             cot_j, cot_p = cot @ gen.matrix, cot @ gen.projector
             cos, sin = np.cos(theta), np.sin(theta)
             grad[a] = np.sum((cos * cot_j - sin * cot_p) * frames[a])
-            if theta != 0.0:
-                cot = cot + (cos - 1.0) * cot_p + sin * cot_j
-        return grad
+            cot = cot + (cos - 1.0) * cot_p + sin * cot_j
+            end = a
+        if end > 0:
+            grad[:end] = generator_pairings(cot, frames[0])[:end]
+        return loss, grad
 
     def _forward(self, angles: np.ndarray) -> list[np.ndarray]:
         """Frame rows after each transform: frames[a] = V_a, frames[0] = V_0.
@@ -297,8 +319,9 @@ def learn_quasi_inverse(
     the angle space of an m-operator ansatz acting on the corrupted
     states.  Returns the best angles seen (the identity start point
     always counts as a candidate, so the result never recovers worse
-    than doing nothing), the corresponding channel, and the full
-    training history.
+    than doing nothing), the corresponding channel, the full training
+    history, why the descent stopped and which iterate was best.  Each
+    iteration takes its loss and gradient from one ``ctx.gradient`` call.
     """
     states = list(states)
     if not states:
@@ -321,18 +344,17 @@ def learn_quasi_inverse(
         rng = philox_rng(cfg.seed)
         theta = rng.normal(0.0, cfg.init_scale, ctx.n_angles)
 
+    # the identity counts as a candidate; at a zeros start it is iterate 0
     best_theta, best_loss = zeros, identity_loss
+    best_iteration = 0 if cfg.init == "zeros" else None
     history: list[TrainingRecord] = []
     prev_loss = None
     stalled = 0
+    stop_reason = "max_iters"
     for iteration in range(cfg.max_iters):
-        if iteration == 0 and cfg.init == "zeros":
-            current = identity_loss
-        else:
-            current = ctx.loss(theta)
+        current, grad = ctx.gradient(theta)
         if not np.isfinite(current):
             raise NonFiniteLossError(iteration, current)
-        grad = ctx.gradient(theta)
         if not np.all(np.isfinite(grad)):
             raise NonFiniteLossError(iteration, float(np.sum(grad)))
         history.append(
@@ -346,12 +368,15 @@ def learn_quasi_inverse(
         if current < best_loss:
             best_loss = current
             best_theta = theta.copy()
+            best_iteration = iteration
             stalled = 0
         else:
             stalled += 1
         if prev_loss is not None and abs(current - prev_loss) < cfg.loss_tol:
+            stop_reason = "loss_tol"
             break
         if stalled >= cfg.patience:
+            stop_reason = "patience"
             break
         prev_loss = current
         theta = theta - cfg.eta0 * grad
@@ -363,6 +388,8 @@ def learn_quasi_inverse(
         history=history,
         fidelity_before=fidelity_before,
         fidelity_after=1.0 - best_loss,
+        stop_reason=stop_reason,
+        best_iteration=best_iteration,
     )
 
 

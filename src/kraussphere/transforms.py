@@ -86,6 +86,25 @@ def generator_basis(dim: int) -> list[Generator]:
     return generators
 
 
+def generator_pairings(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """<J_a, left^T right> for every J_a of generator_basis(dim), in its order.
+
+    ``left`` and ``right`` are (rows, dim) real arrays in the interleaved
+    layout.  With c and f their complex rows and Z = c^T conj(f), the
+    pairings are Im(Z_jk + Z_kj), then Re(Z_jk - Z_kj) for j < k, then
+    Im(Z_jj - Z_{j+1,j+1}): every generator at once in O(rows * n^2)
+    instead of one dense dim x dim product each.
+    """
+    c = left[:, 0::2] + 1j * left[:, 1::2]
+    f = right[:, 0::2] + 1j * right[:, 1::2]
+    z = c.T @ f.conj()
+    j, k = np.triu_indices(z.shape[0], 1)
+    diag = np.diagonal(z)
+    return np.concatenate(
+        [(z[j, k] + z[k, j]).imag, (z[j, k] - z[k, j]).real, (diag[:-1] - diag[1:]).imag]
+    )
+
+
 def _embed_real(h: np.ndarray) -> np.ndarray:
     """Complex n x n matrix -> real 2n x 2n with [[Re, -Im], [Im, Re]] blocks."""
     n = h.shape[0]

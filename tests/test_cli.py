@@ -123,6 +123,16 @@ class TestRunSingle:
         states = load_states(out / "states.json")
         assert len(states) == 25 and states[0].shape == (2, 2)
 
+    def test_result_reports_stop_reason_and_best_iteration(self, tmp_path):
+        result = run_single(config_from_dict(base_config(tmp_path / "run")))
+        saved = json.loads((tmp_path / "run" / "result.json").read_text())
+        assert saved["stop_reason"] == result.stop_reason
+        assert saved["stop_reason"] in ("loss_tol", "patience", "max_iters")
+        assert saved["best_iteration"] == result.best_iteration
+        assert saved["history"][saved["best_iteration"]]["loss"] == pytest.approx(
+            1.0 - saved["fidelity_after"], abs=1e-15
+        )
+
     def test_retired_optimizer_fields_load_and_are_listed(self, tmp_path):
         # older configs carried the central-difference step and thread count
         data = base_config(tmp_path / "run")

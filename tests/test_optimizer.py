@@ -161,7 +161,8 @@ class TestGradient:
         return LossContext(corrupted, states, d, m), rng
 
     def _oracle_gap(self, ctx, angles):
-        exact = ctx.gradient(angles)
+        loss, exact = ctx.gradient(angles)
+        assert loss == ctx.loss(angles)
         assert np.all(np.isfinite(exact))
         return np.max(np.abs(exact - central_difference(ctx.loss, angles, 1e-6)))
 
@@ -174,13 +175,31 @@ class TestGradient:
                     angles[::3] = 0.0  # zero angles are skipped going forward
                     assert self._oracle_gap(ctx, angles) <= 1e-7, (d, m)
 
+    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_sparse_sweep_on_zero_patterns(self, d, m):
+        # runs of zero angles are read from one pairing matrix; check
+        # every pattern of runs: all zeros, one nonzero angle at either
+        # end or in the middle, mostly zeros, and none
+        ctx, rng = self._small_context(seed=61, d=d, m=m)
+        n = ctx.n_angles
+        patterns = [np.zeros(n)]
+        for index in (0, n // 2, n - 1):
+            one = np.zeros(n)
+            one[index] = 0.7
+            patterns.append(one)
+        sparse = rng.normal(0, 0.5, n)
+        sparse[rng.random(n) < 0.9] = 0.0
+        patterns += [sparse, rng.normal(0, 0.5, n)]
+        for angles in patterns:
+            assert self._oracle_gap(ctx, angles) <= 1e-7, np.flatnonzero(angles)
+
     def test_one_sided_consistency(self):
         ctx, rng = self._small_context(seed=48)
         eps = 1e-6
         for _ in range(5):
             angles = rng.normal(0, 0.5, ctx.n_angles)
-            grad = ctx.gradient(angles)
-            base = ctx.loss(angles)
+            base, grad = ctx.gradient(angles)
             for i in range(0, ctx.n_angles, 5):
                 shift = np.zeros(ctx.n_angles)
                 shift[i] = eps / 10
@@ -191,7 +210,7 @@ class TestGradient:
         rng = np.random.default_rng(49)
         states = [random_density(rng, 2) for _ in range(20)]
         ctx = LossContext(states, states, 2, 4)
-        grad = ctx.gradient(np.zeros(63))
+        _, grad = ctx.gradient(np.zeros(63))
         assert np.linalg.norm(grad) <= 1e-4
 
     @pytest.mark.parametrize("d", [2, 4])
@@ -268,6 +287,37 @@ class TestLearnQuasiInverse:
             1.0 - min(r.loss for r in result.history), abs=1e-12
         )
 
+    def test_stops_at_max_iters_with_best_iterate(self):
+        states = sample_bloch_ball(seed=54, count=30)
+        cfg = OptimizerConfig(max_iters=6, m=1, loss_tol=0.0, patience=6)
+        result = learn_quasi_inverse(flip_channel("bit_flip", 0.7), states, cfg)
+        assert result.stop_reason == "max_iters" and result.iterations_used == 6
+        best = result.history[result.best_iteration]
+        assert best.loss == min(r.loss for r in result.history)
+        assert result.fidelity_after == 1.0 - best.loss
+
+    def test_stops_at_loss_tol(self):
+        states = sample_bloch_ball(seed=54, count=30)
+        cfg = OptimizerConfig(max_iters=50, m=1, loss_tol=1.0)
+        result = learn_quasi_inverse(flip_channel("bit_flip", 0.7), states, cfg)
+        assert result.stop_reason == "loss_tol" and result.iterations_used == 2
+        assert result.best_iteration == 1
+
+    def test_stops_at_patience_on_the_identity(self):
+        # nothing beats the identity on a noiseless channel, so a zeros
+        # start keeps iterate 0 and a random start falls back to the
+        # identity, which is no iterate
+        states = sample_bloch_ball(seed=54, count=30)
+        for init, patience, best in (("zeros", 1, 0), ("small_random", 3, None)):
+            cfg = OptimizerConfig(
+                max_iters=50, m=2, loss_tol=0.0, patience=patience, init=init, seed=4
+            )
+            result = learn_quasi_inverse(identity_kraus(2, 2), states, cfg)
+            assert result.stop_reason == "patience"
+            assert result.iterations_used == patience
+            assert result.best_iteration == best
+            assert np.array_equal(result.angles, np.zeros(15))
+
     def test_learned_channel_is_cptp(self):
         states = sample_bloch_ball(seed=55, count=25)
         result = learn_quasi_inverse(
@@ -334,6 +384,8 @@ class TestLearnQuasiInverse:
         parsed = json.loads(blob)
         assert parsed["fidelity_before"] == result.fidelity_before
         assert len(parsed["history"]) == result.iterations_used
+        assert parsed["stop_reason"] == result.stop_reason == "max_iters"
+        assert parsed["best_iteration"] == result.best_iteration
 
 
 class TestDominantKrausReport:

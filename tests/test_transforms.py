@@ -16,6 +16,7 @@ from kraussphere.transforms import (
     compose_transforms,
     finite_transform,
     generator_basis,
+    generator_pairings,
 )
 
 from conftest import random_density
@@ -65,6 +66,17 @@ class TestGeneratorBasis:
                 ja, jb = basis[a].matrix, basis[b].matrix
                 bracket = ja @ jb - jb @ ja
                 assert np.max(np.abs(s @ bracket - bracket @ s)) <= 1e-10
+
+
+class TestGeneratorPairings:
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_matches_dense_pairings_in_basis_order(self, n, rows):
+        rng = np.random.default_rng(70 + n)
+        left = rng.normal(size=(rows, 2 * n))
+        right = rng.normal(size=(rows, 2 * n))
+        dense = [np.sum(g.matrix * (left.T @ right)) for g in generator_basis(2 * n)]
+        assert np.max(np.abs(generator_pairings(left, right) - dense)) <= 1e-12
 
 
 class TestFiniteTransform:
