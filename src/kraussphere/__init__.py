@@ -19,7 +19,6 @@ from .geometry import (
 )
 from .linalg import (
     hermitian_eig,
-    matrix_exp_series,
     psd_sqrt,
     uhlmann_fidelity,
 )
@@ -28,8 +27,6 @@ from .optimizer import (
     OptimizerConfig,
     QuasiInverseResult,
     TrainingRecord,
-    average_fidelity,
-    central_difference,
     dominant_kraus_report,
     learn_quasi_inverse,
 )
@@ -61,8 +58,6 @@ __all__ = [
     "angle_count",
     "apply_angles",
     "apply_channel",
-    "average_fidelity",
-    "central_difference",
     "channel_from_angles",
     "completeness_gram",
     "depolarizing_channel",
@@ -75,7 +70,6 @@ __all__ = [
     "identity_frame",
     "kraus_to_frame",
     "learn_quasi_inverse",
-    "matrix_exp_series",
     "psd_sqrt",
     "sample_bloch_ball",
     "sample_bures",

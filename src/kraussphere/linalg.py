@@ -1,8 +1,7 @@
 """Dense complex linear algebra used throughout the package.
 
 Hermitian eigendecomposition, PSD matrix square roots, Uhlmann fidelity,
-and a power-series matrix exponential kept around as an independent
-reference for the closed-form frame transformations.
+and the density-matrix check of state ensembles.
 """
 
 from __future__ import annotations
@@ -100,56 +99,54 @@ def clamp_fidelity(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def matrix_exp_series(generator: np.ndarray, theta: float) -> np.ndarray:
-    """exp(theta * generator) via scaling and squaring of the Taylor series.
-
-    Reference implementation, independent of any closed form: the series
-    is summed until the next term is negligible at relative 1e-16, far
-    inside the 1e-12 contract.
-    """
-    a = np.asarray(generator, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    a = theta * a
-    scale = float(np.linalg.norm(a, ord=np.inf))
-    if not np.isfinite(scale):
-        raise ValueError("non-finite entries in theta * generator")
-    # halve until the norm is <= 0.5 so the series converges fast
-    squarings = max(0, int(np.ceil(np.log2(scale / 0.5)))) if scale > 0.5 else 0
-    a /= 2.0**squarings
-    result = np.eye(a.shape[0])
-    term = np.eye(a.shape[0])
-    k = 1
-    while True:
-        term = term @ a / k
-        result = result + term
-        if np.max(np.abs(term)) <= 1e-16 * np.max(np.abs(result)):
-            break
-        k += 1
-    for _ in range(squarings):
-        result = result @ result
-    return result
-
-
 def validate_density_matrix(
     rho: np.ndarray,
     hermiticity_tol: float = 1e-10,
     trace_tol: float = 1e-10,
     eig_floor: float = PSD_EIG_FLOOR,
 ) -> None:
-    """Raise ValueError unless rho is a valid density matrix.
+    """Raise ValueError unless every (..., d, d) matrix is a density matrix.
 
-    Checks Hermiticity, unit trace, and eigenvalues >= the rounding floor.
+    Checks finite entries, Hermiticity, unit trace, and eigenvalues >=
+    the rounding floor.  One error names the first bad matrix (its index
+    when there are leading axes) and its first failed check.
     """
     a = np.asarray(rho, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    herm = float(np.max(np.abs(a - a.conj().T)))
-    if herm > hermiticity_tol:
-        raise ValueError(f"not Hermitian: max |A - A^dagger| = {herm:.3e}")
-    trace = complex(np.trace(a))
-    if abs(trace - 1.0) > trace_tol:
-        raise ValueError(f"trace {trace} is not 1 within {trace_tol}")
-    smallest = float(np.linalg.eigvalsh(a)[0])
-    if smallest < eig_floor:
-        raise ValueError(f"not PSD: smallest eigenvalue {smallest:.3e}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {a.shape}")
+    batch, d = a.shape[:-2], a.shape[-1]
+    a = a.reshape(-1, d, d)
+    finite = np.isfinite(a).all(axis=(1, 2))
+    a = np.where(finite[:, None, None], a, np.eye(d) / d)
+    herm = np.max(np.abs(a - a.conj().swapaxes(1, 2)), axis=(1, 2))
+    trace = np.trace(a, axis1=1, axis2=2)
+    if d == 2:  # closed form; spares qubit runs their only LAPACK call
+        half = trace.real / 2.0
+        det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]).real
+        smallest = half - np.sqrt(np.clip(half**2 - det, 0.0, None))
+    else:
+        smallest = np.linalg.eigvalsh(a)[:, 0]
+    checks = [
+        (~finite, lambda i: "has non-finite entries"),
+        (
+            herm > hermiticity_tol,
+            lambda i: f"not Hermitian: max |A - A^dagger| = {herm[i]:.3e}",
+        ),
+        (
+            np.abs(trace - 1.0) > trace_tol,
+            lambda i: f"trace {trace[i]} is not 1 within {trace_tol}",
+        ),
+        (
+            smallest < eig_floor,
+            lambda i: f"not PSD: smallest eigenvalue {smallest[i]:.3e}",
+        ),
+    ]
+    bad = np.logical_or.reduce([failed for failed, _ in checks])
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    message = next(describe(i) for failed, describe in checks if failed[i])
+    if batch:
+        where = i if len(batch) == 1 else tuple(map(int, np.unravel_index(i, batch)))
+        message = f"state {where}: {message}"
+    raise ValueError(message)

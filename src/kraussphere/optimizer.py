@@ -2,16 +2,16 @@
 
 The loss is 1 minus the ensemble-average Uhlmann fidelity between
 original states and the states recovered by the angle-parameterized
-channel.  Its exact gradient comes from one forward sweep of the
-one-angle transforms over the d frame rows, the analytic fidelity
-cotangent, and one reverse sweep (the adjoint method); the same sweep
-gives the loss, so each descent step costs one ``(loss, grad)`` call.
-The reverse sweep takes a dense step only at nonzero angles: every run
-of zero angles leaves the cotangent and the frame unchanged, so its
-gradient entries all come from one complex md x md product
-(:func:`generator_pairings`).  Plain fixed-rate descent follows.  Every
-angle vector corresponds to a CPTP channel by construction, so no
-iterate ever leaves the physical set.
+channel.  Its exact gradient comes from one forward sweep of the 2 x 2
+one-angle rotations over the md x d complex frame rows, the analytic
+fidelity cotangent, and one reverse sweep (the adjoint method); the same
+sweep gives the loss, so each descent step costs one ``(loss, grad)``
+call.  The reverse sweep stacks the cotangent beside the frame and pulls
+both back through each nonzero angle's rotation, which touches two rows;
+every run of zero angles leaves the stack unchanged, so its gradient
+entries all come from one md x md product (:func:`generator_pairings`).
+Plain fixed-rate descent follows.  Every angle vector corresponds to a
+CPTP channel by construction, so no iterate ever leaves the physical set.
 """
 
 from __future__ import annotations
@@ -21,19 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import apply_channel_batch
-from .geometry import (
-    KrausSet,
-    identity_frame,
-    operator_stack_to_vectors,
-    vectors_to_operator_stack,
+from .geometry import KrausSet
+from .linalg import (
+    FIDELITY_BAND,
+    floor_eigenvalues,
+    qubit_dets,
+    validate_density_matrix,
 )
-from .linalg import FIDELITY_BAND, floor_eigenvalues, qubit_dets, uhlmann_fidelity
 from .sampling import philox_rng
 from .transforms import (
     Generator,
     angle_count,
     channel_from_angles,
-    finite_transform,
+    finite_transform,  # noqa: F401  bench/spans.py hooks the sweep's transforms here
+    forward_sweep,
     generator_basis,
     generator_pairings,
 )
@@ -117,23 +118,15 @@ class QuasiInverseResult:
         }
 
 
-def average_fidelity(pairs) -> float:
-    """Mean Uhlmann fidelity over (recovered, original) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("average_fidelity needs at least one pair")
-    return float(np.mean([uhlmann_fidelity(rec, orig) for rec, orig in pairs]))
-
-
 class _EnsembleFidelity:
     """Uhlmann fidelities of recovered batches against fixed originals.
 
     For qubits the closed form Tr(a o) + 2 sqrt(det a det o) avoids any
     per-call eigendecomposition; otherwise the square roots of the
-    originals are precomputed once and a single batched eigvalsh per
-    call does the rest.  Either path equals uhlmann_fidelity to rounding
-    (see the optimizer tests), and both zero rounding-level eigenvalues
-    with :func:`floor_eigenvalues`.
+    originals are precomputed once and a single batched eigh per call
+    gives both the fidelities and their cotangent.  Either path equals
+    uhlmann_fidelity to rounding (see the optimizer tests), and both zero
+    rounding-level eigenvalues with :func:`floor_eigenvalues`.
     """
 
     def __init__(self, originals: np.ndarray):
@@ -146,25 +139,9 @@ class _EnsembleFidelity:
             w = floor_eigenvalues(w)
             self._sqrts = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
-    def __call__(self, recovered: np.ndarray) -> np.ndarray:
-        """(..., N, d, d) recovered states -> (..., N) fidelities."""
-        if self.dim == 2:
-            overlap = np.einsum(
-                "...nij,nji->...n", recovered, self.originals, optimize=True
-            ).real
-            fid = overlap + 2.0 * np.sqrt(qubit_dets(recovered) * self._dets)
-        else:
-            w = floor_eigenvalues(np.linalg.eigvalsh(self._inner(recovered)))
-            fid = np.sum(np.sqrt(w), axis=-1) ** 2
-        low, high = fid.min(), fid.max()
-        if low < -FIDELITY_BAND or high > 1.0 + FIDELITY_BAND:
-            raise ValueError(
-                f"fidelity outside [0, 1] beyond tolerance: range [{low}, {high}]"
-            )
-        return np.clip(fid, 0.0, 1.0)
-
-    def cotangent(self, recovered: np.ndarray) -> np.ndarray:
-        """(N, d, d) recovered states a -> Hermitian Q with dF = Tr(Q da).
+    def evaluate(self, recovered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(..., N, d, d) recovered states a -> (..., N) fidelities F and the
+        Hermitian Q with dF = Tr(Q da) per state.
 
         Qubits: Q = o + sqrt(det o / det a) adj(a), the square-root term
         dropped where det a is zero.  General d: with X = sqrt(o) a
@@ -173,32 +150,43 @@ class _EnsembleFidelity:
         """
         if self.dim == 2:
             dets = qubit_dets(recovered)
+            overlap = np.einsum("...nij,nji->...n", recovered, self.originals).real
+            fid = overlap + 2.0 * np.sqrt(dets * self._dets)
             ratio = np.divide(
                 self._dets, dets, out=np.zeros_like(dets), where=dets > 0.0
             )
             # adj(a) = Tr(a) I - a for 2 x 2 matrices
-            traces = np.trace(recovered, axis1=-2, axis2=-1)[:, None, None]
+            traces = np.trace(recovered, axis1=-2, axis2=-1)[..., None, None]
             adj = traces * np.eye(2) - recovered
-            return self.originals + np.sqrt(ratio)[:, None, None] * adj
-        w, v = np.linalg.eigh(self._inner(recovered))
-        roots = np.sqrt(floor_eigenvalues(w))
-        inverse_roots = np.divide(
-            1.0, roots, out=np.zeros_like(roots), where=roots > 0.0
-        )
-        scale = roots.sum(axis=-1)[:, None] * inverse_roots  # sqrt(F) X^(-1/2)
-        middle = (v * scale[:, None, :]) @ v.conj().swapaxes(-1, -2)
-        return self._sqrts @ middle @ self._sqrts
-
-    def _inner(self, recovered: np.ndarray) -> np.ndarray:
-        inner = self._sqrts @ recovered @ self._sqrts
-        return (inner + inner.conj().swapaxes(-1, -2)) / 2.0
+            cotangent = self.originals + np.sqrt(ratio)[..., None, None] * adj
+        else:
+            inner = self._sqrts @ recovered @ self._sqrts
+            w, v = np.linalg.eigh((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
+            roots = np.sqrt(floor_eigenvalues(w))
+            total = roots.sum(axis=-1)
+            fid = total**2
+            inverse_roots = np.divide(
+                1.0, roots, out=np.zeros_like(roots), where=roots > 0.0
+            )
+            scale = total[..., None] * inverse_roots  # sqrt(F) X^(-1/2)
+            rotated = self._sqrts @ v
+            adjoint = rotated.conj().swapaxes(-1, -2)
+            cotangent = (rotated * scale[..., None, :]) @ adjoint
+        low, high = fid.min(), fid.max()
+        if low < -FIDELITY_BAND or high > 1.0 + FIDELITY_BAND:
+            raise ValueError(
+                f"fidelity outside [0, 1] beyond tolerance: range [{low}, {high}]"
+            )
+        return np.clip(fid, 0.0, 1.0), cotangent
 
 
 class LossContext:
     """Precomputed state for repeated loss and gradient evaluations.
 
     Holds the corrupted/original ensembles, the generator basis of the
-    ansatz, and the fidelity machinery; immutable during a run.
+    ansatz, and the fidelity machinery; immutable during a run.  Both
+    ensemble contractions go through d^2 x d^2 matrices, so each is one
+    matrix product over the N states whatever m is.
     """
 
     def __init__(self, corrupted, originals, d: int, m: int):
@@ -218,72 +206,84 @@ class LossContext:
             )
         self.basis: list[Generator] = generator_basis(2 * m * d)
         self.n_angles = angle_count(d, m)
-        self.base_vectors = identity_frame(d, m).vectors
+        self.base_rows = np.eye(m * d, d, dtype=complex)  # [I; 0; ...; 0]
         self._fidelity = _EnsembleFidelity(self.originals)
+        self._flat = self.corrupted.reshape(len(self.corrupted), d * d)
+        self._blocks = np.array([gen.matrix for gen in self.basis])
 
     def loss(self, angles: np.ndarray) -> float:
-        frames = self._forward(self._check_angles(angles))
-        _, recovered = self._recover(frames[-1])
-        return float(1.0 - self._fidelity(recovered).mean())
+        rows, _ = self._forward(self._check_angles(angles))
+        fid, _ = self._fidelity.evaluate(self._recover(rows))
+        return float(1.0 - fid.mean())
 
     def gradient(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss and exact gradient: one forward and one reverse sweep.
 
-        With frame rows V_a = V_{a-1} M_a^T and C_a = dL/dV_a, angle a
-        contributes <C_a, V_{a-1} dM_a^T>, dM_a = cos(theta) J - sin(theta) P,
-        and the cotangent moves back as C_{a-1} = C_a M_a (the adjoint
+        With frame rows W_a = U_a W_{a-1} and C_a = dL/dW_a, angle a
+        contributes Re Tr(C_a^† J_a W_a), and both move back by
+        U_a^†: C_{a-1} = U_a^† C_a, W_{a-1} = U_a^† W_a (the adjoint
         method).  C_n comes from the fidelity cotangent Q of each state:
         dL/dK_a = -(2/N) sum_n Q_n K_a sigma_n, sigma_n the corrupted
-        states, relabeled to frame layout.
+        states, stacked like the frame rows.
 
-        Zero angles are identity factors, so C and V stay fixed across
-        each run of them and that run's entries are <J_a, C^T V>, all read
-        from one generator_pairings call; only nonzero angles take a dense
-        step.  The loss is the one :meth:`loss` returns, from the same
-        forward sweep.
+        The sweep keeps the stack [C | W] and pulls its two touched rows
+        back at each nonzero angle; the pull-back is exact, so no
+        intermediate frame is stored.  Zero angles are identity factors,
+        so C and W stay fixed across each run of them and that run's
+        entries, with the nonzero angle below it, all come from one
+        generator_pairings call.  A nonzero angle with no zero run above
+        it needs only its two rows of [C | W] before the pull-back; those
+        are kept and paired in one contraction after the sweep.  The loss
+        is the one :meth:`loss` returns, from the same forward sweep and
+        the same eigendecomposition.
         """
         angles = self._check_angles(angles)
-        frames = self._forward(angles)
-        stack, recovered = self._recover(frames[-1])
-        loss = float(1.0 - self._fidelity(recovered).mean())
-        q = self._fidelity.cotangent(recovered)
-        d_stack = np.einsum("nij,ajk,nkl->ail", q, stack, self.corrupted, optimize=True)
-        cot = operator_stack_to_vectors(d_stack * (-2.0 / len(self.corrupted)))
+        rows, unitaries = self._forward(angles)
+        recovered = self._recover(rows)
+        fid, q = self._fidelity.evaluate(recovered)
+        d, n_states = self.d, len(self.corrupted)
+        # sum_n Q_n K_a sigma_n through C[i, j, k, l] = sum_n Q_n[i, j] sigma_n[k, l]
+        corr = (q.reshape(n_states, d * d).T @ self._flat).reshape(d, d, d, d)
+        d_stack = np.einsum("ijkl,ajk->ail", corr, rows.reshape(self.m, d, d))
+        cot = d_stack.reshape(rows.shape) * (-2.0 / n_states)
+        sweep = np.concatenate([cot, rows], axis=1)
         grad = np.empty(self.n_angles)
+        lone, lone_pairs = [], []  # nonzero angles with no zero run above
         end = self.n_angles  # angles a+1 .. end-1 are zeros
-        for a in np.flatnonzero(angles)[::-1]:
+        for a, u in zip(np.flatnonzero(angles)[::-1], reversed(unitaries)):
+            pair = sweep[self.basis[a].pair]
             if a + 1 < end:
-                grad[a + 1 : end] = generator_pairings(cot, frames[a + 1])[a + 1 : end]
-            gen, theta = self.basis[a], angles[a]
-            cot_j, cot_p = cot @ gen.matrix, cot @ gen.projector
-            cos, sin = np.cos(theta), np.sin(theta)
-            grad[a] = np.sum((cos * cot_j - sin * cot_p) * frames[a])
-            cot = cot + (cos - 1.0) * cot_p + sin * cot_j
+                grad[a:end] = generator_pairings(sweep[:, :d], sweep[:, d:])[a:end]
+            else:
+                lone.append(a)
+                lone_pairs.append(pair)
+            sweep[self.basis[a].pair] = u.conj().T @ pair
             end = a
         if end > 0:
-            grad[:end] = generator_pairings(cot, frames[0])[:end]
-        return loss, grad
+            grad[:end] = generator_pairings(sweep[:, :d], sweep[:, d:])[:end]
+        if lone:
+            # Re Tr(C^† J W) on the two touched rows, for all of them at once
+            pairs = np.array(lone_pairs)
+            cots, frames = pairs[..., :d].conj(), pairs[..., d:]
+            pairing = np.einsum("apq,api,aqi->a", self._blocks[lone], cots, frames)
+            grad[lone] = pairing.real
+        return float(1.0 - fid.mean()), grad
 
-    def _forward(self, angles: np.ndarray) -> list[np.ndarray]:
-        """Frame rows after each transform: frames[a] = V_a, frames[0] = V_0.
+    def _forward(self, angles: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Final frame rows W_n and the 2 x 2 unitaries of the nonzero angles."""
+        rows = self.base_rows.copy()
+        return rows, forward_sweep(self.basis, angles, rows)
 
-        Zero angles are identity factors and share the previous frame.
+    def _recover(self, rows: np.ndarray) -> np.ndarray:
+        """Frame rows -> recovered states sum_a K_a sigma K_a^+.
+
+        With the transfer matrix T[(j, k), (i, l)] = sum_a K_a[i, j]
+        conj(K_a[l, k]), each flattened recovered state is vec(sigma) T.
         """
-        frames = [self.base_vectors]
-        for gen, theta in zip(self.basis, angles):
-            frame = frames[-1]
-            if theta != 0.0:
-                frame = frame @ finite_transform(gen, theta).T
-            frames.append(frame)
-        return frames
-
-    def _recover(self, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Frame rows -> (operator stack, recovered states sum_a K_a sigma K_a^+)."""
-        stack = vectors_to_operator_stack(vectors, self.d, self.m)
-        recovered = np.einsum(
-            "aij,njk,alk->nil", stack, self.corrupted, stack.conj(), optimize=True
-        )
-        return stack, recovered
+        d = self.d
+        stack = rows.reshape(self.m, d, d)
+        transfer = np.einsum("aij,alk->jkil", stack, stack.conj()).reshape(d * d, d * d)
+        return (self._flat @ transfer).reshape(self.corrupted.shape)
 
     def _check_angles(self, angles) -> np.ndarray:
         angles = np.asarray(angles, dtype=float)
@@ -294,20 +294,6 @@ class LossContext:
         if not np.all(np.isfinite(angles)):
             raise ValueError("angles must be finite")
         return angles
-
-
-def central_difference(func, x: np.ndarray, epsilon: float) -> np.ndarray:
-    """Generic central-difference gradient [f(x+eps e_i) - f(x-eps e_i)] / 2eps.
-
-    The reference the exact gradient of LossContext is tested against.
-    """
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        shift = np.zeros_like(x)
-        shift[i] = epsilon
-        grad[i] = (func(x + shift) - func(x - shift)) / (2.0 * epsilon)
-    return grad
 
 
 def learn_quasi_inverse(
@@ -322,6 +308,8 @@ def learn_quasi_inverse(
     than doing nothing), the corresponding channel, the full training
     history, why the descent stopped and which iterate was best.  Each
     iteration takes its loss and gradient from one ``ctx.gradient`` call.
+    States that are not density matrices (non-finite, non-Hermitian,
+    off unit trace or not PSD) raise one ValueError naming the first.
     """
     states = list(states)
     if not states:
@@ -332,6 +320,7 @@ def learn_quasi_inverse(
     d = channel.d
     m = cfg.m if cfg.m is not None else d * d
     originals = np.stack(states)
+    validate_density_matrix(originals)
     corrupted = apply_channel_batch(channel.stack(), originals)
     ctx = LossContext(corrupted, originals, d, m)
 

@@ -1,62 +1,90 @@
-"""Constraint-preserving frame transformations.
+"""Constraint-preserving frame transformations in the two-coordinate chart.
 
-The rotations of frame space that also preserve the symplectic pairing
-are, under the interleaved real layout, exactly the real embeddings of
-unitaries of the halved dimension.  Their generators are embedded
-traceless anti-Hermitian matrices; excluding the trace direction drops
-the unobservable global phase.  Every basis generator built here
-satisfies J^3 = -J, which collapses the exponential series to the
-closed form
+Stacking a channel's Kraus operators gives the md x d isometry
+W = [K^1; ...; K^m], whose columns are the complex forms of the frame
+vectors of :mod:`geometry` (W[a*d + k, i] = K^a[k, i]).  The rotations of
+frame space that keep unit length, orthogonality and the symplectic
+pairing are exactly the unitaries of U(md) acting on W from the left.
+Each basis generator of their traceless part acts on just two complex
+coordinates j < k, as a 2 x 2 anti-Hermitian block J with J^2 = -I:
+i(E_jk + E_kj), E_jk - E_kj, or i(E_jj - E_{j+1,j+1}).  The exponential
+series therefore collapses to the closed form
 
-    M(theta) = I + (cos(theta) - 1) * P + sin(theta) * J,   P = -J^2.
+    U(theta) = I + (cos(theta) - 1) * P + sin(theta) * J,   P = -J^2,
 
-Composing these one-angle transformations and applying them to the
-identity-channel frame parameterizes the space of CPTP channels by a
-plain real angle vector.
+a Givens-type two-mode rotation that updates two rows of W.  Embedded in
+the interleaved real layout, each block is a dense 2md x 2md real
+generator commuting with the symplectic form; that dense chart is the
+reference the tests check this one against.  Composing one transform
+per nonzero angle, lowest index first, and applying the product to the
+identity channel parameterizes the CPTP channels by a real angle vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .geometry import KrausFrame, KrausSet, frame_to_kraus, identity_frame
+from .geometry import (
+    KrausFrame,
+    KrausSet,
+    frame_to_kraus,
+    identity_frame,
+    operator_stack_to_vectors,
+    vectors_to_operator_stack,
+)
+
+_SYMMETRIC = np.array([[0.0, 1j], [1j, 0.0]])
+_ANTISYMMETRIC = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+_DIAGONAL = np.array([[1j, 0.0], [0.0, -1j]])
+_IDENTITY = np.eye(2)
+for _block in (_SYMMETRIC, _ANTISYMMETRIC, _DIAGONAL, _IDENTITY):
+    _block.setflags(write=False)  # shared by every generator of a kind
 
 
 @dataclass
 class Generator:
-    """One basis element of the allowed infinitesimal transformations.
+    """One basis generator of the allowed infinitesimal transformations.
 
-    ``matrix`` is real antisymmetric, commutes with the symplectic form,
-    is trace-orthogonal to it, and cubes to its own negative.
-    ``projector`` caches -matrix @ matrix, the idempotent that appears in
-    the closed-form exponential.
+    ``matrix`` is the 2 x 2 anti-Hermitian block acting on the complex
+    coordinates ``j < k`` of frame vectors of real length ``dim``; it
+    squares to -I.  ``projector`` caches -matrix @ matrix (the 2 x 2
+    identity), the idempotent of the closed-form exponential, and
+    ``pair`` the row indices (j, k) of the md x d frame rows.
     """
 
     dim: int
+    j: int
+    k: int
     matrix: np.ndarray
     projector: np.ndarray = field(init=False)
+    pair: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        if self.matrix.shape != (self.dim, self.dim):
+        self.matrix = np.asarray(self.matrix, dtype=complex)
+        if self.matrix.shape != (2, 2):
             raise ValueError(
-                f"generator shape {self.matrix.shape}, expected ({self.dim}, {self.dim})"
+                f"generator block shape {self.matrix.shape}, expected (2, 2)"
+            )
+        if not 0 <= self.j < self.k < self.dim // 2:
+            raise ValueError(
+                f"coordinates ({self.j}, {self.k}) outside 0 <= j < k < {self.dim // 2}"
             )
         self.projector = -(self.matrix @ self.matrix)
+        self.pair = np.array([self.j, self.k])
 
 
 def generator_basis(dim: int) -> list[Generator]:
     """Deterministic generator basis for frame vectors of length ``dim``.
 
-    Identifies R^dim with C^(dim/2) through the interleaved (x, y)
-    layout and embeds the standard traceless anti-Hermitian basis: for
-    each pair j < k the symmetric-imaginary element i(E_jk + E_kj) and
-    the antisymmetric-real element E_jk - E_kj (each group in
-    lexicographic (j, k) order), followed by the diagonal elements
-    i(E_jj - E_{j+1,j+1}).  Returns (dim/2)^2 - 1 generators in exactly
-    that order.
+    On the dim/2 complex coordinates: for each pair j < k the
+    symmetric-imaginary element i(E_jk + E_kj) and the antisymmetric-real
+    element E_jk - E_kj (each group in lexicographic (j, k) order),
+    followed by the diagonal elements i(E_jj - E_{j+1,j+1}).  Returns
+    (dim/2)^2 - 1 generators in exactly that order.
     """
     if dim % 2 != 0:
         raise ValueError(f"frame vector dimension must be even, got {dim}")
@@ -65,89 +93,73 @@ def generator_basis(dim: int) -> list[Generator]:
         raise ValueError(
             f"dimension {dim} has no traceless generators (need dim >= 4)"
         )
-    generators = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            h = np.zeros((n, n), dtype=complex)
-            h[j, k] = 1j
-            h[k, j] = 1j
-            generators.append(Generator(dim, _embed_real(h)))
-    for j in range(n):
-        for k in range(j + 1, n):
-            h = np.zeros((n, n), dtype=complex)
-            h[j, k] = 1.0
-            h[k, j] = -1.0
-            generators.append(Generator(dim, _embed_real(h)))
-    for j in range(n - 1):
-        h = np.zeros((n, n), dtype=complex)
-        h[j, j] = 1j
-        h[j + 1, j + 1] = -1j
-        generators.append(Generator(dim, _embed_real(h)))
-    return generators
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    return (
+        [Generator(dim, j, k, _SYMMETRIC) for j, k in pairs]
+        + [Generator(dim, j, k, _ANTISYMMETRIC) for j, k in pairs]
+        + [Generator(dim, j, j + 1, _DIAGONAL) for j in range(n - 1)]
+    )
 
 
 def generator_pairings(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """<J_a, left^T right> for every J_a of generator_basis(dim), in its order.
+    """Re Tr(left^† J_a right) for every J_a of generator_basis, in its order.
 
-    ``left`` and ``right`` are (rows, dim) real arrays in the interleaved
-    layout.  With c and f their complex rows and Z = c^T conj(f), the
-    pairings are Im(Z_jk + Z_kj), then Re(Z_jk - Z_kj) for j < k, then
-    Im(Z_jj - Z_{j+1,j+1}): every generator at once in O(rows * n^2)
-    instead of one dense dim x dim product each.
+    ``left`` and ``right`` are (md, rows) complex arrays; in the dense
+    real chart this is <J_a, L^T R> for their interleaved real forms.
+    With Z = left right^†, the pairings are Im(Z_jk + Z_kj), then
+    Re(Z_jk - Z_kj) for j < k, then Im(Z_jj - Z_{j+1,j+1}): every
+    generator from one md x md product.
     """
-    c = left[:, 0::2] + 1j * left[:, 1::2]
-    f = right[:, 0::2] + 1j * right[:, 1::2]
-    z = c.T @ f.conj()
-    j, k = np.triu_indices(z.shape[0], 1)
-    diag = np.diagonal(z)
+    z = left @ right.conj().T
+    jk, kj = _pair_offsets(z.shape[0])
+    flat = z.ravel()
+    upper, lower, diag = flat.take(jk), flat.take(kj), np.diagonal(z)
     return np.concatenate(
-        [(z[j, k] + z[k, j]).imag, (z[j, k] - z[k, j]).real, (diag[:-1] - diag[1:]).imag]
+        [(upper + lower).imag, (upper - lower).real, (diag[:-1] - diag[1:]).imag]
     )
 
 
-def _embed_real(h: np.ndarray) -> np.ndarray:
-    """Complex n x n matrix -> real 2n x 2n with [[Re, -Im], [Im, Re]] blocks."""
-    n = h.shape[0]
-    out = np.zeros((2 * n, 2 * n))
-    out[0::2, 0::2] = h.real
-    out[0::2, 1::2] = -h.imag
-    out[1::2, 0::2] = h.imag
-    out[1::2, 1::2] = h.real
-    return out
+@lru_cache
+def _pair_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat offsets of entries (j, k) and (k, j) of an n x n matrix, for the
+    pairs j < k in generator_basis order."""
+    j, k = np.triu_indices(n, 1)
+    offsets = j * n + k, k * n + j
+    for array in offsets:
+        array.setflags(write=False)  # shared by every caller
+    return offsets
 
 
 def finite_transform(gen: Generator, theta: float) -> np.ndarray:
-    """Finite frame transformation I + (cos(theta) - 1) P + sin(theta) J.
+    """The 2 x 2 unitary I + (cos(theta) - 1) P + sin(theta) J.
 
-    Orthogonal and symplectic-preserving for every angle; exactly the
-    exponential exp(theta J) because J^3 = -J.
+    It acts on coordinates (gen.j, gen.k) and is exactly exp(theta J)
+    because J^3 = -J; embedded in the real chart it is orthogonal and
+    preserves the symplectic form for every angle.
     """
     return (
-        np.eye(gen.dim)
-        + (np.cos(theta) - 1.0) * gen.projector
-        + np.sin(theta) * gen.matrix
+        _IDENTITY
+        + (math.cos(theta) - 1.0) * gen.projector
+        + math.sin(theta) * gen.matrix
     )
 
 
-def compose_transforms(basis: list[Generator], angles: np.ndarray) -> np.ndarray:
-    """Product M_n ... M_2 M_1 of the one-angle transformations.
+def forward_sweep(
+    basis: list[Generator], angles: np.ndarray, rows: np.ndarray
+) -> list[np.ndarray]:
+    """Apply the transforms of the nonzero angles to ``rows``, lowest first.
 
-    Factor a is applied first (innermost); zero angles contribute the
-    identity and are skipped.
+    ``rows`` is an (md, d) complex frame, updated in place two rows at a
+    time; zero angles are identity factors and are skipped.  Returns the
+    2 x 2 unitaries in the order they were applied.
     """
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != (len(basis),):
-        raise ValueError(
-            f"angle count {angles.shape} does not match basis size {len(basis)}"
-        )
-    if not np.all(np.isfinite(angles)):
-        raise ValueError("angles must be finite")
-    dim = basis[0].dim if basis else 0
-    total = np.eye(dim)
-    for gen, theta in zip(basis, angles):
-        if theta != 0.0:
-            total = finite_transform(gen, theta) @ total
-    return total
+    unitaries = []
+    for a in np.flatnonzero(angles):
+        gen = basis[a]
+        u = finite_transform(gen, angles[a])
+        rows[gen.pair] = u @ rows[gen.pair]
+        unitaries.append(u)
+    return unitaries
 
 
 def apply_angles(
@@ -162,10 +174,15 @@ def apply_angles(
         raise ValueError(
             f"angle count {angles.shape} does not match basis size {len(basis)}"
         )
-    if np.all(angles == 0.0):
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("angles must be finite")
+    if not np.any(angles):
         return KrausFrame(d=frame.d, m=frame.m, vectors=frame.vectors.copy())
-    total = compose_transforms(basis, angles)
-    return KrausFrame(d=frame.d, m=frame.m, vectors=frame.vectors @ total.T)
+    d, m = frame.d, frame.m
+    rows = vectors_to_operator_stack(frame.vectors, d, m).reshape(m * d, d)
+    forward_sweep(basis, angles, rows)
+    vectors = operator_stack_to_vectors(rows.reshape(m, d, d))
+    return KrausFrame(d=d, m=m, vectors=vectors)
 
 
 def angle_count(d: int, m: int) -> int:

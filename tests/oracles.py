@@ -1,0 +1,136 @@
+"""Reference implementations the package is tested against.
+
+The dense real chart: every generator as a real 2md x 2md matrix acting
+on interleaved frame vectors, built here from scratch in the order of
+``generator_basis``, with the closed-form transform
+I + (cos t - 1) P + sin t J and the ordered product of one transform per
+nonzero angle.  The package's two-coordinate chart must agree with it.
+Beside it: a Taylor-series matrix exponential independent of any closed
+form, the central-difference gradient, and the mean Uhlmann fidelity
+over (recovered, original) pairs.
+"""
+
+import numpy as np
+
+from kraussphere.linalg import uhlmann_fidelity
+
+
+def embed_real(h: np.ndarray) -> np.ndarray:
+    """Complex n x n matrix -> real 2n x 2n with [[Re, -Im], [Im, Re]] blocks."""
+    n = h.shape[0]
+    out = np.zeros((2 * n, 2 * n))
+    out[0::2, 0::2] = h.real
+    out[0::2, 1::2] = -h.imag
+    out[1::2, 0::2] = h.imag
+    out[1::2, 1::2] = h.real
+    return out
+
+
+def dense_basis(dim: int) -> list[np.ndarray]:
+    """The real embeddings of i(E_jk + E_kj), E_jk - E_kj (j < k) and
+    i(E_jj - E_{j+1,j+1}) on C^(dim/2), in generator_basis order."""
+    n = dim // 2
+    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
+    out = []
+    for entry_jk, entry_kj in ((1j, 1j), (1.0, -1.0)):
+        for j, k in pairs:
+            h = np.zeros((n, n), dtype=complex)
+            h[j, k], h[k, j] = entry_jk, entry_kj
+            out.append(embed_real(h))
+    for j in range(n - 1):
+        h = np.zeros((n, n), dtype=complex)
+        h[j, j], h[j + 1, j + 1] = 1j, -1j
+        out.append(embed_real(h))
+    return out
+
+
+def embed_block(dim: int, j: int, k: int, block: np.ndarray, fill: float) -> np.ndarray:
+    """Real 2n x 2n embedding of ``block`` on complex coordinates (j, k);
+    the other diagonal entries are ``fill`` (0 for a generator, 1 for a
+    transform)."""
+    h = fill * np.eye(dim // 2, dtype=complex)
+    h[np.ix_([j, k], [j, k])] = block
+    return embed_real(h)
+
+
+def dense_generator(gen) -> np.ndarray:
+    """The package generator's 2 x 2 block in the dense real chart."""
+    return embed_block(gen.dim, gen.j, gen.k, gen.matrix, 0.0)
+
+
+def embed_transform(gen, u: np.ndarray) -> np.ndarray:
+    """A 2 x 2 unitary on the generator's coordinates in the dense real chart."""
+    return embed_block(gen.dim, gen.j, gen.k, u, 1.0)
+
+
+def dense_transform(j: np.ndarray, theta: float) -> np.ndarray:
+    """Closed form I + (cos theta - 1) P + sin theta J, P = -J^2, of a dense J."""
+    return np.eye(len(j)) + (np.cos(theta) - 1.0) * -(j @ j) + np.sin(theta) * j
+
+
+def dense_product(dense: list[np.ndarray], angles: np.ndarray) -> np.ndarray:
+    """M_n ... M_1 over the nonzero angles, factor 1 applied first."""
+    total = np.eye(len(dense[0]))
+    for j, theta in zip(dense, angles):
+        if theta != 0.0:
+            total = dense_transform(j, theta) @ total
+    return total
+
+
+def complex_rows(vectors: np.ndarray) -> np.ndarray:
+    """Real (rows, 2n) interleaved vectors -> their complex (n, rows) form."""
+    return (vectors[:, 0::2] + 1j * vectors[:, 1::2]).T
+
+
+def matrix_exp_series(generator: np.ndarray, theta: float) -> np.ndarray:
+    """exp(theta * generator) via scaling and squaring of the Taylor series.
+
+    Real or complex; independent of any closed form: the series is summed
+    until the next term is negligible at relative 1e-16, far inside the
+    1e-12 contract.
+    """
+    a = np.asarray(generator)
+    a = a.astype(np.result_type(a.dtype, float))
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    a = theta * a
+    scale = float(np.linalg.norm(a, ord=np.inf))
+    if not np.isfinite(scale):
+        raise ValueError("non-finite entries in theta * generator")
+    # halve until the norm is <= 0.5 so the series converges fast
+    squarings = max(0, int(np.ceil(np.log2(scale / 0.5)))) if scale > 0.5 else 0
+    a /= 2.0**squarings
+    result = np.eye(a.shape[0], dtype=a.dtype)
+    term = np.eye(a.shape[0], dtype=a.dtype)
+    k = 1
+    while True:
+        term = term @ a / k
+        result = result + term
+        if np.max(np.abs(term)) <= 1e-16 * np.max(np.abs(result)):
+            break
+        k += 1
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+def central_difference(func, x: np.ndarray, epsilon: float) -> np.ndarray:
+    """Generic central-difference gradient [f(x+eps e_i) - f(x-eps e_i)] / 2eps.
+
+    The reference the exact gradient of LossContext is tested against.
+    """
+    x = np.asarray(x, dtype=float)
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        shift = np.zeros_like(x)
+        shift[i] = epsilon
+        grad[i] = (func(x + shift) - func(x - shift)) / (2.0 * epsilon)
+    return grad
+
+
+def average_fidelity(pairs) -> float:
+    """Mean Uhlmann fidelity over (recovered, original) pairs."""
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("average_fidelity needs at least one pair")
+    return float(np.mean([uhlmann_fidelity(rec, orig) for rec, orig in pairs]))

@@ -4,7 +4,6 @@ import pytest
 from kraussphere.linalg import (
     floor_eigenvalues,
     hermitian_eig,
-    matrix_exp_series,
     psd_sqrt,
     qubit_dets,
     uhlmann_fidelity,
@@ -12,6 +11,7 @@ from kraussphere.linalg import (
 )
 
 from conftest import pure_density, random_density, random_hermitian
+from oracles import matrix_exp_series
 
 
 class TestHermitianEig:
@@ -167,6 +167,12 @@ class TestMatrixExpSeries:
         rhs = matrix_exp_series(j, 2.6)
         assert np.max(np.abs(lhs - rhs)) <= 1e-9
 
+    def test_complex_generator(self):
+        # exp(theta i X) = cos(theta) I + i sin(theta) X
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        expected = np.cos(1.3) * np.eye(2) + 1j * np.sin(1.3) * x
+        assert np.max(np.abs(matrix_exp_series(1j * x, 1.3) - expected)) <= 1e-12
+
 
 class TestValidateDensityMatrix:
     def test_accepts_valid(self):
@@ -184,3 +190,51 @@ class TestValidateDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="PSD"):
             validate_density_matrix(np.diag([1.5, -0.5]).astype(complex))
+
+    def test_accepts_valid_batch(self):
+        rng = np.random.default_rng(8)
+        states = np.stack([random_density(rng, 4) for _ in range(5)])
+        validate_density_matrix(states)
+        validate_density_matrix(np.stack([states, states]))
+
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            (np.full((2, 2), np.nan), "state 3: has non-finite"),
+            (np.array([[0.5, 0.1], [0.0, 0.5]]), "state 3: not Hermitian"),
+            (np.eye(2), "state 3: trace"),
+            (np.diag([1.5, -0.5]), "state 3: not PSD"),
+        ],
+        ids=["nan", "non_hermitian", "trace", "non_psd"],
+    )
+    def test_names_the_first_bad_state(self, bad, match):
+        rng = np.random.default_rng(9)
+        states = np.stack([random_density(rng, 2) for _ in range(6)])
+        states[3] = bad
+        states[5] = np.full((2, 2), np.nan)
+        with pytest.raises(ValueError, match=match):
+            validate_density_matrix(states)
+
+    def test_batch_index_is_a_tuple_beyond_one_axis(self):
+        states = np.stack([np.eye(2) / 2] * 4).reshape(2, 2, 2, 2)
+        states[1, 0] = np.eye(2)
+        with pytest.raises(ValueError, match=r"state \(1, 0\): trace"):
+            validate_density_matrix(states)
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_psd_floor_in_closed_form_and_eigvalsh(self, dim):
+        # a rotated diagonal state whose smallest eigenvalue sits just
+        # inside or just outside the -1e-10 floor
+        rng = np.random.default_rng(10)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        u, _ = np.linalg.qr(g)
+        for low, ok in ((-0.5e-10, True), (-2e-10, False)):
+            w = np.full(dim, 0.0)
+            w[0], w[-1] = low, 1.0 - low
+            rho = (u * w) @ u.conj().T
+            rho = (rho + rho.conj().T) / 2.0
+            if ok:
+                validate_density_matrix(rho)
+            else:
+                with pytest.raises(ValueError, match="PSD"):
+                    validate_density_matrix(rho)

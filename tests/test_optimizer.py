@@ -15,8 +15,6 @@ from kraussphere.optimizer import (
     NonFiniteLossError,
     OptimizerConfig,
     _EnsembleFidelity,
-    average_fidelity,
-    central_difference,
     dominant_kraus_report,
     learn_quasi_inverse,
 )
@@ -24,6 +22,7 @@ from kraussphere.sampling import sample_bloch_ball, sample_bures
 from kraussphere.transforms import channel_from_angles
 
 from conftest import pure_density, random_density
+from oracles import average_fidelity, central_difference
 
 ZERO = np.diag([1.0, 0.0]).astype(complex)
 ONE = np.diag([0.0, 1.0]).astype(complex)
@@ -62,7 +61,7 @@ class TestEnsembleFidelity:
         rng = np.random.default_rng(41)
         originals = np.stack([random_density(rng, dim) for _ in range(25)])
         recovered = np.stack([random_density(rng, dim) for _ in range(25)])
-        batched = _EnsembleFidelity(originals)(recovered)
+        batched, _ = _EnsembleFidelity(originals).evaluate(recovered)
         direct = [
             uhlmann_fidelity(rec, orig) for rec, orig in zip(recovered, originals)
         ]
@@ -73,7 +72,7 @@ class TestEnsembleFidelity:
         originals = np.stack([random_density(rng, 2) for _ in range(6)])
         fid = _EnsembleFidelity(originals)
         variants = np.stack([originals, originals])
-        out = fid(variants)
+        out, _ = fid.evaluate(variants)
         assert out.shape == (2, 6)
         assert np.allclose(out, 1.0)
 
@@ -81,7 +80,7 @@ class TestEnsembleFidelity:
         originals = np.stack([ZERO, ONE])
         fid = _EnsembleFidelity(originals)
         with pytest.raises(ValueError, match="outside"):
-            fid(np.stack([5.0 * ZERO, 5.0 * ONE]))
+            fid.evaluate(np.stack([5.0 * ZERO, 5.0 * ONE]))
 
 
 class TestLoss:
@@ -175,12 +174,14 @@ class TestGradient:
                     angles[::3] = 0.0  # zero angles are skipped going forward
                     assert self._oracle_gap(ctx, angles) <= 1e-7, (d, m)
 
-    @pytest.mark.parametrize("d", [2, 4])
-    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "m,d", [(1, 2), (1, 4), (2, 2), (2, 4), (4, 2), (4, 4), (1, 8)]
+    )
     def test_sparse_sweep_on_zero_patterns(self, d, m):
         # runs of zero angles are read from one pairing matrix; check
         # every pattern of runs: all zeros, one nonzero angle at either
-        # end or in the middle, mostly zeros, and none
+        # end or in the middle, mostly zeros, and none (at d=8 too, where
+        # all 63 angles of the three-qubit unitary ansatz are nonzero)
         ctx, rng = self._small_context(seed=61, d=d, m=m)
         n = ctx.n_angles
         patterns = [np.zeros(n)]
@@ -360,12 +361,40 @@ class TestLearnQuasiInverse:
         assert result.fidelity_before == pytest.approx(1.0, abs=1e-12)
         assert result.fidelity_after == pytest.approx(1.0, abs=1e-12)
 
-    def test_non_finite_loss_raises_with_iteration(self):
-        bad = [np.full((2, 2), np.nan, dtype=complex)]
-        with pytest.raises(NonFiniteLossError, match="iteration 0"):
-            learn_quasi_inverse(
-                identity_kraus(2, 4), bad, OptimizerConfig(max_iters=5, m=4)
-            )
+    def test_non_finite_loss_raises_with_iteration(self, monkeypatch):
+        # valid states cannot make the loss NaN, so the gradient is forced
+        # to; invalid states are refused up front (next test)
+        calls = []
+
+        def nan_after_one(ctx, angles):
+            calls.append(1)
+            value = 0.5 if len(calls) == 1 else np.nan
+            return value, np.zeros(ctx.n_angles)
+
+        monkeypatch.setattr(LossContext, "gradient", nan_after_one)
+        states = sample_bloch_ball(seed=57, count=5)
+        cfg = OptimizerConfig(max_iters=5, m=4, loss_tol=0.0)
+        with pytest.raises(NonFiniteLossError, match="iteration 1") as caught:
+            learn_quasi_inverse(identity_kraus(2, 4), states, cfg)
+        assert caught.value.iteration == 1
+
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            (np.full((4, 4), np.nan), "has non-finite"),
+            (np.triu(np.ones((4, 4))) / 4, "not Hermitian"),
+            (np.eye(4) / 2, "trace"),
+            (np.diag([1.0, 0.5, -0.25, -0.25]), "not PSD"),
+        ],
+        ids=["nan", "non_hermitian", "trace", "non_psd"],
+    )
+    def test_rejects_invalid_states(self, bad, match):
+        rng = np.random.default_rng(62)
+        states = [random_density(rng, 4) for _ in range(4)]
+        states[2] = bad.astype(complex)
+        channel = tensor_flip_channel("bit_flip", 0.8, 2)
+        with pytest.raises(ValueError, match="state 2: " + match):
+            learn_quasi_inverse(channel, states, OptimizerConfig(max_iters=5, m=1))
 
     def test_rejects_incomplete_channel(self):
         broken = KrausSet(d=2, m=1, operators=[0.5 * np.eye(2)])

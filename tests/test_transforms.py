@@ -3,23 +3,32 @@ import pytest
 
 from kraussphere.channels import apply_channel
 from kraussphere.geometry import (
+    KrausFrame,
     completeness_gram,
+    frame_to_kraus,
     identity_frame,
     symplectic_form,
     symplectic_products,
 )
-from kraussphere.linalg import matrix_exp_series
 from kraussphere.transforms import (
     angle_count,
     apply_angles,
     channel_from_angles,
-    compose_transforms,
     finite_transform,
+    forward_sweep,
     generator_basis,
     generator_pairings,
 )
 
 from conftest import random_density
+from oracles import (
+    complex_rows,
+    dense_basis,
+    dense_generator,
+    dense_product,
+    embed_transform,
+    matrix_exp_series,
+)
 
 THETAS = [0.1, 1.0, np.pi, 5.0]
 
@@ -37,18 +46,21 @@ class TestGeneratorBasis:
     def test_generator_algebra(self, dim):
         s = symplectic_form(dim)
         for gen in generator_basis(dim):
-            j = gen.matrix
+            block = gen.matrix
+            assert np.array_equal(block.conj().T, -block)
+            assert np.array_equal(gen.projector, -(block @ block))
+            assert np.array_equal(gen.projector, np.eye(2))
+            j = dense_generator(gen)
             assert np.array_equal(j.T, -j)
             assert np.max(np.abs(s @ j - j @ s)) <= 1e-12
             assert abs(np.trace(s.T @ j)) <= 1e-12
             assert np.max(np.abs(j @ j @ j + j)) <= 1e-10
-            p = gen.projector
-            assert np.array_equal(p, -(j @ j))
+            p = -(j @ j)
             assert np.max(np.abs(p @ p - p)) <= 1e-10
 
     @pytest.mark.parametrize("dim", [4, 16])
     def test_linear_independence(self, dim):
-        flat = np.stack([g.matrix.ravel() for g in generator_basis(dim)])
+        flat = np.stack([dense_generator(g).ravel() for g in generator_basis(dim)])
         assert np.linalg.matrix_rank(flat) == len(flat)
 
     def test_rejects_trivial_dims(self):
@@ -63,9 +75,23 @@ class TestGeneratorBasis:
         basis = generator_basis(dim)
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):
-                ja, jb = basis[a].matrix, basis[b].matrix
+                ja, jb = dense_generator(basis[a]), dense_generator(basis[b])
                 bracket = ja @ jb - jb @ ja
                 assert np.max(np.abs(s @ bracket - bracket @ s)) <= 1e-10
+
+    @pytest.mark.parametrize("dim", [4, 8, 16])
+    def test_embeds_to_the_dense_chart_in_order(self, dim):
+        dense = dense_basis(dim)
+        basis = generator_basis(dim)
+        assert len(basis) == len(dense)
+        for gen, j in zip(basis, dense):
+            assert np.array_equal(dense_generator(gen), j)
+
+    def test_basis_memory_stays_compact(self):
+        # the general two-qubit ansatz (d=4, m=16): 4095 generators
+        basis = generator_basis(128)
+        held = sum(g.matrix.nbytes + g.projector.nbytes for g in basis)
+        assert len(basis) == 4095 and held < 2**20
 
 
 class TestGeneratorPairings:
@@ -75,27 +101,30 @@ class TestGeneratorPairings:
         rng = np.random.default_rng(70 + n)
         left = rng.normal(size=(rows, 2 * n))
         right = rng.normal(size=(rows, 2 * n))
-        dense = [np.sum(g.matrix * (left.T @ right)) for g in generator_basis(2 * n)]
-        assert np.max(np.abs(generator_pairings(left, right) - dense)) <= 1e-12
+        dense = [np.sum(j * (left.T @ right)) for j in dense_basis(2 * n)]
+        compact = generator_pairings(complex_rows(left), complex_rows(right))
+        assert np.max(np.abs(compact - dense)) <= 1e-12
 
 
 class TestFiniteTransform:
     def test_zero_angle_is_identity(self, basis_16):
         for gen in basis_16:
-            assert np.array_equal(finite_transform(gen, 0.0), np.eye(16))
+            assert np.array_equal(finite_transform(gen, 0.0), np.eye(2))
 
     def test_full_turn(self, basis_16):
         for gen in basis_16[:5]:
             m = finite_transform(gen, 2 * np.pi)
-            assert np.max(np.abs(m - np.eye(16))) <= 1e-12
+            assert np.max(np.abs(m - np.eye(2))) <= 1e-12
 
     @pytest.mark.parametrize("dim", [4, 16])
     def test_matches_exponential_series(self, dim):
-        for gen in generator_basis(dim):
+        for gen, j in zip(generator_basis(dim), dense_basis(dim)):
             for theta in THETAS:
                 closed = finite_transform(gen, theta)
                 series = matrix_exp_series(gen.matrix, theta)
                 assert np.max(np.abs(closed - series)) <= 1e-10
+                embedded = embed_transform(gen, closed)
+                assert np.max(np.abs(embedded - matrix_exp_series(j, theta))) <= 1e-10
 
     @pytest.mark.parametrize("dim", [4, 16])
     def test_orthogonal_and_symplectic(self, dim):
@@ -103,7 +132,9 @@ class TestFiniteTransform:
         rng = np.random.default_rng(20)
         for gen in generator_basis(dim):
             theta = rng.uniform(-np.pi, np.pi)
-            m = finite_transform(gen, theta)
+            u = finite_transform(gen, theta)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-12
+            m = embed_transform(gen, u)
             assert np.max(np.abs(m.T @ m - np.eye(dim))) <= 1e-10
             assert np.max(np.abs(m.T @ s @ m - s)) <= 1e-10
 
@@ -171,6 +202,32 @@ class TestApplyAngles:
         with pytest.raises(ValueError, match="angle count"):
             apply_angles(basis_4, np.zeros(2), identity_frame(2, 1))
 
+    def test_rejects_non_finite(self, basis_4):
+        with pytest.raises(ValueError, match="finite"):
+            apply_angles(basis_4, np.array([0.0, np.nan, 0.0]), identity_frame(2, 1))
+
+    def test_forward_sweep_skips_zero_angles(self, basis_16):
+        rows = np.eye(8, 2, dtype=complex)
+        assert forward_sweep(basis_16, np.zeros(63), rows) == []
+        assert np.array_equal(rows, np.eye(8, 2))
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_matches_dense_product(self, d, m):
+        rng = np.random.default_rng(24)
+        dense = dense_basis(2 * m * d)
+        basis = generator_basis(2 * m * d)
+        angles = rng.normal(0.0, 1.0, len(basis))
+        angles[rng.random(len(basis)) < 0.3] = 0.0
+        frame = identity_frame(d, m)
+        reference = frame.vectors @ dense_product(dense, angles).T
+        out = apply_angles(basis, angles, frame)
+        assert np.max(np.abs(out.vectors - reference)) <= 1e-12
+        channel = channel_from_angles(d, m, angles, basis=basis)
+        expected = frame_to_kraus(KrausFrame(d=d, m=m, vectors=reference))
+        gap = np.abs(channel.stack() - expected.stack())
+        assert np.max(gap) <= 1e-12
+
 
 class TestChannelFromAngles:
     def test_zero_angles_identity_channel(self):
@@ -198,13 +255,3 @@ class TestChannelFromAngles:
     def test_angle_count_check(self):
         with pytest.raises(ValueError, match="expected 63 angles"):
             channel_from_angles(2, 4, np.zeros(10))
-
-
-class TestComposeTransforms:
-    def test_skips_zero_angles(self, basis_16):
-        angles = np.zeros(63)
-        assert np.array_equal(compose_transforms(basis_16, angles), np.eye(16))
-
-    def test_rejects_non_finite(self, basis_4):
-        with pytest.raises(ValueError, match="finite"):
-            compose_transforms(basis_4, np.array([0.0, np.nan, 0.0]))
