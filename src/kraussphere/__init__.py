@@ -38,6 +38,7 @@ from .sampling import (
 )
 from .transforms import (
     Generator,
+    GeneratorBasis,
     angle_count,
     apply_angles,
     channel_from_angles,
@@ -48,6 +49,7 @@ from .transforms import (
 __all__ = [
     "ChannelSpec",
     "Generator",
+    "GeneratorBasis",
     "KrausFrame",
     "KrausSet",
     "LossContext",

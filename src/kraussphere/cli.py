@@ -198,7 +198,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 "patience": int,
                 "init": str,
                 "init_scale": float,
-                "m": int,
+                "m": lambda m: None if m is None else int(m),  # null: d**2
                 "seed": int,
             },
             "optimizer",

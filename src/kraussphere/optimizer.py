@@ -6,16 +6,20 @@ channel.  Its exact gradient comes from one forward sweep of the 2 x 2
 one-angle rotations over the md x d complex frame rows, the analytic
 fidelity cotangent, and one reverse sweep (the adjoint method); the same
 sweep gives the loss, so each descent step costs one ``(loss, grad)``
-call.  The reverse sweep stacks the cotangent beside the frame and pulls
-both back through each nonzero angle's rotation, which touches two rows;
+call.  The forward sweep makes the rotations of all nonzero angles in
+one batched call and reads their row pairs from the generator table.
+The reverse sweep stacks the cotangent beside the frame and pulls both
+back through each nonzero angle's rotation, which touches two rows;
 every run of zero angles leaves the stack unchanged, so its gradient
-entries all come from one md x md product (:func:`generator_pairings`).
+entries all come from one md x md product, read for that run's slice of
+angles only (:func:`generator_pairings`).
 Plain fixed-rate descent follows.  Every angle vector corresponds to a
 CPTP channel by construction, so no iterate ever leaves the physical set.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +34,7 @@ from .linalg import (
 )
 from .sampling import philox_rng
 from .transforms import (
-    Generator,
+    GeneratorBasis,
     angle_count,
     channel_from_angles,
     finite_transform,  # noqa: F401  bench/spans.py hooks the sweep's transforms here
@@ -64,14 +68,24 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eta0 <= 0:
-            raise ValueError("eta0 must be positive")
+        if not (math.isfinite(self.eta0) and self.eta0 > 0):
+            raise ValueError(f"eta0 must be finite and positive, got {self.eta0}")
         if self.init not in INIT_MODES:
             raise ValueError(
                 f"unknown init {self.init!r}; expected one of {INIT_MODES}"
             )
+        if not (math.isfinite(self.init_scale) and self.init_scale >= 0):
+            raise ValueError(
+                f"init_scale must be finite and >= 0, got {self.init_scale}"
+            )
+        if not (math.isfinite(self.loss_tol) and self.loss_tol >= 0):
+            raise ValueError(f"loss_tol must be finite and >= 0, got {self.loss_tol}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.m is not None and self.m < 1:
+            raise ValueError(f"m must be >= 1 or null, got {self.m}")
 
 
 @dataclass
@@ -204,15 +218,14 @@ class LossContext:
             raise ValueError(
                 f"expected states of shape (N, {d}, {d}), got {self.corrupted.shape}"
             )
-        self.basis: list[Generator] = generator_basis(2 * m * d)
+        self.basis: GeneratorBasis = generator_basis(2 * m * d)
         self.n_angles = angle_count(d, m)
         self.base_rows = np.eye(m * d, d, dtype=complex)  # [I; 0; ...; 0]
         self._fidelity = _EnsembleFidelity(self.originals)
         self._flat = self.corrupted.reshape(len(self.corrupted), d * d)
-        self._blocks = np.array([gen.matrix for gen in self.basis])
 
     def loss(self, angles: np.ndarray) -> float:
-        rows, _ = self._forward(self._check_angles(angles))
+        rows, _, _ = self._forward(self._check_angles(angles))
         fid, _ = self._fidelity.evaluate(self._recover(rows))
         return float(1.0 - fid.mean())
 
@@ -238,7 +251,7 @@ class LossContext:
         the same eigendecomposition.
         """
         angles = self._check_angles(angles)
-        rows, unitaries = self._forward(angles)
+        rows, nonzero, unitaries = self._forward(angles)
         recovered = self._recover(rows)
         fid, q = self._fidelity.evaluate(recovered)
         d, n_states = self.d, len(self.corrupted)
@@ -248,31 +261,34 @@ class LossContext:
         cot = d_stack.reshape(rows.shape) * (-2.0 / n_states)
         sweep = np.concatenate([cot, rows], axis=1)
         grad = np.empty(self.n_angles)
-        lone, lone_pairs = [], []  # nonzero angles with no zero run above
+        lone, lone_rows = [], []  # nonzero angles with no zero run above
         end = self.n_angles  # angles a+1 .. end-1 are zeros
-        for a, u in zip(np.flatnonzero(angles)[::-1], reversed(unitaries)):
-            pair = sweep[self.basis[a].pair]
+        pairs = self.basis.pairs[nonzero]
+        for a, pair, u in zip(nonzero[::-1].tolist(), pairs[::-1], unitaries[::-1]):
+            touched = sweep[pair]
             if a + 1 < end:
-                grad[a:end] = generator_pairings(sweep[:, :d], sweep[:, d:])[a:end]
+                grad[a:end] = generator_pairings(sweep[:, :d], sweep[:, d:], a, end)
             else:
                 lone.append(a)
-                lone_pairs.append(pair)
-            sweep[self.basis[a].pair] = u.conj().T @ pair
+                lone_rows.append(touched)
+            sweep[pair] = u.conj().T @ touched
             end = a
         if end > 0:
-            grad[:end] = generator_pairings(sweep[:, :d], sweep[:, d:])[:end]
+            grad[:end] = generator_pairings(sweep[:, :d], sweep[:, d:], 0, end)
         if lone:
             # Re Tr(C^† J W) on the two touched rows, for all of them at once
-            pairs = np.array(lone_pairs)
-            cots, frames = pairs[..., :d].conj(), pairs[..., d:]
-            pairing = np.einsum("apq,api,aqi->a", self._blocks[lone], cots, frames)
-            grad[lone] = pairing.real
+            stacked = np.array(lone_rows)
+            cots, frames = stacked[..., :d].conj(), stacked[..., d:]
+            blocks = self.basis.blocks[self.basis.kinds[lone]]
+            grad[lone] = np.einsum("apq,api,aqi->a", blocks, cots, frames).real
         return float(1.0 - fid.mean()), grad
 
-    def _forward(self, angles: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Final frame rows W_n and the 2 x 2 unitaries of the nonzero angles."""
+    def _forward(
+        self, angles: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Final frame rows W_n, the nonzero angles and their 2 x 2 unitaries."""
         rows = self.base_rows.copy()
-        return rows, forward_sweep(self.basis, angles, rows)
+        return rows, *forward_sweep(self.basis, angles, rows)
 
     def _recover(self, rows: np.ndarray) -> np.ndarray:
         """Frame rows -> recovered states sum_a K_a sigma K_a^+.
@@ -301,25 +317,26 @@ def learn_quasi_inverse(
 ) -> QuasiInverseResult:
     """Learn the quasi-inverse of ``channel`` on a state ensemble.
 
-    States are corrupted once through the channel; descent then runs in
-    the angle space of an m-operator ansatz acting on the corrupted
-    states.  Returns the best angles seen (the identity start point
-    always counts as a candidate, so the result never recovers worse
-    than doing nothing), the corresponding channel, the full training
-    history, why the descent stopped and which iterate was best.  Each
-    iteration takes its loss and gradient from one ``ctx.gradient`` call.
+    ``states`` is an (N, d, d) array such as the samplers return (a list
+    of d x d matrices also works).  They are corrupted once through the
+    channel; descent then runs in the angle space of an m-operator
+    ansatz acting on the corrupted states.  Returns the best angles seen
+    (the identity start point always counts as a candidate, so the
+    result never recovers worse than doing nothing), the corresponding
+    channel, the full training history, why the descent stopped and
+    which iterate was best.  Each iteration takes its loss and gradient
+    from one ``ctx.gradient`` call.
     States that are not density matrices (non-finite, non-Hermitian,
     off unit trace or not PSD) raise one ValueError naming the first.
     """
-    states = list(states)
-    if not states:
+    originals = np.asarray(states)
+    if len(originals) == 0:
         raise ValueError("state ensemble is empty")
     deviation = channel.completeness_deviation()
     if deviation > 1e-6:
         raise ValueError(f"channel violates completeness: {deviation:.3e}")
     d = channel.d
     m = cfg.m if cfg.m is not None else d * d
-    originals = np.stack(states)
     validate_density_matrix(originals)
     corrupted = apply_channel_batch(channel.stack(), originals)
     ctx = LossContext(corrupted, originals, d, m)

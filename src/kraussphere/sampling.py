@@ -13,8 +13,10 @@ Three measures are available:
 
 All randomness flows through numpy's counter-based Philox bit generator,
 so a given (seed, count, dim) reproduces the same ensemble exactly on a
-platform.  Per sample the Ginibre matrix is drawn first, then (Bures
-only) the Gaussian matrix that is orthonormalized into the Haar unitary.
+platform.  Each sampler returns one (count, dim, dim) array, drawn in a
+single batch: per sample the Ginibre matrix comes first, then (Bures
+only) the Gaussian matrix that is orthonormalized into the Haar unitary,
+so the stream is the one a state-by-state loop would read.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ def philox_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def sample_bloch_ball(seed: int, count: int) -> list[np.ndarray]:
-    """Mixed qubit states (I + r . sigma) / 2 uniform over the ball volume.
+def sample_bloch_ball(seed: int, count: int) -> np.ndarray:
+    """(count, 2, 2) mixed qubit states (I + r . sigma) / 2 uniform over
+    the ball volume.
 
     Direction is uniform on the sphere; the radius is u^(1/3) with u
     uniform, which makes the density uniform in volume.
@@ -43,33 +46,25 @@ def sample_bloch_ball(seed: int, count: int) -> list[np.ndarray]:
     directions = rng.normal(size=(count, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     radii = rng.uniform(size=count) ** (1.0 / 3.0)
-    bloch = directions * radii[:, None]
-    states = []
-    for x, y, z in bloch:
-        states.append(
-            0.5
-            * np.array(
-                [[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=complex
-            )
-        )
-    return states
+    x, y, z = (directions * radii[:, None]).T
+    states = np.empty((count, 2, 2), dtype=complex)
+    states[:, 0, 0], states[:, 0, 1] = 1.0 + z, x - 1j * y
+    states[:, 1, 0], states[:, 1, 1] = x + 1j * y, 1.0 - z
+    return 0.5 * states
 
 
-def sample_hilbert_schmidt(seed: int, count: int, dim: int) -> list[np.ndarray]:
-    """Hilbert-Schmidt-measure random density matrices G G† / Tr G G†."""
+def sample_hilbert_schmidt(seed: int, count: int, dim: int) -> np.ndarray:
+    """(count, dim, dim) Hilbert-Schmidt-measure random density matrices
+    G G† / Tr G G†."""
     rng = _ensemble_rng(seed, count, dim)
-    return [_normalized_gram(_ginibre(rng, dim)) for _ in range(count)]
+    return _normalized_gram(_ginibre(rng, count, 1, dim)[:, 0])
 
 
-def sample_bures(seed: int, count: int, dim: int) -> list[np.ndarray]:
-    """Bures-measure random density matrices of the given dimension."""
+def sample_bures(seed: int, count: int, dim: int) -> np.ndarray:
+    """(count, dim, dim) Bures-measure random density matrices."""
     rng = _ensemble_rng(seed, count, dim)
-    eye = np.eye(dim)
-    states = []
-    for _ in range(count):
-        g = _ginibre(rng, dim)
-        states.append(_normalized_gram((eye + haar_unitary(rng, dim)) @ g))
-    return states
+    g, h = _ginibre(rng, count, 2, dim).swapaxes(0, 1)
+    return _normalized_gram((np.eye(dim) + _haar_from_ginibre(h)) @ g)
 
 
 def _ensemble_rng(seed: int, count: int, dim: int) -> np.random.Generator:
@@ -81,26 +76,33 @@ def _ensemble_rng(seed: int, count: int, dim: int) -> np.random.Generator:
 
 
 def _normalized_gram(a: np.ndarray) -> np.ndarray:
-    """A A† / Tr A A†, symmetrized against the last rounding asymmetry."""
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    return (rho + rho.conj().T) / 2.0
+    """A A† / Tr A A† for a stack of matrices, symmetrized against the last
+    rounding asymmetry."""
+    rho = a @ a.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2.0
 
 
-def _ginibre(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def _ginibre(rng: np.random.Generator, count: int, per_state: int, dim: int):
+    """(count, per_state, dim, dim) complex Ginibre matrices, each drawn as
+    its real then its imaginary part, state after state."""
+    parts = rng.normal(size=(count, per_state, 2, dim, dim))
+    return parts[:, :, 0] + 1j * parts[:, :, 1]
 
 
 def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random unitary from the QR decomposition of a Ginibre matrix.
+    """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
+    return _haar_from_ginibre(_ginibre(rng, 1, 1, dim)[0, 0])
 
-    The phase convention makes the diagonal of the triangular factor
-    real-positive, which is what makes QR output Haar-distributed.
-    """
-    q, r = np.linalg.qr(_ginibre(rng, dim))
-    phases = np.diagonal(r).copy()
+
+def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
+    """Q of the QR decomposition of each Ginibre matrix, with the phase
+    convention that makes the diagonal of the triangular factor
+    real-positive, which is what makes QR output Haar-distributed."""
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases
+    return q * phases[..., None, :]
 
 
 @dataclass
@@ -128,8 +130,9 @@ class SampleConfig:
     def dim(self) -> int:
         return 2**self.n_qubits
 
-    def draw(self, seed: int | None = None) -> list[np.ndarray]:
-        """Draw the ensemble, optionally overriding the configured seed."""
+    def draw(self, seed: int | None = None) -> np.ndarray:
+        """Draw the (count, dim, dim) ensemble, optionally overriding the
+        configured seed."""
         seed = self.seed if seed is None else seed
         if self.measure == "bloch_ball_uniform":
             return sample_bloch_ball(seed, self.count)
@@ -138,20 +141,20 @@ class SampleConfig:
         return sample_bures(seed, self.count, self.dim)
 
 
-def states_to_lists(states: list[np.ndarray]) -> list[list[list[float]]]:
+def states_to_lists(states) -> list[list[list[float]]]:
     """Row-major [re, im] pair encoding, one flat matrix per state."""
-    return [
-        [[float(z.real), float(z.imag)] for z in np.asarray(rho).ravel()]
-        for rho in states
-    ]
+    states = np.ascontiguousarray(states, dtype=complex)
+    return states.view(float).reshape(len(states), -1, 2).tolist()
 
 
-def states_from_lists(data: list) -> list[np.ndarray]:
-    states = []
-    for flat in data:
-        arr = np.array([complex(re, im) for re, im in flat])
-        dim = round(len(flat) ** 0.5)
-        if dim * dim != len(flat):
-            raise ValueError(f"state entry count {len(flat)} is not a square")
-        states.append(arr.reshape(dim, dim))
-    return states
+def states_from_lists(data: list) -> np.ndarray:
+    """Inverse of states_to_lists: a (count, dim, dim) complex array."""
+    pairs = np.asarray(data, dtype=float)
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError(
+            f"expected [count][dim*dim][re, im] entries, got shape {pairs.shape}"
+        )
+    dim = round(pairs.shape[1] ** 0.5)
+    if dim * dim != pairs.shape[1]:
+        raise ValueError(f"state entry count {pairs.shape[1]} is not a square")
+    return np.ascontiguousarray(pairs).view(complex).reshape(len(pairs), dim, dim)

@@ -12,18 +12,23 @@ series therefore collapses to the closed form
 
     U(theta) = I + (cos(theta) - 1) * P + sin(theta) * J,   P = -J^2,
 
-a Givens-type two-mode rotation that updates two rows of W.  Embedded in
-the interleaved real layout, each block is a dense 2md x 2md real
-generator commuting with the symplectic form; that dense chart is the
-reference the tests check this one against.  Composing one transform
-per nonzero angle, lowest index first, and applying the product to the
-identity channel parameterizes the CPTP channels by a real angle vector.
+a Givens-type two-mode rotation that updates two rows of W.  The basis
+is therefore a table (GeneratorBasis): the row pair (j, k) of every
+generator and a kind index into the three shared blocks, built in a few
+array operations; Generator items exist only when the table is indexed.
+A sweep makes the rotations of all its nonzero angles in one batched
+finite_transform call.  Embedded in the interleaved real layout, each
+block is a dense 2md x 2md real generator commuting with the symplectic
+form; that dense chart is the reference the tests check this one
+against.  Composing one transform per nonzero angle, lowest index
+first, and applying the product to the identity channel parameterizes
+the CPTP channels by a real angle vector.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,47 +42,74 @@ from .geometry import (
     vectors_to_operator_stack,
 )
 
-_SYMMETRIC = np.array([[0.0, 1j], [1j, 0.0]])
-_ANTISYMMETRIC = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-_DIAGONAL = np.array([[1j, 0.0], [0.0, -1j]])
+_BLOCKS = np.array(
+    [
+        [[0.0, 1j], [1j, 0.0]],  # symmetric-imaginary i(E_jk + E_kj)
+        [[0.0, 1.0], [-1.0, 0.0]],  # antisymmetric-real E_jk - E_kj
+        [[1j, 0.0], [0.0, -1j]],  # diagonal i(E_jj - E_{j+1,j+1})
+    ]
+)
 _IDENTITY = np.eye(2)
-for _block in (_SYMMETRIC, _ANTISYMMETRIC, _DIAGONAL, _IDENTITY):
-    _block.setflags(write=False)  # shared by every generator of a kind
+_PROJECTOR = np.eye(2, dtype=complex)  # P = -J^2 of every block above
+for _array in (_BLOCKS, _IDENTITY, _PROJECTOR):
+    _array.setflags(write=False)  # shared by every generator
 
 
 @dataclass
 class Generator:
     """One basis generator of the allowed infinitesimal transformations.
 
-    ``matrix`` is the 2 x 2 anti-Hermitian block acting on the complex
-    coordinates ``j < k`` of frame vectors of real length ``dim``; it
-    squares to -I.  ``projector`` caches -matrix @ matrix (the 2 x 2
-    identity), the idempotent of the closed-form exponential, and
-    ``pair`` the row indices (j, k) of the md x d frame rows.
+    ``matrix`` is the 2 x 2 anti-Hermitian block of kind ``kind`` (an
+    index into GeneratorBasis.blocks) acting on the complex coordinates
+    ``j < k`` of frame vectors of real length ``dim``; it squares to -I.
+    ``projector`` is -matrix @ matrix (the 2 x 2 identity), the
+    idempotent of the closed-form exponential.  Both are shared and
+    read-only; an item is a copy of its row of the basis table.
     """
 
     dim: int
     j: int
     k: int
-    matrix: np.ndarray
-    projector: np.ndarray = field(init=False)
-    pair: np.ndarray = field(init=False, repr=False)
+    kind: int
 
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (2, 2):
-            raise ValueError(
-                f"generator block shape {self.matrix.shape}, expected (2, 2)"
-            )
-        if not 0 <= self.j < self.k < self.dim // 2:
-            raise ValueError(
-                f"coordinates ({self.j}, {self.k}) outside 0 <= j < k < {self.dim // 2}"
-            )
-        self.projector = -(self.matrix @ self.matrix)
-        self.pair = np.array([self.j, self.k])
+    @property
+    def matrix(self) -> np.ndarray:
+        return _BLOCKS[self.kind]
+
+    @property
+    def projector(self) -> np.ndarray:
+        return _PROJECTOR
 
 
-def generator_basis(dim: int) -> list[Generator]:
+class GeneratorBasis(Sequence):
+    """The generators of generator_basis(dim) as a table.
+
+    Generator ``a`` acts on the frame rows ``pairs[a] = (j, k)`` with the
+    block ``blocks[kinds[a]]``; the three blocks are shared by the whole
+    basis.  Indexing or iterating makes Generator items on demand; the
+    sweeps read the arrays.
+    """
+
+    blocks = _BLOCKS
+
+    def __init__(self, dim: int, pairs: np.ndarray, kinds: np.ndarray):
+        self.dim, self.pairs, self.kinds = dim, pairs, kinds
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[a] for a in range(*index.indices(len(self)))]
+        j, k = self.pairs[index].tolist()
+        return Generator(self.dim, j, k, int(self.kinds[index]))
+
+    def __iter__(self):
+        for (j, k), kind in zip(self.pairs.tolist(), self.kinds.tolist()):
+            yield Generator(self.dim, j, k, kind)
+
+
+def generator_basis(dim: int) -> GeneratorBasis:
     """Deterministic generator basis for frame vectors of length ``dim``.
 
     On the dim/2 complex coordinates: for each pair j < k the
@@ -93,77 +125,87 @@ def generator_basis(dim: int) -> list[Generator]:
         raise ValueError(
             f"dimension {dim} has no traceless generators (need dim >= 4)"
         )
-    pairs = [(j, k) for j in range(n) for k in range(j + 1, n)]
-    return (
-        [Generator(dim, j, k, _SYMMETRIC) for j, k in pairs]
-        + [Generator(dim, j, k, _ANTISYMMETRIC) for j, k in pairs]
-        + [Generator(dim, j, j + 1, _DIAGONAL) for j in range(n - 1)]
+    j, k = np.triu_indices(n, 1)
+    diagonal = np.arange(n - 1)
+    pairs = np.stack(
+        [np.concatenate([j, j, diagonal]), np.concatenate([k, k, diagonal + 1])],
+        axis=1,
     )
+    kinds = np.repeat(np.arange(3, dtype=np.int8), [len(j), len(j), n - 1])
+    for array in (pairs, kinds):
+        array.setflags(write=False)
+    return GeneratorBasis(dim, pairs, kinds)
 
 
-def generator_pairings(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Re Tr(left^† J_a right) for every J_a of generator_basis, in its order.
+def generator_pairings(
+    left: np.ndarray, right: np.ndarray, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """Re Tr(left^† J_a right) for the J_a of generator_basis, a in [start, stop).
 
     ``left`` and ``right`` are (md, rows) complex arrays; in the dense
     real chart this is <J_a, L^T R> for their interleaved real forms.
     With Z = left right^†, the pairings are Im(Z_jk + Z_kj), then
     Re(Z_jk - Z_kj) for j < k, then Im(Z_jj - Z_{j+1,j+1}): every
-    generator from one md x md product.
+    generator from one md x md product, each a sum of two entries of
+    its real and imaginary parts, read at precomputed offsets.
     """
-    z = left @ right.conj().T
-    jk, kj = _pair_offsets(z.shape[0])
-    flat = z.ravel()
-    upper, lower, diag = flat.take(jk), flat.take(kj), np.diagonal(z)
-    return np.concatenate(
-        [(upper + lower).imag, (upper - lower).real, (diag[:-1] - diag[1:]).imag]
-    )
+    z = (left @ right.conj().T).astype(complex, copy=False)
+    first, second, sign = _pairing_offsets(z.shape[0])
+    part = slice(start, stop)
+    parts = z.view(float).ravel()  # Re Z_00, Im Z_00, Re Z_01, ...
+    return parts.take(first[part]) + sign[part] * parts.take(second[part])
 
 
 @lru_cache
-def _pair_offsets(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat offsets of entries (j, k) and (k, j) of an n x n matrix, for the
-    pairs j < k in generator_basis order."""
-    j, k = np.triu_indices(n, 1)
-    offsets = j * n + k, k * n + j
-    for array in offsets:
+def _pairing_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Offsets into the interleaved real parts of an n x n complex matrix,
+    and the sign of the second entry, for each generator of the basis."""
+    basis = generator_basis(2 * n)
+    j, k = basis.pairs.T
+    kinds = basis.kinds
+    diagonal = kinds == 2
+    imaginary = kinds != 1  # the symmetric and diagonal pairings
+    first = 2 * np.where(diagonal, j * n + j, j * n + k) + imaginary
+    second = 2 * np.where(diagonal, k * n + k, k * n + j) + imaginary
+    sign = np.where(kinds == 0, 1.0, -1.0)
+    for array in (first, second, sign):
         array.setflags(write=False)  # shared by every caller
-    return offsets
+    return first, second, sign
 
 
-def finite_transform(gen: Generator, theta: float) -> np.ndarray:
-    """The 2 x 2 unitary I + (cos(theta) - 1) P + sin(theta) J.
+def finite_transform(block: np.ndarray, theta) -> np.ndarray:
+    """The 2 x 2 unitaries I + (cos(theta) - 1) P + sin(theta) J.
 
-    It acts on coordinates (gen.j, gen.k) and is exactly exp(theta J)
-    because J^3 = -J; embedded in the real chart it is orthogonal and
-    preserves the symplectic form for every angle.
+    ``block`` holds generator blocks J, shape (..., 2, 2), and ``theta``
+    the matching angles, shape (...); P = -J^2 is the 2 x 2 identity for
+    every block of the basis.  Each result acts on its generator's
+    coordinates (j, k) and is exactly exp(theta J) because J^3 = -J;
+    embedded in the real chart it is orthogonal and preserves the
+    symplectic form for every angle.
     """
-    return (
-        _IDENTITY
-        + (math.cos(theta) - 1.0) * gen.projector
-        + math.sin(theta) * gen.matrix
-    )
+    theta = np.asarray(theta, dtype=float)[..., None, None]
+    return _IDENTITY + (np.cos(theta) - 1.0) * _PROJECTOR + np.sin(theta) * block
 
 
 def forward_sweep(
-    basis: list[Generator], angles: np.ndarray, rows: np.ndarray
-) -> list[np.ndarray]:
+    basis: GeneratorBasis, angles: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Apply the transforms of the nonzero angles to ``rows``, lowest first.
 
     ``rows`` is an (md, d) complex frame, updated in place two rows at a
     time; zero angles are identity factors and are skipped.  Returns the
-    2 x 2 unitaries in the order they were applied.
+    indices of the nonzero angles and their (K, 2, 2) unitaries, made in
+    one finite_transform call, in the order they were applied.
     """
-    unitaries = []
-    for a in np.flatnonzero(angles):
-        gen = basis[a]
-        u = finite_transform(gen, angles[a])
-        rows[gen.pair] = u @ rows[gen.pair]
-        unitaries.append(u)
-    return unitaries
+    nonzero = np.flatnonzero(angles)
+    unitaries = finite_transform(basis.blocks[basis.kinds[nonzero]], angles[nonzero])
+    for pair, u in zip(basis.pairs[nonzero], unitaries):
+        rows[pair] = u @ rows[pair]
+    return nonzero, unitaries
 
 
 def apply_angles(
-    basis: list[Generator], angles: np.ndarray, frame: KrausFrame
+    basis: GeneratorBasis, angles: np.ndarray, frame: KrausFrame
 ) -> KrausFrame:
     """Transform every frame vector by the composed rotation.
 
@@ -194,7 +236,7 @@ def channel_from_angles(
     d: int,
     m: int,
     angles: np.ndarray,
-    basis: list[Generator] | None = None,
+    basis: GeneratorBasis | None = None,
 ) -> KrausSet:
     """CPTP Kraus set reached from the identity channel by ``angles``.
 

@@ -6,8 +6,9 @@ on interleaved frame vectors, built here from scratch in the order of
 I + (cos t - 1) P + sin t J and the ordered product of one transform per
 nonzero angle.  The package's two-coordinate chart must agree with it.
 Beside it: a Taylor-series matrix exponential independent of any closed
-form, the central-difference gradient, and the mean Uhlmann fidelity
-over (recovered, original) pairs.
+form, the central-difference gradient, the mean Uhlmann fidelity over
+(recovered, original) pairs, and the three samplers drawn one state at a
+time, which the batched samplers must reproduce bit for bit.
 """
 
 import numpy as np
@@ -134,3 +135,37 @@ def average_fidelity(pairs) -> float:
     if not pairs:
         raise ValueError("average_fidelity needs at least one pair")
     return float(np.mean([uhlmann_fidelity(rec, orig) for rec, orig in pairs]))
+
+
+def sample_one_at_a_time(measure: str, seed: int, count: int, dim: int) -> list:
+    """The package's samplers as per-state loops over the same Philox stream.
+
+    Bloch ball: all directions, then all radii.  Ginibre measures: per
+    state the real then the imaginary part of G, then (Bures only) of the
+    Gaussian matrix whose QR gives the Haar unitary.
+    """
+    rng = np.random.Generator(np.random.Philox(seed))
+    if measure == "bloch_ball_uniform":
+        directions = rng.normal(size=(count, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        radii = rng.uniform(size=count) ** (1.0 / 3.0)
+        return [
+            0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]], dtype=complex)
+            for x, y, z in directions * radii[:, None]
+        ]
+
+    def ginibre():
+        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+    states = []
+    for _ in range(count):
+        a = ginibre()
+        if measure == "bures":
+            q, r = np.linalg.qr(ginibre())
+            phases = np.diagonal(r).copy()
+            phases /= np.abs(phases)
+            a = (np.eye(dim) + q * phases) @ a
+        rho = a @ a.conj().T
+        rho /= np.trace(rho).real
+        states.append((rho + rho.conj().T) / 2.0)
+    return states

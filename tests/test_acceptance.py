@@ -313,7 +313,7 @@ def test_criterion_09_closed_form_matches_series():
     for dim in (4, 16):
         for gen, dense in zip(generator_basis(dim), dense_basis(dim)):
             for theta in (0.1, 1.0, np.pi, 5.0):
-                closed = finite_transform(gen, theta)
+                closed = finite_transform(gen.matrix, theta)
                 compact_gap = np.abs(closed - matrix_exp_series(gen.matrix, theta))
                 dense_gap = np.abs(
                     embed_transform(gen, closed) - matrix_exp_series(dense, theta)

@@ -107,6 +107,48 @@ class TestConfigParsing:
             load_config(path)
 
 
+class TestOptimizerFieldChecks:
+    """Each out-of-range optimizer field is a config error (exit 1), caught
+    before any learn starts; the boundary values still load."""
+
+    @staticmethod
+    def check(tmp_path, capsys, field, bad, good):
+        for value in bad:
+            data = base_config(tmp_path / "run")
+            data["optimizer"][field] = value
+            with pytest.raises(ConfigError, match=field):
+                config_from_dict(data)
+            path = write_config(tmp_path, data)
+            assert main(["learn", "--config", str(path)]) == EXIT_CONFIG
+            assert "config error" in capsys.readouterr().err
+            assert not (tmp_path / "run").exists()
+        for value in good:
+            data = base_config(tmp_path / "run")
+            data["optimizer"][field] = value
+            assert getattr(config_from_dict(data).optimizer, field) == value
+
+    def test_m(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, "m", [0, -3], [1, None])
+
+    def test_eta0(self, tmp_path, capsys):
+        self.check(
+            tmp_path, capsys, "eta0", [0.0, -0.1, float("nan"), float("inf")], [1e-9]
+        )
+
+    def test_init_scale(self, tmp_path, capsys):
+        self.check(
+            tmp_path, capsys, "init_scale", [-0.1, float("nan"), float("inf")], [0.0]
+        )
+
+    def test_patience(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, "patience", [0, -1], [1])
+
+    def test_loss_tol(self, tmp_path, capsys):
+        self.check(
+            tmp_path, capsys, "loss_tol", [-1e-9, float("nan"), float("inf")], [0.0]
+        )
+
+
 class TestRunSingle:
     def test_identity_run_and_outputs(self, tmp_path):
         data = base_config(tmp_path / "run")

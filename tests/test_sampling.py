@@ -4,6 +4,7 @@ from scipy import stats
 
 from kraussphere.linalg import validate_density_matrix
 from kraussphere.sampling import (
+    SAMPLE_MEASURES,
     SampleConfig,
     haar_unitary,
     philox_rng,
@@ -13,6 +14,8 @@ from kraussphere.sampling import (
     states_from_lists,
     states_to_lists,
 )
+
+from oracles import sample_one_at_a_time
 
 
 def bloch_radius(rho):
@@ -165,12 +168,35 @@ class TestSampleConfig:
             SampleConfig(n_qubits=1, count=1, seed=0, measure="not_a_measure")
 
 
+class TestBatchedDraws:
+    @pytest.mark.parametrize("measure", SAMPLE_MEASURES)
+    @pytest.mark.parametrize("seed", [21, 7, 9])
+    def test_equal_to_drawing_one_state_at_a_time(self, measure, seed):
+        for dim, count in ((2, 1), (2, 300), (4, 100), (8, 7)):
+            if measure == "bloch_ball_uniform" and dim != 2:
+                continue
+            cfg = SampleConfig(dim.bit_length() - 1, count, seed, measure)
+            states = cfg.draw()
+            assert states.shape == (count, dim, dim) and states.dtype == complex
+            reference = np.array(sample_one_at_a_time(measure, seed, count, dim))
+            assert states.tobytes() == reference.tobytes()
+            encoded = [
+                [[float(z.real), float(z.imag)] for z in rho.ravel()]
+                for rho in reference
+            ]
+            assert states_to_lists(states) == encoded
+
+
 class TestStateSerialization:
     def test_round_trip(self):
         states = sample_bures(seed=17, count=5, dim=4)
         back = states_from_lists(states_to_lists(states))
-        for a, b in zip(states, back):
-            assert np.array_equal(a, b)
+        assert back.shape == (5, 4, 4) and np.array_equal(states, back)
+        assert states_to_lists(list(states)) == states_to_lists(states)
+
+    def test_rejects_ragged(self):
+        with pytest.raises(ValueError):
+            states_from_lists([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):

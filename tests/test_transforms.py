@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kraussphere import transforms
 from kraussphere.channels import apply_channel
 from kraussphere.geometry import (
     KrausFrame,
@@ -93,6 +96,33 @@ class TestGeneratorBasis:
         held = sum(g.matrix.nbytes + g.projector.nbytes for g in basis)
         assert len(basis) == 4095 and held < 2**20
 
+    def test_table_makes_no_per_angle_objects(self, monkeypatch):
+        # d=4, m=32: 16383 generators held as index arrays, no items
+        def no_items(*args):
+            raise AssertionError("generator_basis made a Generator item")
+
+        monkeypatch.setattr(transforms, "Generator", no_items)
+        tracemalloc.start()
+        try:
+            basis = generator_basis(256)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(basis) == 16383 and held < 2**20
+
+    @pytest.mark.parametrize("dim", [4, 10, 16])
+    def test_items_read_the_table(self, dim):
+        basis = generator_basis(dim)
+        items = list(basis)
+        assert [basis[a] for a in range(len(basis))] == items
+        assert basis[-1] == items[-1] and basis[1:4] == items[1:4]
+        for gen, (j, k), kind in zip(items, basis.pairs, basis.kinds):
+            assert (gen.dim, gen.j, gen.k) == (dim, j, k)
+            assert gen.kind == kind
+            assert np.array_equal(gen.matrix, basis.blocks[kind])
+        with pytest.raises(IndexError):
+            basis[len(basis)]
+
 
 class TestGeneratorPairings:
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
@@ -105,22 +135,40 @@ class TestGeneratorPairings:
         compact = generator_pairings(complex_rows(left), complex_rows(right))
         assert np.max(np.abs(compact - dense)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_slices_match_dense_pairings(self, n):
+        # ranges inside each group and across the symmetric ->
+        # antisymmetric -> diagonal boundaries
+        rng = np.random.default_rng(80 + n)
+        left = rng.normal(size=(2, 2 * n))
+        right = rng.normal(size=(2, 2 * n))
+        dense = np.array([np.sum(j * (left.T @ right)) for j in dense_basis(2 * n)])
+        count, group = n * n - 1, n * (n - 1) // 2
+        ranges = [(0, count), (group - 1, group + 1), (2 * group - 1, count)]
+        ranges += [tuple(sorted(rng.integers(0, count + 1, 2))) for _ in range(20)]
+        for start, stop in ranges:
+            compact = generator_pairings(
+                complex_rows(left), complex_rows(right), start, stop
+            )
+            assert compact.shape == (stop - start,)
+            assert np.max(np.abs(compact - dense[start:stop]), initial=0.0) <= 1e-12
+
 
 class TestFiniteTransform:
     def test_zero_angle_is_identity(self, basis_16):
         for gen in basis_16:
-            assert np.array_equal(finite_transform(gen, 0.0), np.eye(2))
+            assert np.array_equal(finite_transform(gen.matrix, 0.0), np.eye(2))
 
     def test_full_turn(self, basis_16):
         for gen in basis_16[:5]:
-            m = finite_transform(gen, 2 * np.pi)
+            m = finite_transform(gen.matrix, 2 * np.pi)
             assert np.max(np.abs(m - np.eye(2))) <= 1e-12
 
     @pytest.mark.parametrize("dim", [4, 16])
     def test_matches_exponential_series(self, dim):
         for gen, j in zip(generator_basis(dim), dense_basis(dim)):
             for theta in THETAS:
-                closed = finite_transform(gen, theta)
+                closed = finite_transform(gen.matrix, theta)
                 series = matrix_exp_series(gen.matrix, theta)
                 assert np.max(np.abs(closed - series)) <= 1e-10
                 embedded = embed_transform(gen, closed)
@@ -132,16 +180,27 @@ class TestFiniteTransform:
         rng = np.random.default_rng(20)
         for gen in generator_basis(dim):
             theta = rng.uniform(-np.pi, np.pi)
-            u = finite_transform(gen, theta)
+            u = finite_transform(gen.matrix, theta)
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-12
             m = embed_transform(gen, u)
             assert np.max(np.abs(m.T @ m - np.eye(dim))) <= 1e-10
             assert np.max(np.abs(m.T @ s @ m - s)) <= 1e-10
 
+    def test_batched_equals_per_angle(self):
+        basis = generator_basis(16)
+        rng = np.random.default_rng(25)
+        kinds = rng.integers(0, 3, 200)
+        thetas = np.concatenate([rng.normal(0.0, 1.0, 100), rng.uniform(-9, 9, 100)])
+        batched = finite_transform(basis.blocks[kinds], thetas)
+        for u, kind, theta in zip(batched, kinds, thetas):
+            assert np.array_equal(u, finite_transform(basis.blocks[kind], float(theta)))
+        stacked = finite_transform(basis.blocks[kinds.reshape(4, 50)], thetas.reshape(4, 50))
+        assert np.array_equal(stacked.reshape(batched.shape), batched)
+
     def test_one_parameter_subgroup(self, basis_16):
         gen = basis_16[7]
-        lhs = finite_transform(gen, 0.6) @ finite_transform(gen, 1.7)
-        rhs = finite_transform(gen, 2.3)
+        lhs = finite_transform(gen.matrix, 0.6) @ finite_transform(gen.matrix, 1.7)
+        rhs = finite_transform(gen.matrix, 2.3)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
@@ -208,8 +267,15 @@ class TestApplyAngles:
 
     def test_forward_sweep_skips_zero_angles(self, basis_16):
         rows = np.eye(8, 2, dtype=complex)
-        assert forward_sweep(basis_16, np.zeros(63), rows) == []
+        nonzero, unitaries = forward_sweep(basis_16, np.zeros(63), rows)
+        assert nonzero.size == 0 and unitaries.shape == (0, 2, 2)
         assert np.array_equal(rows, np.eye(8, 2))
+        angles = np.zeros(63)
+        angles[[3, 40]] = 0.5, -1.2
+        nonzero, unitaries = forward_sweep(basis_16, angles, rows)
+        assert nonzero.tolist() == [3, 40]
+        for a, u in zip(nonzero, unitaries):
+            assert np.array_equal(u, finite_transform(basis_16[a].matrix, angles[a]))
 
     @pytest.mark.parametrize("d", [2, 4, 8])
     @pytest.mark.parametrize("m", [1, 2, 4])
