@@ -17,11 +17,7 @@ from .geometry import (
     kraus_to_frame,
     symplectic_form,
 )
-from .linalg import (
-    hermitian_eig,
-    psd_sqrt,
-    uhlmann_fidelity,
-)
+from .linalg import uhlmann_fidelity
 from .optimizer import (
     LossContext,
     OptimizerConfig,
@@ -68,11 +64,9 @@ __all__ = [
     "flip_channel",
     "frame_to_kraus",
     "generator_basis",
-    "hermitian_eig",
     "identity_frame",
     "kraus_to_frame",
     "learn_quasi_inverse",
-    "psd_sqrt",
     "sample_bloch_ball",
     "sample_bures",
     "sample_hilbert_schmidt",

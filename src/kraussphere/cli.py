@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from .optimizer import (
     dominant_kraus_report,
     learn_quasi_inverse,
 )
-from .sampling import SampleConfig, states_from_lists, states_to_lists
+from .sampling import SampleConfig, states_to_lists
 
 FORMAT_VERSION = 1
 
@@ -114,22 +114,8 @@ class ExperimentConfig:
         data = {
             "format_version": self.format_version,
             "channel": channel,
-            "sample": {
-                "n_qubits": self.sample.n_qubits,
-                "count": self.sample.count,
-                "seed": self.sample.seed,
-                "measure": self.sample.measure,
-            },
-            "optimizer": {
-                "eta0": self.optimizer.eta0,
-                "max_iters": self.optimizer.max_iters,
-                "loss_tol": self.optimizer.loss_tol,
-                "patience": self.optimizer.patience,
-                "init": self.optimizer.init,
-                "init_scale": self.optimizer.init_scale,
-                "m": self.optimizer.m,
-                "seed": self.optimizer.seed,
-            },
+            "sample": asdict(self.sample),
+            "optimizer": asdict(self.optimizer),
             "output_dir": self.output_dir,
         }
         if self.p_grid is not None:
@@ -343,11 +329,6 @@ def run_sample(config: ExperimentConfig) -> list:
     _write_json(out_dir / "states.json", states_to_lists(states))
     _write_manifest(out_dir, config)
     return states
-
-
-def load_states(path) -> list[np.ndarray]:
-    with open(path) as handle:
-        return states_from_lists(json.load(handle))
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,50 +1,19 @@
 """Dense complex linear algebra used throughout the package.
 
-Hermitian eigendecomposition, PSD matrix square roots, Uhlmann fidelity,
-and the density-matrix check of state ensembles.
+The batched Uhlmann fidelity and its cotangent (the package's only
+fidelity code), the eigenvalue floor it applies, and the density-matrix
+check of state ensembles.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-8
+HERMITICITY_TOL = 1e-10
+TRACE_TOL = 1e-10
 PSD_EIG_FLOOR = -1e-10
 FIDELITY_BAND = 1e-8
 EPS = np.finfo(float).eps
-
-
-def hermitian_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and eigenvectors
-    as the columns of ``v``, so that ``matrix = v @ diag(w) @ v†``.
-
-    Raises:
-        ValueError: if the input is not square or deviates from
-            Hermiticity by more than 1e-8 (max entrywise).
-    """
-    a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    deviation = float(np.max(np.abs(a - a.conj().T)))
-    if deviation > HERMITICITY_TOL:
-        raise ValueError(
-            f"matrix is not Hermitian: max |A - A^dagger| = {deviation:.3e}"
-        )
-    return np.linalg.eigh(a)
-
-
-def psd_sqrt(rho: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix.
-
-    Eigenvalues under :func:`floor_eigenvalues` are treated as rounding
-    noise and zeroed before the square root; one below -1e-10 raises.
-    """
-    w, v = hermitian_eig(rho)
-    if w[0] < PSD_EIG_FLOOR:
-        raise ValueError(f"matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
-    return (v * np.sqrt(floor_eigenvalues(w))) @ v.conj().T
 
 
 def floor_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -73,43 +42,98 @@ def qubit_dets(rho: np.ndarray) -> np.ndarray:
     return np.where(det > 2.0 * EPS * top**2, det, 0.0)
 
 
-def uhlmann_fidelity(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
-    """Uhlmann fidelity F = (Tr sqrt(sqrt(a) b sqrt(a)))^2.
+class UhlmannFidelity:
+    """Uhlmann fidelities of recovered batches against fixed originals.
 
-    Symmetric in its arguments and clamped to [0, 1]; a value outside
-    [-1e-8, 1 + 1e-8] indicates invalid inputs and raises instead of
-    being clamped.
+    For qubits the closed form Tr(a o) + 2 sqrt(det a det o) avoids any
+    per-call eigendecomposition; otherwise the square roots of the
+    originals are precomputed once and a single batched eigh per call
+    gives both the fidelities and their cotangent.  Both paths zero
+    rounding-level eigenvalues with :func:`floor_eigenvalues`.
+    """
+
+    def __init__(self, originals: np.ndarray):
+        self.originals = originals
+        self.dim = originals.shape[-1]
+        if self.dim == 2:
+            self._dets = qubit_dets(originals)
+        else:
+            w, v = np.linalg.eigh(originals)
+            w = floor_eigenvalues(w)
+            self._sqrts = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+    def evaluate(self, recovered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(..., N, d, d) recovered states a -> (..., N) fidelities F and the
+        Hermitian Q with dF = Tr(Q da) per state.
+
+        Qubits: Q = o + sqrt(det o / det a) adj(a), the square-root term
+        dropped where det a is zero.  General d: with X = sqrt(o) a
+        sqrt(o), Q = sqrt(F) sqrt(o) X^(-1/2) sqrt(o), where X^(-1/2) is a
+        pseudo-inverse: eigenvalues zeroed by the floor contribute nothing.
+        A fidelity outside [-1e-8, 1 + 1e-8] means invalid inputs and
+        raises; the rest are clamped to [0, 1].
+        """
+        if self.dim == 2:
+            dets = qubit_dets(recovered)
+            overlap = np.einsum("...nij,nji->...n", recovered, self.originals).real
+            fid = overlap + 2.0 * np.sqrt(dets * self._dets)
+            ratio = np.divide(
+                self._dets, dets, out=np.zeros_like(dets), where=dets > 0.0
+            )
+            # adj(a) = Tr(a) I - a for 2 x 2 matrices
+            traces = np.trace(recovered, axis1=-2, axis2=-1)[..., None, None]
+            adj = traces * np.eye(2) - recovered
+            cotangent = self.originals + np.sqrt(ratio)[..., None, None] * adj
+        else:
+            inner = self._sqrts @ recovered @ self._sqrts
+            w, v = np.linalg.eigh((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
+            roots = np.sqrt(floor_eigenvalues(w))
+            total = roots.sum(axis=-1)
+            fid = total**2
+            inverse_roots = np.divide(
+                1.0, roots, out=np.zeros_like(roots), where=roots > 0.0
+            )
+            scale = total[..., None] * inverse_roots  # sqrt(F) X^(-1/2)
+            rotated = self._sqrts @ v
+            adjoint = rotated.conj().swapaxes(-1, -2)
+            cotangent = (rotated * scale[..., None, :]) @ adjoint
+        low, high = fid.min(), fid.max()
+        if low < -FIDELITY_BAND or high > 1.0 + FIDELITY_BAND:
+            raise ValueError(
+                f"fidelity outside [0, 1] beyond tolerance: range [{low}, {high}]"
+            )
+        return np.clip(fid, 0.0, 1.0), cotangent
+
+
+def uhlmann_fidelity(rho_a, rho_b) -> float | np.ndarray:
+    """Uhlmann fidelity F = (Tr sqrt(sqrt(a) b sqrt(a)))^2 of each pair.
+
+    ``rho_a`` and ``rho_b`` are (..., d, d) arrays of the same shape;
+    pair i is (a[i], b[i]).  Returns a float for one pair of d x d
+    matrices, otherwise an array over the leading axes.  Both arguments
+    must be density matrices (finite, Hermitian, unit trace, PSD; see
+    :func:`validate_density_matrix`), else ValueError names the first
+    bad state.  Symmetric in its arguments up to rounding; computed by
+    :class:`UhlmannFidelity`, the class the learner's loss uses.
     """
     a = np.asarray(rho_a, dtype=complex)
     b = np.asarray(rho_b, dtype=complex)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    root = psd_sqrt(a)
-    inner = root @ b @ root
-    # symmetrize before eigvalsh: inner is Hermitian up to rounding
-    w = floor_eigenvalues(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0))
-    fid = float(np.sum(np.sqrt(w)) ** 2)
-    return clamp_fidelity(fid)
+    validate_density_matrix(a)
+    validate_density_matrix(b)
+    d = a.shape[-1]
+    fid, _ = UhlmannFidelity(a.reshape(-1, d, d)).evaluate(b.reshape(-1, d, d))
+    return float(fid[0]) if a.ndim == 2 else fid.reshape(a.shape[:-2])
 
 
-def clamp_fidelity(value: float) -> float:
-    """Clamp a fidelity to [0, 1], allowing only rounding-level excess."""
-    if value < -FIDELITY_BAND or value > 1.0 + FIDELITY_BAND:
-        raise ValueError(f"fidelity {value!r} outside [0, 1] beyond tolerance")
-    return min(max(value, 0.0), 1.0)
-
-
-def validate_density_matrix(
-    rho: np.ndarray,
-    hermiticity_tol: float = 1e-10,
-    trace_tol: float = 1e-10,
-    eig_floor: float = PSD_EIG_FLOOR,
-) -> None:
+def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise ValueError unless every (..., d, d) matrix is a density matrix.
 
-    Checks finite entries, Hermiticity, unit trace, and eigenvalues >=
-    the rounding floor.  One error names the first bad matrix (its index
-    when there are leading axes) and its first failed check.
+    Checks finite entries, Hermiticity (max |A - A^dagger| <= 1e-10),
+    unit trace (within 1e-10), and eigenvalues >= the -1e-10 floor.  One
+    error names the first bad matrix (its index when there are leading
+    axes) and its first failed check.
     """
     a = np.asarray(rho, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -129,15 +153,15 @@ def validate_density_matrix(
     checks = [
         (~finite, lambda i: "has non-finite entries"),
         (
-            herm > hermiticity_tol,
+            herm > HERMITICITY_TOL,
             lambda i: f"not Hermitian: max |A - A^dagger| = {herm[i]:.3e}",
         ),
         (
-            np.abs(trace - 1.0) > trace_tol,
-            lambda i: f"trace {trace[i]} is not 1 within {trace_tol}",
+            np.abs(trace - 1.0) > TRACE_TOL,
+            lambda i: f"trace {trace[i]} is not 1 within {TRACE_TOL}",
         ),
         (
-            smallest < eig_floor,
+            smallest < PSD_EIG_FLOOR,
             lambda i: f"not PSD: smallest eigenvalue {smallest[i]:.3e}",
         ),
     ]

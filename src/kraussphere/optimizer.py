@@ -26,12 +26,7 @@ import numpy as np
 
 from .channels import apply_channel_batch
 from .geometry import KrausSet
-from .linalg import (
-    FIDELITY_BAND,
-    floor_eigenvalues,
-    qubit_dets,
-    validate_density_matrix,
-)
+from .linalg import UhlmannFidelity, validate_density_matrix
 from .sampling import philox_rng
 from .transforms import (
     GeneratorBasis,
@@ -86,6 +81,8 @@ class OptimizerConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.m is not None and self.m < 1:
             raise ValueError(f"m must be >= 1 or null, got {self.m}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -132,68 +129,6 @@ class QuasiInverseResult:
         }
 
 
-class _EnsembleFidelity:
-    """Uhlmann fidelities of recovered batches against fixed originals.
-
-    For qubits the closed form Tr(a o) + 2 sqrt(det a det o) avoids any
-    per-call eigendecomposition; otherwise the square roots of the
-    originals are precomputed once and a single batched eigh per call
-    gives both the fidelities and their cotangent.  Either path equals
-    uhlmann_fidelity to rounding (see the optimizer tests), and both zero
-    rounding-level eigenvalues with :func:`floor_eigenvalues`.
-    """
-
-    def __init__(self, originals: np.ndarray):
-        self.originals = originals
-        self.dim = originals.shape[-1]
-        if self.dim == 2:
-            self._dets = qubit_dets(originals)
-        else:
-            w, v = np.linalg.eigh(originals)
-            w = floor_eigenvalues(w)
-            self._sqrts = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-    def evaluate(self, recovered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(..., N, d, d) recovered states a -> (..., N) fidelities F and the
-        Hermitian Q with dF = Tr(Q da) per state.
-
-        Qubits: Q = o + sqrt(det o / det a) adj(a), the square-root term
-        dropped where det a is zero.  General d: with X = sqrt(o) a
-        sqrt(o), Q = sqrt(F) sqrt(o) X^(-1/2) sqrt(o), where X^(-1/2) is a
-        pseudo-inverse: eigenvalues zeroed by the floor contribute nothing.
-        """
-        if self.dim == 2:
-            dets = qubit_dets(recovered)
-            overlap = np.einsum("...nij,nji->...n", recovered, self.originals).real
-            fid = overlap + 2.0 * np.sqrt(dets * self._dets)
-            ratio = np.divide(
-                self._dets, dets, out=np.zeros_like(dets), where=dets > 0.0
-            )
-            # adj(a) = Tr(a) I - a for 2 x 2 matrices
-            traces = np.trace(recovered, axis1=-2, axis2=-1)[..., None, None]
-            adj = traces * np.eye(2) - recovered
-            cotangent = self.originals + np.sqrt(ratio)[..., None, None] * adj
-        else:
-            inner = self._sqrts @ recovered @ self._sqrts
-            w, v = np.linalg.eigh((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
-            roots = np.sqrt(floor_eigenvalues(w))
-            total = roots.sum(axis=-1)
-            fid = total**2
-            inverse_roots = np.divide(
-                1.0, roots, out=np.zeros_like(roots), where=roots > 0.0
-            )
-            scale = total[..., None] * inverse_roots  # sqrt(F) X^(-1/2)
-            rotated = self._sqrts @ v
-            adjoint = rotated.conj().swapaxes(-1, -2)
-            cotangent = (rotated * scale[..., None, :]) @ adjoint
-        low, high = fid.min(), fid.max()
-        if low < -FIDELITY_BAND or high > 1.0 + FIDELITY_BAND:
-            raise ValueError(
-                f"fidelity outside [0, 1] beyond tolerance: range [{low}, {high}]"
-            )
-        return np.clip(fid, 0.0, 1.0), cotangent
-
-
 class LossContext:
     """Precomputed state for repeated loss and gradient evaluations.
 
@@ -221,7 +156,7 @@ class LossContext:
         self.basis: GeneratorBasis = generator_basis(2 * m * d)
         self.n_angles = angle_count(d, m)
         self.base_rows = np.eye(m * d, d, dtype=complex)  # [I; 0; ...; 0]
-        self._fidelity = _EnsembleFidelity(self.originals)
+        self._fidelity = UhlmannFidelity(self.originals)
         self._flat = self.corrupted.reshape(len(self.corrupted), d * d)
 
     def loss(self, angles: np.ndarray) -> float:

@@ -125,6 +125,8 @@ class SampleConfig:
             raise ValueError(
                 f"need n_qubits >= 1 and count >= 1, got {self.n_qubits}, {self.count}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def dim(self) -> int:

@@ -34,7 +34,6 @@ from kraussphere.geometry import (
     symplectic_form,
     symplectic_products,
 )
-from kraussphere.linalg import uhlmann_fidelity
 from kraussphere.optimizer import (
     OptimizerConfig,
     dominant_kraus_report,
@@ -59,6 +58,7 @@ from oracles import (
     dense_generator,
     embed_transform,
     matrix_exp_series,
+    reference_fidelity,
 )
 
 pytestmark = pytest.mark.acceptance
@@ -84,7 +84,7 @@ def report(number, passed, detail):
 
 
 def mean_fidelity(rhos_a, rhos_b):
-    return float(np.mean([uhlmann_fidelity(a, b) for a, b in zip(rhos_a, rhos_b)]))
+    return float(np.mean([reference_fidelity(a, b) for a, b in zip(rhos_a, rhos_b)]))
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,6 @@ from kraussphere.cli import (
     ConfigError,
     config_from_dict,
     load_config,
-    load_states,
     main,
     run_curve,
     run_single,
@@ -19,6 +18,7 @@ from kraussphere.cli import (
 )
 from kraussphere.channels import flip_channel
 from kraussphere.geometry import KrausSet
+from kraussphere.sampling import states_from_lists
 
 
 def base_config(out_dir, **overrides):
@@ -36,6 +36,46 @@ def base_config(out_dir, **overrides):
     }
     data.update(overrides)
     return data
+
+
+MANIFEST = """{
+  "format_version": 1,
+  "config": {
+    "format_version": 1,
+    "channel": {
+      "kind": "bit_flip",
+      "p": 0.8,
+      "n_qubits": 1
+    },
+    "sample": {
+      "n_qubits": 1,
+      "count": 25,
+      "seed": 60,
+      "measure": "bloch_ball_uniform"
+    },
+    "optimizer": {
+      "eta0": 0.1,
+      "max_iters": 20,
+      "loss_tol": 1e-07,
+      "patience": 25,
+      "init": "small_random",
+      "init_scale": 0.1,
+      "m": null,
+      "seed": 5
+    },
+    "output_dir": "OUT",
+    "p_grid": [
+      0.2,
+      0.8
+    ]
+  },
+  "sample_seed": 60,
+  "optimizer_seed": 5,
+  "ignored_fields": [
+    "optimizer.epsilon"
+  ]
+}
+"""
 
 
 def write_config(tmp_path, data):
@@ -106,6 +146,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="malformed JSON"):
             load_config(path)
 
+    def test_negative_sample_seed(self, tmp_path, capsys):
+        data = base_config(tmp_path / "run")
+        data["sample"]["seed"] = -1
+        with pytest.raises(ConfigError, match="seed"):
+            config_from_dict(data)
+        path = write_config(tmp_path, data)
+        assert main(["learn", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestOptimizerFieldChecks:
     """Each out-of-range optimizer field is a config error (exit 1), caught
@@ -148,6 +198,10 @@ class TestOptimizerFieldChecks:
             tmp_path, capsys, "loss_tol", [-1e-9, float("nan"), float("inf")], [0.0]
         )
 
+    def test_seed(self, tmp_path, capsys):
+        # a negative seed used to reach Philox and exit 2
+        self.check(tmp_path, capsys, "seed", [-1], [0])
+
 
 class TestRunSingle:
     def test_identity_run_and_outputs(self, tmp_path):
@@ -162,7 +216,7 @@ class TestRunSingle:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["format_version"] == 1
         assert manifest["config"]["sample"]["seed"] == 60
-        states = load_states(out / "states.json")
+        states = states_from_lists(json.loads((out / "states.json").read_text()))
         assert len(states) == 25 and states[0].shape == (2, 2)
 
     def test_result_reports_stop_reason_and_best_iteration(self, tmp_path):
@@ -341,8 +395,20 @@ class TestMainExitCodes:
         code = main(["validate", str(tmp_path / "missing.json"), "--quiet"])
         assert code == EXIT_CONFIG
 
+    def test_manifest_bytes(self, tmp_path):
+        # the manifest as written before the sections came from asdict
+        data = base_config(tmp_path / "out", p_grid=[0.2, 0.8])
+        data["optimizer"] = {
+            "max_iters": 20, "init": "small_random", "seed": 5, "epsilon": 1e-4
+        }
+        path = write_config(tmp_path, data)
+        assert main(["sample", "--config", str(path), "--quiet"]) == EXIT_OK
+        expected = MANIFEST.replace("OUT", str(tmp_path / "out"))
+        assert (tmp_path / "out" / "manifest.json").read_text() == expected
+
     def test_sample_outputs_states(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path / "samples"))
         assert main(["sample", "--config", str(path)]) == EXIT_OK
-        states = load_states(tmp_path / "samples" / "states.json")
+        saved = tmp_path / "samples" / "states.json"
+        states = states_from_lists(json.loads(saved.read_text()))
         assert len(states) == 25

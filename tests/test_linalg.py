@@ -3,76 +3,13 @@ import pytest
 
 from kraussphere.linalg import (
     floor_eigenvalues,
-    hermitian_eig,
-    psd_sqrt,
     qubit_dets,
     uhlmann_fidelity,
     validate_density_matrix,
 )
 
-from conftest import pure_density, random_density, random_hermitian
-from oracles import matrix_exp_series
-
-
-class TestHermitianEig:
-    def test_diagonal(self):
-        w, v = hermitian_eig(np.diag([1.0, 2.0]))
-        assert np.allclose(w, [1.0, 2.0])
-        assert np.allclose(np.abs(v), np.eye(2))
-
-    def test_pauli_x(self):
-        # characteristic polynomial lambda^2 - 1 = 0 by hand
-        w, _ = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert np.allclose(w, [-1.0, 1.0])
-
-    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
-    def test_identity(self, dim):
-        w, _ = hermitian_eig(np.eye(dim))
-        assert np.allclose(w, 1.0)
-
-    def test_reconstruction_random(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            dim = rng.integers(2, 9)
-            a = random_hermitian(rng, dim)
-            w, v = hermitian_eig(a)
-            assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - a)) <= 1e-9
-            assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) <= 1e-9
-            assert np.all(np.diff(w) >= 0)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            hermitian_eig(np.zeros((2, 3)))
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestPsdSqrt:
-    def test_scaled_identity(self):
-        root = psd_sqrt(np.eye(2) / 2)
-        assert np.allclose(root, np.eye(2) / np.sqrt(2))
-
-    def test_diagonal(self):
-        root = psd_sqrt(np.diag([0.25, 0.75]))
-        assert np.allclose(root, np.diag([0.5, np.sqrt(0.75)]))
-
-    def test_projector_is_own_root(self):
-        proj = np.diag([1.0, 0.0]).astype(complex)
-        assert np.allclose(psd_sqrt(proj), proj)
-
-    def test_squares_back(self):
-        rng = np.random.default_rng(2)
-        for _ in range(100):
-            rho = random_density(rng, int(rng.integers(2, 9)))
-            root = psd_sqrt(rho)
-            assert np.max(np.abs(root @ root - rho)) <= 1e-9
-            assert np.max(np.abs(root - root.conj().T)) <= 1e-9
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="not PSD"):
-            psd_sqrt(np.diag([1.0, -1e-6]))
+from conftest import pure_density, random_density
+from oracles import matrix_exp_series, reference_fidelity
 
 
 class TestUhlmannFidelity:
@@ -87,7 +24,7 @@ class TestUhlmannFidelity:
 
     def test_rejects_unnormalized_blowup(self):
         rho = np.eye(2, dtype=complex)  # trace 2, fidelity would exceed 1
-        with pytest.raises(ValueError, match="outside"):
+        with pytest.raises(ValueError, match="trace"):
             uhlmann_fidelity(rho, rho)
 
     def test_pure_vs_maximally_mixed(self):
@@ -118,6 +55,44 @@ class TestUhlmannFidelity:
         for _ in range(20):
             psi = pure_density(rng, dim)
             assert uhlmann_fidelity(psi, psi) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_batch_matches_reference(self, dim):
+        rng = np.random.default_rng(11)
+        mixed = [random_density(rng, dim) for _ in range(30)]
+        pure = [pure_density(rng, dim) for _ in range(30)]
+        # mixed-mixed, pure-mixed, mixed-pure, pure-pure and pure-itself
+        a = np.stack(mixed[:10] + pure[:10] + mixed[10:20] + pure[20:30] + pure[:10])
+        b = np.stack(mixed[20:] + mixed[:10] + pure[10:20] + pure[:10] + pure[:10])
+        expected = [reference_fidelity(x, y) for x, y in zip(a, b)]
+        assert np.max(np.abs(uhlmann_fidelity(a, b) - expected)) <= 1e-11
+
+    def test_float_for_one_pair_array_for_a_batch(self):
+        rng = np.random.default_rng(12)
+        a = np.stack([random_density(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        b = np.stack([random_density(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)
+        assert type(uhlmann_fidelity(a[0, 0], b[0, 0])) is float
+        batch = uhlmann_fidelity(a, b)
+        assert batch.shape == (2, 3)
+        assert batch[1, 2] == uhlmann_fidelity(a[1, 2:], b[1, 2:])[0]
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize(
+        "bad,match",
+        [
+            (np.array([[0.5, 0.1], [0.0, 0.5]]), "Hermitian"),
+            (np.diag([1.5, -0.5]), "PSD"),
+            (np.eye(2), "trace"),
+            (np.full((2, 2), np.nan), "non-finite"),
+            (np.zeros((2, 3)), "square"),
+        ],
+        ids=["non_hermitian", "non_psd", "unnormalized", "nan", "non_square"],
+    )
+    def test_rejects_invalid_argument(self, bad, match, side):
+        good = np.eye(*bad.shape) / 2
+        args = (bad, good) if side == "a" else (good, bad)
+        with pytest.raises(ValueError, match=match):
+            uhlmann_fidelity(*args)
 
 
 class TestEigenvalueFloor:
