@@ -120,14 +120,19 @@ class ChannelSpec:
                 raise ValueError(
                     f"custom Kraus set violates completeness: {deviation:.3e}"
                 )
+            if self.custom_kraus.d != 2**self.n_qubits:
+                raise ValueError(
+                    f"custom_kraus acts on d={self.custom_kraus.d}, but "
+                    f"n_qubits={self.n_qubits} needs d={2**self.n_qubits}"
+                )
         elif self.custom_kraus is not None:
             raise ValueError("custom_kraus only valid with kind='custom'")
+        if self.kind == "depolarizing" and self.n_qubits != 1:
+            raise ValueError("depolarizing channel is single-qubit only")
 
     def build(self) -> KrausSet:
         if self.kind == "custom":
             return self.custom_kraus
         if self.kind == "depolarizing":
-            if self.n_qubits != 1:
-                raise ValueError("depolarizing channel is single-qubit only")
             return depolarizing_channel(self.p)
         return tensor_flip_channel(self.kind, self.p, self.n_qubits)

@@ -9,7 +9,8 @@ sweep gives the loss, so each descent step costs one ``(loss, grad)``
 call.  The forward sweep makes the rotations of all nonzero angles in
 one batched call and reads their row pairs from the generator table.
 The reverse sweep stacks the cotangent beside the frame and pulls both
-back through each nonzero angle's rotation, which touches two rows;
+back through each nonzero angle's adjoint rotation, which touches two
+rows, in place through a strided view as in the forward sweep;
 every run of zero angles leaves the stack unchanged, so its gradient
 entries all come from one md x md product, read for that run's slice of
 angles only (:func:`generator_pairings`).
@@ -181,7 +182,7 @@ class LossContext:
         entries, with the nonzero angle below it, all come from one
         generator_pairings call.  A nonzero angle with no zero run above
         it needs only its two rows of [C | W] before the pull-back; those
-        are kept and paired in one contraction after the sweep.  The loss
+        are copied and paired in one contraction after the sweep.  The loss
         is the one :meth:`loss` returns, from the same forward sweep and
         the same eigendecomposition.
         """
@@ -198,15 +199,17 @@ class LossContext:
         grad = np.empty(self.n_angles)
         lone, lone_rows = [], []  # nonzero angles with no zero run above
         end = self.n_angles  # angles a+1 .. end-1 are zeros
-        pairs = self.basis.pairs[nonzero]
-        for a, pair, u in zip(nonzero[::-1].tolist(), pairs[::-1], unitaries[::-1]):
-            touched = sweep[pair]
+        pairs = self.basis.pairs[nonzero].tolist()
+        adjoints = unitaries.conj().swapaxes(-1, -2)
+        reverse = zip(nonzero[::-1].tolist(), pairs[::-1], adjoints[::-1])
+        for a, (j, k), u_adj in reverse:
+            touched = sweep[j : k + 1 : k - j]  # rows j and k, a view
             if a + 1 < end:
                 grad[a:end] = generator_pairings(sweep[:, :d], sweep[:, d:], a, end)
             else:
                 lone.append(a)
-                lone_rows.append(touched)
-            sweep[pair] = u.conj().T @ touched
+                lone_rows.append(touched.copy())
+            touched[...] = u_adj @ touched
             end = a
         if end > 0:
             grad[:end] = generator_pairings(sweep[:, :d], sweep[:, d:], 0, end)

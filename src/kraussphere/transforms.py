@@ -17,12 +17,14 @@ is therefore a table (GeneratorBasis): the row pair (j, k) of every
 generator and a kind index into the three shared blocks, built in a few
 array operations; Generator items exist only when the table is indexed.
 A sweep makes the rotations of all its nonzero angles in one batched
-finite_transform call.  Embedded in the interleaved real layout, each
-block is a dense 2md x 2md real generator commuting with the symplectic
-form; that dense chart is the reference the tests check this one
-against.  Composing one transform per nonzero angle, lowest index
-first, and applying the product to the identity channel parameterizes
-the CPTP channels by a real angle vector.
+finite_transform call and applies each in place to the strided view
+W[j : k + 1 : k - j] of its two rows, a basic slice, so no row is
+copied.  Embedded in the interleaved real layout, each block is a dense
+2md x 2md real generator commuting with the symplectic form; that dense
+chart is the reference the tests check this one against.  Composing one
+transform per nonzero angle, lowest index first, and applying the
+product to the identity channel parameterizes the CPTP channels by a
+real angle vector.
 """
 
 from __future__ import annotations
@@ -193,14 +195,17 @@ def forward_sweep(
     """Apply the transforms of the nonzero angles to ``rows``, lowest first.
 
     ``rows`` is an (md, d) complex frame, updated in place two rows at a
-    time; zero angles are identity factors and are skipped.  Returns the
-    indices of the nonzero angles and their (K, 2, 2) unitaries, made in
-    one finite_transform call, in the order they were applied.
+    time; zero angles are identity factors and are skipped.  Rows j < k
+    are the basic slice rows[j : k + 1 : k - j], a strided view, so each
+    rotation reads and writes them without a fancy-index copy.  Returns
+    the indices of the nonzero angles and their (K, 2, 2) unitaries,
+    made in one finite_transform call, in the order they were applied.
     """
     nonzero = np.flatnonzero(angles)
     unitaries = finite_transform(basis.blocks[basis.kinds[nonzero]], angles[nonzero])
-    for pair, u in zip(basis.pairs[nonzero], unitaries):
-        rows[pair] = u @ rows[pair]
+    for (j, k), u in zip(basis.pairs[nonzero].tolist(), unitaries):
+        view = rows[j : k + 1 : k - j]
+        view[...] = u @ view
     return nonzero, unitaries
 
 

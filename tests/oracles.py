@@ -4,7 +4,8 @@ The dense real chart: every generator as a real 2md x 2md matrix acting
 on interleaved frame vectors, built here from scratch in the order of
 ``generator_basis``, with the closed-form transform
 I + (cos t - 1) P + sin t J and the ordered product of one transform per
-nonzero angle.  The package's two-coordinate chart must agree with it.
+nonzero angle.  The package's two-coordinate chart must agree with it,
+and its strided-view row updates with a fancy-index loop.
 Beside it: a Taylor-series matrix exponential independent of any closed
 form, the central-difference gradient, a per-pair Uhlmann fidelity by
 eigendecomposition and its mean over (recovered, original) pairs, and
@@ -75,6 +76,16 @@ def dense_product(dense: list[np.ndarray], angles: np.ndarray) -> np.ndarray:
         if theta != 0.0:
             total = dense_transform(j, theta) @ total
     return total
+
+
+def fancy_index_rotations(pairs, unitaries, rows: np.ndarray) -> np.ndarray:
+    """rows[(j, k)] = u @ rows[(j, k)] for each pair and 2 x 2 unitary, in
+    order, through fancy-index copies; updates ``rows`` in place and
+    returns it.  The strided-view forward sweep must match it bit for bit.
+    """
+    for pair, u in zip(pairs, unitaries):
+        rows[pair] = u @ rows[pair]
+    return rows
 
 
 def complex_rows(vectors: np.ndarray) -> np.ndarray:

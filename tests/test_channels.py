@@ -195,4 +195,4 @@ class TestChannelSpec:
 
     def test_depolarizing_single_qubit_only(self):
         with pytest.raises(ValueError, match="single-qubit"):
-            ChannelSpec(kind="depolarizing", p=0.5, n_qubits=2).build()
+            ChannelSpec(kind="depolarizing", p=0.5, n_qubits=2)

@@ -156,6 +156,32 @@ class TestConfigParsing:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "channel,match",
+        [
+            # used to pass parsing and exit 2 from build()
+            ({"kind": "depolarizing", "p": 0.5, "n_qubits": 2}, "single-qubit"),
+            # used to exit 2 from a raw einsum shape error
+            (
+                {
+                    "kind": "custom",
+                    "n_qubits": 2,
+                    "custom_kraus": flip_channel("bit_flip", 0.8).to_dict(),
+                },
+                "d=2, but n_qubits=2 needs d=4",
+            ),
+        ],
+    )
+    def test_inconsistent_channel(self, tmp_path, capsys, channel, match):
+        data = base_config(tmp_path / "run", channel=channel)
+        data["sample"].update(n_qubits=2, measure="hilbert_schmidt")
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict(data)
+        path = write_config(tmp_path, data)
+        assert main(["learn", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestOptimizerFieldChecks:
     """Each out-of-range optimizer field is a config error (exit 1), caught

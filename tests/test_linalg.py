@@ -67,6 +67,12 @@ class TestUhlmannFidelity:
         expected = [reference_fidelity(x, y) for x, y in zip(a, b)]
         assert np.max(np.abs(uhlmann_fidelity(a, b) - expected)) <= 1e-11
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_empty_batch(self, dim):
+        # the band check used to take the min of no fidelities and raise
+        empty = np.zeros((0, dim, dim))
+        assert uhlmann_fidelity(empty, empty).shape == (0,)
+
     def test_float_for_one_pair_array_for_a_batch(self):
         rng = np.random.default_rng(12)
         a = np.stack([random_density(rng, 4) for _ in range(6)]).reshape(2, 3, 4, 4)

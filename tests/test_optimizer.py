@@ -20,7 +20,7 @@ from kraussphere.optimizer import (
 from kraussphere.sampling import sample_bloch_ball, sample_bures
 from kraussphere.transforms import channel_from_angles
 
-from conftest import pure_density, random_density
+from conftest import pure_density, random_density, random_hermitian
 from oracles import average_fidelity, central_difference, reference_fidelity
 
 ZERO = np.diag([1.0, 0.0]).astype(complex)
@@ -74,6 +74,46 @@ class TestEnsembleFidelity:
         out, _ = fid.evaluate(variants)
         assert out.shape == (2, 6)
         assert np.allclose(out, 1.0)
+
+    def test_qubit_flat_entries_match_reference(self):
+        # pure and mixed states on both sides, an extra batch axis and a
+        # recovered batch that is a strided, non-contiguous view
+        rng = np.random.default_rng(62)
+        mixed = [random_density(rng, 2) for _ in range(20)]
+        pure = [pure_density(rng, 2) for _ in range(20)]
+        originals = np.stack(mixed[:10] + pure[:10] + pure[10:])
+        recovered = np.stack(pure[:10] + mixed[10:] + pure[10:])
+        slots = np.empty(recovered.shape + (2,), dtype=complex)
+        slots[..., 0] = recovered
+        strided = slots[..., 0]
+        assert not strided.flags.c_contiguous
+        fid, _ = UhlmannFidelity(originals).evaluate(strided)
+        expected = [reference_fidelity(a, o) for a, o in zip(recovered, originals)]
+        assert np.max(np.abs(fid - expected)) <= 1e-12
+        swapped, _ = UhlmannFidelity(recovered).evaluate(originals)
+        assert np.max(np.abs(swapped - expected)) <= 1e-12
+        batch, cotangent = UhlmannFidelity(originals).evaluate(
+            np.stack([recovered, originals])
+        )
+        assert batch.shape == (2, 30) and cotangent.shape == (2, 30, 2, 2)
+        assert np.max(np.abs(batch[0] - expected)) <= 1e-12
+        assert np.max(np.abs(batch[1] - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_cotangent_matches_central_difference(self, dim):
+        # dF = Tr(Q da) along a random Hermitian direction, per state
+        rng = np.random.default_rng(63)
+        originals = np.stack([random_density(rng, dim) for _ in range(10)])
+        recovered = np.stack([random_density(rng, dim) for _ in range(10)])
+        direction = np.stack([random_hermitian(rng, dim) for _ in range(10)])
+        direction /= np.linalg.norm(direction, axis=(1, 2), keepdims=True)
+        fidelity = UhlmannFidelity(originals)
+        _, cotangent = fidelity.evaluate(recovered)
+        eps = 1e-6
+        plus, _ = fidelity.evaluate(recovered + eps * direction)
+        minus, _ = fidelity.evaluate(recovered - eps * direction)
+        exact = np.einsum("nij,nji->n", cotangent, direction).real
+        assert np.max(np.abs(exact - (plus - minus) / (2 * eps))) <= 1e-7
 
     def test_rejects_garbage(self):
         originals = np.stack([ZERO, ONE])
@@ -213,7 +253,7 @@ class TestGradient:
         _, grad = ctx.gradient(np.zeros(63))
         assert np.linalg.norm(grad) <= 1e-4
 
-    @pytest.mark.parametrize("d", [2, 4])
+    @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize(
         "case,m",
         [
@@ -222,10 +262,13 @@ class TestGradient:
             # full-rank originals, pure recovered states
             ("pure_recovered", 1),
             # pure originals, mixed recovered states
+            ("pure_originals", 1),
             ("pure_originals", 2),
         ],
     )
     def test_finite_and_exact_on_pure_inputs(self, d, case, m):
+        # 50 draws: with the eigenvalue floor inside rounding noise, a few
+        # percent of draws at d = 3 and 4 missed the oracle by up to 2e-3
         rng = np.random.default_rng(59)
         pure = [pure_density(rng, d) for _ in range(8)]
         mixed = [random_density(rng, d) for _ in range(8)]
@@ -233,8 +276,9 @@ class TestGradient:
         originals = mixed if case == "pure_recovered" else pure
         ctx = LossContext(corrupted, originals, d, m)
         assert self._oracle_gap(ctx, np.zeros(ctx.n_angles)) <= 1e-7
-        for _ in range(2):
-            assert self._oracle_gap(ctx, rng.normal(0, 0.5, ctx.n_angles)) <= 1e-7
+        for draw in range(50):
+            angles = rng.normal(0, 0.5, ctx.n_angles)
+            assert self._oracle_gap(ctx, angles) <= 1e-7, draw
 
 
 class TestLearnQuasiInverse:

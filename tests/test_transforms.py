@@ -30,6 +30,7 @@ from oracles import (
     dense_generator,
     dense_product,
     embed_transform,
+    fancy_index_rotations,
     matrix_exp_series,
 )
 
@@ -293,6 +294,31 @@ class TestApplyAngles:
         expected = frame_to_kraus(KrausFrame(d=d, m=m, vectors=reference))
         gap = np.abs(channel.stack() - expected.stack())
         assert np.max(gap) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_strided_views_match_fancy_index_loop(self, d, m):
+        # sparse patterns with nonzero angles on adjacent (k = j + 1) and,
+        # where md > 2, distant row pairs
+        rng = np.random.default_rng(26)
+        basis = generator_basis(2 * m * d)
+        j, k = basis.pairs.T
+        groups = [np.flatnonzero(k == j + 1), np.flatnonzero(k > j + 1)]
+        for _ in range(3):
+            angles = rng.normal(0.0, 1.0, len(basis))
+            angles[rng.random(len(basis)) < 0.7] = 0.0
+            for group in groups:
+                if group.size:
+                    angles[rng.choice(group)] = rng.uniform(0.1, 2.0)
+            rows = rng.normal(size=(m * d, d)) + 1j * rng.normal(size=(m * d, d))
+            expected = rows.copy()
+            nonzero, unitaries = forward_sweep(basis, angles, rows)
+            fancy_index_rotations(basis.pairs[nonzero], unitaries, expected)
+            assert np.array_equal(rows, expected)
+            identity = np.eye(m * d, d, dtype=complex)
+            reference = fancy_index_rotations(basis.pairs[nonzero], unitaries, identity)
+            channel = channel_from_angles(d, m, angles, basis=basis)
+            assert np.array_equal(channel.stack(), reference.reshape(m, d, d))
 
 
 class TestChannelFromAngles:
