@@ -9,7 +9,6 @@ operators.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -70,13 +69,10 @@ def tensor_flip_channel(kind: str, p: float, n_qubits: int) -> KrausSet:
     """
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
-    single = flip_channel(kind, p).operators
-    ops = []
-    for combo in product(single, repeat=n_qubits):
-        full = combo[0]
-        for factor in combo[1:]:
-            full = np.kron(full, factor)
-        ops.append(full)
+    ops = single = flip_channel(kind, p).operators
+    for _ in range(n_qubits - 1):  # ops[2a + b] = kron(ops[a], single[b])
+        d = 2 * ops.shape[-1]
+        ops = np.kron(ops[:, None], single[None]).reshape(-1, d, d)
     return KrausSet(d=2**n_qubits, m=2**n_qubits, operators=ops)
 
 
@@ -87,7 +83,7 @@ def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"state shape {rho.shape} does not match channel dimension {kraus.d}"
         )
-    return apply_channel_batch(kraus.stack(), rho[None])[0]
+    return apply_channel_batch(kraus.operators, rho[None])[0]
 
 
 def apply_channel_batch(stack: np.ndarray, rhos: np.ndarray) -> np.ndarray:

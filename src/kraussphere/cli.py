@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ChannelSpec
-from .geometry import KrausSet
+from .geometry import KrausSet, json_value, matrices_to_pairs
 from .optimizer import (
     NonFiniteLossError,
     OptimizerConfig,
@@ -31,7 +31,7 @@ from .optimizer import (
     dominant_kraus_report,
     learn_quasi_inverse,
 )
-from .sampling import SampleConfig, states_to_lists
+from .sampling import SampleConfig
 
 FORMAT_VERSION = 1
 
@@ -123,60 +123,60 @@ class ExperimentConfig:
         return data
 
 
-def _take_fields(section: dict, allowed: dict, where: str) -> dict:
-    """Pull known keys out of a config section, rejecting typos."""
+def _take_fields(section, allowed: dict, where: str) -> dict:
+    """Pull known keys out of a config section, rejecting typos and values
+    of the wrong JSON type (:func:`geometry.json_value`)."""
+    json_value(section, dict, where)
     unknown = set(section) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown field(s) in {where}: {sorted(unknown)}")
-    taken = {}
-    for key, convert in allowed.items():
-        if key in section:
-            taken[key] = convert(section[key])
-    return taken
+    prefix = "" if where == "config" else f"{where}."
+    return {
+        key: json_value(section[key], kind, prefix + key)
+        for key, kind in allowed.items()
+        if key in section
+    }
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    top = _take_fields(
-        data,
-        {
-            "format_version": int,
-            "channel": dict,
-            "sample": dict,
-            "optimizer": dict,
-            "p_grid": list,
-            "output_dir": str,
-        },
-        "config",
-    )
-    for required in ("channel", "sample", "output_dir"):
-        if required not in top:
-            raise ConfigError(f"config is missing required field {required!r}")
     try:
+        top = _take_fields(
+            data,
+            {
+                "format_version": int,
+                "channel": dict,
+                "sample": dict,
+                "optimizer": dict,
+                "p_grid": list,
+                "output_dir": str,
+            },
+            "config",
+        )
+        for required in ("channel", "sample", "output_dir"):
+            if required not in top:
+                raise ConfigError(f"config is missing required field {required!r}")
         channel_fields = _take_fields(
             top["channel"],
-            {
-                "kind": str,
-                "p": float,
-                "n_qubits": int,
-                "custom_kraus": KrausSet.from_dict,
-            },
+            {"kind": str, "p": float, "n_qubits": int, "custom_kraus": dict},
             "channel",
         )
-        channel = ChannelSpec(**channel_fields)
+        if "custom_kraus" in channel_fields:
+            custom = KrausSet.from_dict(channel_fields["custom_kraus"])
+            channel_fields["custom_kraus"] = custom
         sample_fields = _take_fields(
             top["sample"],
             {"n_qubits": int, "count": int, "seed": int, "measure": str},
             "sample",
         )
-        sample = SampleConfig(**sample_fields)
         section = top.get("optimizer", {})
         ignored = [
             f"optimizer.{key}" for key in RETIRED_OPTIMIZER_FIELDS if key in section
         ]
+        kept = {k: v for k, v in section.items() if k not in RETIRED_OPTIMIZER_FIELDS}
+        if kept.get("m", 0) is None:
+            del kept["m"]  # null m is the default, d**2
         optimizer_fields = _take_fields(
-            {k: v for k, v in section.items() if k not in RETIRED_OPTIMIZER_FIELDS},
+            kept,
             {
                 "eta0": float,
                 "max_iters": int,
@@ -184,23 +184,27 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 "patience": int,
                 "init": str,
                 "init_scale": float,
-                "m": lambda m: None if m is None else int(m),  # null: d**2
+                "m": int,
                 "seed": int,
             },
             "optimizer",
         )
-        optimizer = OptimizerConfig(**optimizer_fields)
-    except (TypeError, ValueError) as exc:
+        p_grid = top.get("p_grid")
+        if p_grid is not None:
+            p_grid = [
+                json_value(p, float, f"p_grid[{i}]") for i, p in enumerate(p_grid)
+            ]
+        return ExperimentConfig(
+            channel=ChannelSpec(**channel_fields),
+            sample=SampleConfig(**sample_fields),
+            optimizer=OptimizerConfig(**optimizer_fields),
+            output_dir=top["output_dir"],
+            p_grid=p_grid,
+            format_version=top.get("format_version", FORMAT_VERSION),
+            ignored_fields=ignored,
+        )
+    except (KeyError, TypeError, ValueError) as exc:  # ConfigError too
         raise ConfigError(str(exc)) from exc
-    return ExperimentConfig(
-        channel=channel,
-        sample=sample,
-        optimizer=optimizer,
-        output_dir=top["output_dir"],
-        p_grid=[float(p) for p in top["p_grid"]] if "p_grid" in top else None,
-        format_version=top.get("format_version", FORMAT_VERSION),
-        ignored_fields=ignored,
-    )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -237,7 +241,7 @@ def run_single(config: ExperimentConfig) -> QuasiInverseResult:
     out_dir.mkdir(parents=True, exist_ok=True)
     states = config.sample.draw()
     result = learn_quasi_inverse(config.channel.build(), states, config.optimizer)
-    _write_json(out_dir / "states.json", states_to_lists(states))
+    _write_json(out_dir / "states.json", matrices_to_pairs(states))
     _write_json(out_dir / "result.json", result.to_dict())
     _write_manifest(out_dir, config)
     return result
@@ -326,7 +330,7 @@ def run_sample(config: ExperimentConfig) -> list:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     states = config.sample.draw()
-    _write_json(out_dir / "states.json", states_to_lists(states))
+    _write_json(out_dir / "states.json", matrices_to_pairs(states))
     _write_manifest(out_dir, config)
     return states
 

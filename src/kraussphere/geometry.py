@@ -3,16 +3,20 @@
 A channel with Kraus operators ``{K^a}`` (each d x d, a = 1..m) is
 re-expressed as d real unit vectors of length ``2*m*d``: for column i,
 vector ``v_i`` lists the pairs ``(Re K^a[k, i], Im K^a[k, i])`` with the
-operator index a outermost and the row index k innermost.  This layout
-is the single normative component ordering used everywhere, including
-serialization; the symplectic form below relies on the (x, y) adjacency
-it produces.
+operator index a outermost and the row index k innermost.  The
+symplectic form below relies on the (x, y) adjacency this layout
+produces.
 
 Collecting the vectors of all d columns gives a frame.  Unit norm,
 mutual Euclidean orthogonality, and mutual symplectic orthogonality of
 the frame vectors are together exactly the completeness relation
 ``sum_a (K^a)† K^a = I``, so valid frames and CPTP Kraus sets are in
-bijection.
+bijection.  The frame is the documented equivalence; the package works
+on ``KrausSet.operators``, one complex (m, d, d) array.
+
+On disk, Kraus sets and state ensembles share one encoding
+(:func:`matrices_to_pairs` / :func:`matrices_from_pairs`): each matrix
+is a flat row-major list of ``[re, im]`` pairs.
 """
 
 from __future__ import annotations
@@ -27,57 +31,85 @@ FRAME_TOL_LOOSE = 1e-6
 
 @dataclass
 class KrausSet:
-    """Ordered set of ``m`` Kraus operators, each ``d x d`` complex."""
+    """Ordered set of ``m`` Kraus operators, each ``d x d`` complex, held
+    as one (m, d, d) array; a list of matrices converts on construction."""
 
     d: int
     m: int
-    operators: list[np.ndarray]
+    operators: np.ndarray
 
     def __post_init__(self):
         if self.d < 1 or self.m < 1:
             raise ValueError(f"invalid dimensions d={self.d}, m={self.m}")
         if self.m > self.d**2:
             raise ValueError(f"m={self.m} exceeds d^2={self.d ** 2}")
-        if len(self.operators) != self.m:
+        self.operators = np.ascontiguousarray(self.operators, dtype=complex)
+        expected = (self.m, self.d, self.d)
+        if self.operators.shape != expected:
             raise ValueError(
-                f"expected {self.m} operators, got {len(self.operators)}"
+                f"operators have shape {self.operators.shape}, expected {expected}"
             )
-        self.operators = [np.asarray(op, dtype=complex) for op in self.operators]
-        for op in self.operators:
-            if op.shape != (self.d, self.d):
-                raise ValueError(
-                    f"operator shape {op.shape} does not match d={self.d}"
-                )
 
     def completeness_deviation(self) -> float:
         """Max entrywise deviation of sum_a (K^a)† K^a from the identity."""
-        acc = np.zeros((self.d, self.d), dtype=complex)
-        for op in self.operators:
-            acc += op.conj().T @ op
-        return float(np.max(np.abs(acc - np.eye(self.d))))
-
-    def stack(self) -> np.ndarray:
-        """Operators as one (m, d, d) array."""
-        return np.stack(self.operators)
+        ops = self.operators
+        total = (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
+        return float(np.max(np.abs(total - np.eye(self.d))))
 
     def to_dict(self) -> dict:
         return {
             "d": self.d,
             "m": self.m,
-            "operators": [
-                [[float(z.real), float(z.imag)] for z in op.ravel()]
-                for op in self.operators
-            ],
+            "operators": matrices_to_pairs(self.operators),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "KrausSet":
-        d, m = int(data["d"]), int(data["m"])
-        ops = []
-        for flat in data["operators"]:
-            arr = np.array([complex(re, im) for re, im in flat])
-            ops.append(arr.reshape(d, d))
-        return cls(d=d, m=m, operators=ops)
+        """Inverse of :meth:`to_dict`; ``d`` and ``m`` must be JSON integers
+        that agree with the decoded operators."""
+        return cls(
+            d=json_value(data["d"], int, "d"),
+            m=json_value(data["m"], int, "m"),
+            operators=matrices_from_pairs(data["operators"]),
+        )
+
+
+def matrices_to_pairs(matrices) -> list[list[list[float]]]:
+    """(count, n, n) complex matrices -> one flat row-major list of
+    [re, im] pairs per matrix: the JSON form of Kraus sets and states."""
+    matrices = np.ascontiguousarray(matrices, dtype=complex)
+    return matrices.view(float).reshape(len(matrices), -1, 2).tolist()
+
+
+def matrices_from_pairs(data) -> np.ndarray:
+    """Inverse of :func:`matrices_to_pairs`: a (count, n, n) complex array.
+
+    Raises ValueError on ragged lists, entries that are not [re, im]
+    pairs, or an entry count that is not a square.
+    """
+    pairs = np.asarray(data, dtype=float)
+    if pairs.ndim != 3 or pairs.shape[2] != 2:
+        raise ValueError(
+            f"expected [count][n*n][re, im] entries, got shape {pairs.shape}"
+        )
+    n = round(pairs.shape[1] ** 0.5)
+    if n * n != pairs.shape[1]:
+        raise ValueError(f"matrix entry count {pairs.shape[1]} is not a square")
+    return np.ascontiguousarray(pairs).view(complex).reshape(len(pairs), n, n)
+
+
+def json_value(value, kind: type, name: str):
+    """``value`` if it is a JSON ``kind``, else TypeError naming ``name``.
+
+    Nothing is coerced and nothing takes a boolean: int takes integers
+    only (not 2.7, 2.0 or "2"); float takes any number, as a float.
+    """
+    number = kind is float
+    accepted = (int, float) if number else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        what = "number" if number else kind.__name__
+        raise TypeError(f"{name} must be a JSON {what}, got {value!r}")
+    return float(value) if number else value
 
 
 @dataclass
@@ -96,28 +128,9 @@ class KrausFrame:
                 f"vectors shape {self.vectors.shape}, expected {expected}"
             )
 
-    @property
-    def vector_dim(self) -> int:
-        return 2 * self.m * self.d
-
     def deviation(self) -> float:
         """Max entrywise deviation of the frame Gram matrix from identity."""
         return float(np.max(np.abs(completeness_gram(self) - np.eye(self.d))))
-
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "m": self.m,
-            "vectors": [[float(x) for x in row] for row in self.vectors],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "KrausFrame":
-        return cls(
-            d=int(data["d"]),
-            m=int(data["m"]),
-            vectors=np.array(data["vectors"], dtype=float),
-        )
 
 
 def symplectic_form(dim: int) -> np.ndarray:
@@ -164,7 +177,7 @@ def kraus_to_frame(kraus: KrausSet) -> KrausFrame:
             f"Kraus set violates completeness: max deviation {deviation:.3e}"
         )
     return KrausFrame(
-        d=kraus.d, m=kraus.m, vectors=operator_stack_to_vectors(kraus.stack())
+        d=kraus.d, m=kraus.m, vectors=operator_stack_to_vectors(kraus.operators)
     )
 
 
@@ -182,13 +195,13 @@ def frame_to_kraus(frame: KrausFrame) -> KrausSet:
             f"max Gram deviation {deviation:.3e}"
         )
     stack = vectors_to_operator_stack(frame.vectors, frame.d, frame.m)
-    return KrausSet(d=frame.d, m=frame.m, operators=list(stack))
+    return KrausSet(d=frame.d, m=frame.m, operators=stack)
 
 
 def identity_frame(d: int, m: int) -> KrausFrame:
     """Frame of the identity channel {I, 0, ..., 0} with m operators."""
-    ops = [np.eye(d, dtype=complex)]
-    ops += [np.zeros((d, d), dtype=complex) for _ in range(m - 1)]
+    ops = np.zeros((m, d, d), dtype=complex)
+    ops[0] = np.eye(d)
     return kraus_to_frame(KrausSet(d=d, m=m, operators=ops))
 
 

@@ -27,9 +27,10 @@ _ADJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
 def floor_eigenvalues(w: np.ndarray) -> np.ndarray:
     """Zero the eigenvalues at or below 64 * d * eps * (largest eigenvalue).
 
-    Works along the last axis of ``w``, which holds the d eigenvalues of
-    a PSD matrix.  Eigenvalues at that level are rounding noise: a pure
-    state's zero eigenvalues come out near 1e-17, and their square roots
+    Works along the last axis of ``w``, which must hold the d eigenvalues
+    of a PSD matrix in ascending order, as ``eigh`` returns them, so the
+    largest is the last.  Eigenvalues at that level are rounding noise: a
+    pure state's zero eigenvalues come out near 1e-17, and their square roots
     (~3e-9 each) would otherwise push its fidelities past 1 + 1e-8.  The
     noise eigenvalues of sqrt(o) a sqrt(o) for a pure o or a reach
     ~4e-16 * top, so a floor of d * eps * top would keep some and zero
@@ -37,7 +38,7 @@ def floor_eigenvalues(w: np.ndarray) -> np.ndarray:
     factor 64 puts the floor clear of that noise.
     """
     w = np.asarray(w, dtype=float)
-    top = np.clip(np.max(w, axis=-1, keepdims=True), 0.0, None)
+    top = np.clip(w[..., -1:], 0.0, None)
     return np.where(w > EIGENVALUE_FLOOR * w.shape[-1] * top, w, 0.0)
 
 
@@ -101,15 +102,14 @@ class UhlmannFidelity:
             scaled = (np.sqrt(ratio)[..., None] * adj).reshape(recovered.shape)
             cotangent = self.originals + scaled
         else:
-            inner = self._sqrts @ recovered @ self._sqrts
-            w, v = np.linalg.eigh((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
+            # eigh reads one triangle, so X needs no symmetrizing
+            w, v = np.linalg.eigh(self._sqrts @ recovered @ self._sqrts)
             roots = np.sqrt(floor_eigenvalues(w))
             total = roots.sum(axis=-1)
             fid = total**2
-            inverse_roots = np.divide(
-                1.0, roots, out=np.zeros_like(roots), where=roots > 0.0
+            scale = np.divide(  # sqrt(F) X^(-1/2)
+                total[..., None], roots, out=np.zeros_like(roots), where=roots > 0.0
             )
-            scale = total[..., None] * inverse_roots  # sqrt(F) X^(-1/2)
             rotated = self._sqrts @ v
             adjoint = rotated.conj().swapaxes(-1, -2)
             cotangent = (rotated * scale[..., None, :]) @ adjoint

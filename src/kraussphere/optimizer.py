@@ -276,7 +276,7 @@ def learn_quasi_inverse(
     d = channel.d
     m = cfg.m if cfg.m is not None else d * d
     validate_density_matrix(originals)
-    corrupted = apply_channel_batch(channel.stack(), originals)
+    corrupted = apply_channel_batch(channel.operators, originals)
     ctx = LossContext(corrupted, originals, d, m)
 
     zeros = np.zeros(ctx.n_angles)
@@ -346,7 +346,6 @@ def dominant_kraus_report(kraus: KrausSet) -> tuple[np.ndarray, bool]:
     deviation = kraus.completeness_deviation()
     if deviation > 1e-6:
         raise ValueError(f"channel violates completeness: {deviation:.3e}")
-    weights = np.array(
-        [float(np.trace(op.conj().T @ op).real) / kraus.d for op in kraus.operators]
-    )
+    ops = kraus.operators
+    weights = np.trace(ops.conj().swapaxes(1, 2) @ ops, axis1=1, axis2=2).real / kraus.d
     return weights, bool(weights.max() >= 0.99)

@@ -16,7 +16,8 @@ so a given (seed, count, dim) reproduces the same ensemble exactly on a
 platform.  Each sampler returns one (count, dim, dim) array, drawn in a
 single batch: per sample the Ginibre matrix comes first, then (Bures
 only) the Gaussian matrix that is orthonormalized into the Haar unitary,
-so the stream is the one a state-by-state loop would read.
+so the stream is the one a state-by-state loop would read.  States are
+written to disk with :func:`geometry.matrices_to_pairs`.
 """
 
 from __future__ import annotations
@@ -90,11 +91,6 @@ def _ginibre(rng: np.random.Generator, count: int, per_state: int, dim: int):
     return parts[:, :, 0] + 1j * parts[:, :, 1]
 
 
-def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-random unitary from the QR decomposition of a Ginibre matrix."""
-    return _haar_from_ginibre(_ginibre(rng, 1, 1, dim)[0, 0])
-
-
 def _haar_from_ginibre(g: np.ndarray) -> np.ndarray:
     """Q of the QR decomposition of each Ginibre matrix, with the phase
     convention that makes the diagonal of the triangular factor
@@ -141,22 +137,3 @@ class SampleConfig:
         if self.measure == "hilbert_schmidt":
             return sample_hilbert_schmidt(seed, self.count, self.dim)
         return sample_bures(seed, self.count, self.dim)
-
-
-def states_to_lists(states) -> list[list[list[float]]]:
-    """Row-major [re, im] pair encoding, one flat matrix per state."""
-    states = np.ascontiguousarray(states, dtype=complex)
-    return states.view(float).reshape(len(states), -1, 2).tolist()
-
-
-def states_from_lists(data: list) -> np.ndarray:
-    """Inverse of states_to_lists: a (count, dim, dim) complex array."""
-    pairs = np.asarray(data, dtype=float)
-    if pairs.ndim != 3 or pairs.shape[2] != 2:
-        raise ValueError(
-            f"expected [count][dim*dim][re, im] entries, got shape {pairs.shape}"
-        )
-    dim = round(pairs.shape[1] ** 0.5)
-    if dim * dim != pairs.shape[1]:
-        raise ValueError(f"state entry count {pairs.shape[1]} is not a square")
-    return np.ascontiguousarray(pairs).view(complex).reshape(len(pairs), dim, dim)

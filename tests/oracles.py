@@ -10,7 +10,8 @@ Beside it: a Taylor-series matrix exponential independent of any closed
 form, the central-difference gradient, a per-pair Uhlmann fidelity by
 eigendecomposition and its mean over (recovered, original) pairs, and
 the three samplers drawn one state at a time, which the batched samplers
-must reproduce bit for bit.
+must reproduce bit for bit, with the Haar-unitary draw of the Bures
+sampler.
 """
 
 import numpy as np
@@ -184,18 +185,26 @@ def sample_one_at_a_time(measure: str, seed: int, count: int, dim: int) -> list:
             for x, y, z in directions * radii[:, None]
         ]
 
-    def ginibre():
-        return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-
     states = []
     for _ in range(count):
-        a = ginibre()
+        a = ginibre(rng, dim)
         if measure == "bures":
-            q, r = np.linalg.qr(ginibre())
-            phases = np.diagonal(r).copy()
-            phases /= np.abs(phases)
-            a = (np.eye(dim) + q * phases) @ a
+            a = (np.eye(dim) + haar_unitary(rng, dim)) @ a
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
         states.append((rho + rho.conj().T) / 2.0)
     return states
+
+
+def ginibre(rng, dim: int) -> np.ndarray:
+    """A dim x dim complex Ginibre matrix, drawn as its real then its
+    imaginary part."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def haar_unitary(rng, dim: int) -> np.ndarray:
+    """Haar-random unitary: Q of the QR decomposition of a Ginibre matrix,
+    its columns rephased so that R has a real positive diagonal."""
+    q, r = np.linalg.qr(ginibre(rng, dim))
+    phases = np.diagonal(r) / np.abs(np.diagonal(r))
+    return q * phases

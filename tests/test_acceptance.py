@@ -134,7 +134,7 @@ def bures_two_qubit_results(bures_two_qubit_states):
 def pauli_recovery_fidelity(kind, states):
     """Mean fidelity of the exact P(x)P recovery after 2-qubit flip noise."""
     held = np.stack(states)
-    noisy = apply_channel_batch(tensor_flip_channel(kind, 0.8, 2).stack(), held)
+    noisy = apply_channel_batch(tensor_flip_channel(kind, 0.8, 2).operators, held)
     pauli, _ = FLIP_CASES[kind]
     pp = np.kron(pauli, pauli)
     recovered = np.einsum("ij,njk,lk->nil", pp, noisy, pp.conj())
@@ -220,7 +220,7 @@ def test_criterion_04_learned_inverses_are_pauli_unitaries(
     for kind, result in single_qubit_results.items():
         pauli, _ = FLIP_CASES[kind]
         weights, unitary = dominant_kraus_report(result.channel)
-        recovered = apply_channel_batch(result.channel.stack(), held)
+        recovered = apply_channel_batch(result.channel.operators, held)
         pauli_action = np.einsum("ij,njk,lk->nil", pauli, held, pauli.conj())
         match = mean_fidelity(recovered, pauli_action)
         ok = ok and unitary and weights.max() >= 0.99 and match >= 0.99
@@ -264,7 +264,7 @@ def test_criterion_06_depolarizing_no_recovery(depolarizing_result, held_out_sta
     result = depolarizing_result
     delta = result.fidelity_after - result.fidelity_before
     held = np.stack(held_out_states)
-    recovered = apply_channel_batch(result.channel.stack(), held)
+    recovered = apply_channel_batch(result.channel.operators, held)
     identity_action = mean_fidelity(recovered, held)
     ok = delta <= 0.02 and identity_action >= 0.99
     assert report(

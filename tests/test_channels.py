@@ -169,7 +169,7 @@ class TestApplyChannel:
         rng = np.random.default_rng(35)
         channel = random_channel(rng, 2, 4)
         rhos = np.stack([random_density(rng, 2) for _ in range(7)])
-        batch = apply_channel_batch(channel.stack(), rhos)
+        batch = apply_channel_batch(channel.operators, rhos)
         for i in range(7):
             assert np.max(np.abs(batch[i] - apply_channel(channel, rhos[i]))) <= 1e-14
 

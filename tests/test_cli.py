@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -17,8 +18,7 @@ from kraussphere.cli import (
     validate_channel_file,
 )
 from kraussphere.channels import flip_channel
-from kraussphere.geometry import KrausSet
-from kraussphere.sampling import states_from_lists
+from kraussphere.geometry import KrausSet, matrices_from_pairs
 
 
 def base_config(out_dir, **overrides):
@@ -204,11 +204,19 @@ class TestOptimizerFieldChecks:
             assert getattr(config_from_dict(data).optimizer, field) == value
 
     def test_m(self, tmp_path, capsys):
-        self.check(tmp_path, capsys, "m", [0, -3], [1, None])
+        self.check(tmp_path, capsys, "m", [0, -3, 1.5, 2.0, True, "2"], [1, None])
+
+    def test_max_iters(self, tmp_path, capsys):
+        # 2.7 used to load as 2
+        self.check(tmp_path, capsys, "max_iters", [0, 2.7, 20.0, True], [1])
 
     def test_eta0(self, tmp_path, capsys):
         self.check(
-            tmp_path, capsys, "eta0", [0.0, -0.1, float("nan"), float("inf")], [1e-9]
+            tmp_path,
+            capsys,
+            "eta0",
+            [0.0, -0.1, float("nan"), float("inf"), True, "0.1", None],
+            [1e-9, 1],
         )
 
     def test_init_scale(self, tmp_path, capsys):
@@ -217,16 +225,75 @@ class TestOptimizerFieldChecks:
         )
 
     def test_patience(self, tmp_path, capsys):
-        self.check(tmp_path, capsys, "patience", [0, -1], [1])
+        self.check(tmp_path, capsys, "patience", [0, -1, 3.9, True], [1])
 
     def test_loss_tol(self, tmp_path, capsys):
         self.check(
-            tmp_path, capsys, "loss_tol", [-1e-9, float("nan"), float("inf")], [0.0]
+            tmp_path,
+            capsys,
+            "loss_tol",
+            [-1e-9, float("nan"), float("inf"), False, "1e-7"],
+            [0.0, 0],
         )
 
     def test_seed(self, tmp_path, capsys):
         # a negative seed used to reach Philox and exit 2
-        self.check(tmp_path, capsys, "seed", [-1], [0])
+        self.check(tmp_path, capsys, "seed", [-1, True, "7", 5.0], [0])
+
+
+class TestFieldTypes:
+    """Numbers of the wrong JSON type are config errors naming the field:
+    integer fields take integers only, real fields numbers only, and
+    neither takes a boolean or a string.  They used to be coerced."""
+
+    @pytest.mark.parametrize(
+        "path,value,field",
+        [
+            (("sample", "count"), 20.9, "sample.count"),
+            (("sample", "count"), True, "sample.count"),
+            (("sample", "seed"), "7", "sample.seed"),
+            (("sample", "seed"), True, "sample.seed"),
+            (("sample", "n_qubits"), 1.0, "sample.n_qubits"),
+            (("channel", "n_qubits"), 1.99, "channel.n_qubits"),
+            (("channel", "p"), "0.8", "channel.p"),
+            (("channel", "p"), True, "channel.p"),
+            (("format_version",), 1.7, "format_version"),
+            (("format_version",), True, "format_version"),
+            (("p_grid",), [0.1, None], r"p_grid\[1\]"),
+            (("p_grid",), [0.1, "0.2"], r"p_grid\[1\]"),
+            (("p_grid",), [True], r"p_grid\[0\]"),
+            (("p_grid",), 0.5, "p_grid"),
+            (("sample",), [1], "sample"),
+        ],
+    )
+    def test_rejected(self, tmp_path, capsys, path, value, field):
+        data = base_config(tmp_path / "run")
+        *section, key = path
+        (data[section[0]] if section else data)[key] = value
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict(data)
+        config = write_config(tmp_path, data)
+        assert main(["learn", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
+        assert re.search(field, err)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field,value", [("d", 2.0), ("m", True), ("m", "2")])
+    def test_custom_kraus_dimensions(self, tmp_path, field, value):
+        kraus = flip_channel("bit_flip", 0.8).to_dict()
+        kraus[field] = value
+        channel = {"kind": "custom", "n_qubits": 1, "custom_kraus": kraus}
+        data = base_config(tmp_path / "run", channel=channel)
+        with pytest.raises(ConfigError, match=f"{field} must be a JSON int"):
+            config_from_dict(data)
+
+    def test_integral_reals_still_load(self, tmp_path):
+        data = base_config(tmp_path / "run", p_grid=[0, 1])
+        data["channel"]["p"] = 1
+        config = config_from_dict(data)
+        assert config.channel.p == 1.0 and isinstance(config.channel.p, float)
+        assert config.p_grid == [0.0, 1.0]
 
 
 class TestRunSingle:
@@ -242,7 +309,7 @@ class TestRunSingle:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["format_version"] == 1
         assert manifest["config"]["sample"]["seed"] == 60
-        states = states_from_lists(json.loads((out / "states.json").read_text()))
+        states = matrices_from_pairs(json.loads((out / "states.json").read_text()))
         assert len(states) == 25 and states[0].shape == (2, 2)
 
     def test_result_reports_stop_reason_and_best_iteration(self, tmp_path):
@@ -279,9 +346,10 @@ class TestRunSingle:
         config = config_from_dict(base_config(tmp_path / "run"))
         result = run_single(config)
         saved = json.loads((tmp_path / "run" / "result.json").read_text())
+        decoded = matrices_from_pairs(saved["channel"]["operators"])
+        assert decoded.tobytes() == result.channel.operators.tobytes()
         channel = KrausSet.from_dict(saved["channel"])
-        for a, b in zip(channel.operators, result.channel.operators):
-            assert np.array_equal(a, b)
+        assert channel.operators.tobytes() == result.channel.operators.tobytes()
 
 
 class TestRunCurve:
@@ -342,6 +410,29 @@ class TestValidateChannelFile:
         path.write_text('{"d": 2, "m": 2, "operators": [[')
         with pytest.raises(ConfigError, match="line"):
             validate_channel_file(path, quiet=True)
+
+    @pytest.mark.parametrize(
+        "change,match",
+        [
+            ({"operators": [[[1, 0], [0, 0], [0, 0], [1, 0]], [[0, 0]]]}, "shape"),
+            ({"m": 1, "operators": [[[1, 0], [0, 0], [0, 0]]]}, "square"),
+            ({"d": 4}, r"expected \(2, 4, 4\)"),
+            ({"m": 1}, r"expected \(1, 2, 2\)"),
+            ({"d": 2.0}, "d must be a JSON int"),
+            ({"m": True}, "m must be a JSON int"),
+        ],
+    )
+    def test_malformed_operators_are_config_errors(
+        self, tmp_path, capsys, change, match
+    ):
+        path = tmp_path / "bad.json"
+        data = {**flip_channel("bit_flip", 0.8).to_dict(), **change}
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=match):
+            validate_channel_file(path, quiet=True)
+        assert main(["validate", str(path), "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "Traceback" not in err
 
 
 class TestMainExitCodes:
@@ -436,5 +527,5 @@ class TestMainExitCodes:
         path = write_config(tmp_path, base_config(tmp_path / "samples"))
         assert main(["sample", "--config", str(path)]) == EXIT_OK
         saved = tmp_path / "samples" / "states.json"
-        states = states_from_lists(json.loads(saved.read_text()))
+        states = matrices_from_pairs(json.loads(saved.read_text()))
         assert len(states) == 25

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from kraussphere.geometry import (
     frame_to_kraus,
     identity_frame,
     kraus_to_frame,
+    matrices_to_pairs,
     symplectic_form,
     symplectic_products,
 )
@@ -170,30 +173,46 @@ class TestIdentityFrame:
     )
     def test_vector_dimension(self, d, m, expected_dim):
         frame = identity_frame(d, m)
-        assert frame.vector_dim == expected_dim
         assert frame.vectors.shape == (d, expected_dim)
 
     def test_full_rank_dim_scaling(self):
         # with m = d^2 the vector length is 2 d^3 = 2^(3n+1)
         for n_qubits in (1, 2):
             d = 2**n_qubits
-            assert identity_frame(d, d * d).vector_dim == 2 ** (3 * n_qubits + 1)
+            vectors = identity_frame(d, d * d).vectors
+            assert vectors.shape[1] == 2 ** (3 * n_qubits + 1)
+
+
+class TestKrausSet:
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_stores_one_complex_array(self, as_array):
+        ops = [np.eye(2), np.zeros((2, 2)), np.diag([0.0, 1j])]
+        kraus = KrausSet(d=2, m=3, operators=np.array(ops) if as_array else ops)
+        assert isinstance(kraus.operators, np.ndarray)
+        assert kraus.operators.shape == (3, 2, 2)
+        assert kraus.operators.dtype == complex
+        assert np.array_equal(kraus.operators, ops)
+
+    def test_deviation_matches_the_per_operator_sum(self):
+        rng = np.random.default_rng(17)
+        kraus = random_channel(rng, 2, 3)
+        kraus.operators[1] *= 1.1
+        acc = sum(op.conj().T @ op for op in kraus.operators)
+        expected = np.max(np.abs(acc - np.eye(2)))
+        assert kraus.completeness_deviation() == pytest.approx(expected, rel=1e-12)
 
 
 class TestSerialization:
     def test_kraus_round_trip(self):
+        # bit-exact, through the one [re, im] codec
         rng = np.random.default_rng(15)
-        kraus = random_channel(rng, 2, 4)
-        back = KrausSet.from_dict(kraus.to_dict())
-        assert back.d == kraus.d and back.m == kraus.m
-        for a, b in zip(kraus.operators, back.operators):
-            assert np.array_equal(a, b)
-
-    def test_frame_round_trip(self):
-        rng = np.random.default_rng(16)
-        frame = kraus_to_frame(random_channel(rng, 2, 2))
-        back = KrausFrame.from_dict(frame.to_dict())
-        assert np.array_equal(back.vectors, frame.vectors)
+        for d, m in ((2, 1), (2, 4), (4, 16)):
+            kraus = random_channel(rng, d, m)
+            data = kraus.to_dict()
+            assert data["operators"] == matrices_to_pairs(kraus.operators)
+            back = KrausSet.from_dict(json.loads(json.dumps(data)))
+            assert back.d == kraus.d and back.m == kraus.m
+            assert back.operators.tobytes() == kraus.operators.tobytes()
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -202,3 +221,7 @@ class TestSerialization:
             KrausFrame(d=2, m=2, vectors=np.zeros((2, 6)))
         with pytest.raises(ValueError):
             KrausSet(d=2, m=5, operators=[np.eye(2)] * 5)
+        with pytest.raises(ValueError, match="shape"):
+            KrausSet(d=2, m=2, operators=[np.eye(2), np.eye(3)])
+        with pytest.raises(ValueError, match="shape"):
+            KrausSet(d=2, m=1, operators=[np.eye(4)])

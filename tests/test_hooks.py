@@ -51,7 +51,7 @@ def counting(monkeypatch, owner, name):
 def ensemble():
     states = np.stack(sample_bloch_ball(seed=3, count=6))
     channel = flip_channel("bit_flip", 0.3)
-    return apply_channel_batch(channel.stack(), states), states
+    return apply_channel_batch(channel.operators, states), states
 
 
 def test_context_builds_the_basis_once_through_the_optimizer(monkeypatch, ensemble):

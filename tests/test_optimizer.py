@@ -132,7 +132,7 @@ class TestLoss:
     def test_bit_flip_identity_loss_in_band(self):
         states = sample_bloch_ball(seed=7, count=1000)
         corrupted = apply_channel_batch(
-            flip_channel("bit_flip", 0.8).stack(), np.stack(states)
+            flip_channel("bit_flip", 0.8).operators, np.stack(states)
         )
         value = LossContext(corrupted, states, 2, 4).loss(np.zeros(63))
         assert 0.3011 - 0.05 <= value <= 0.3011 + 0.05
@@ -380,7 +380,7 @@ class TestLearnQuasiInverse:
             channel, states, OptimizerConfig(max_iters=600, m=1)
         )
         xx = np.kron(PAULI_X, PAULI_X)
-        corrupted = apply_channel_batch(channel.stack(), np.stack(states))
+        corrupted = apply_channel_batch(channel.operators, np.stack(states))
         pauli_fid = np.mean(
             [
                 uhlmann_fidelity(xx @ c @ xx.conj().T, o)

@@ -4,7 +4,7 @@ removed ones stay removed."""
 import pytest
 
 import kraussphere
-from kraussphere import cli, linalg
+from kraussphere import cli, geometry, linalg, sampling
 
 
 @pytest.mark.parametrize("name", kraussphere.__all__)
@@ -25,6 +25,13 @@ def test_no_duplicate_exports():
         (linalg, "psd_sqrt"),
         (linalg, "clamp_fidelity"),
         (cli, "load_states"),
+        (geometry.KrausSet, "stack"),
+        (geometry.KrausFrame, "to_dict"),
+        (geometry.KrausFrame, "from_dict"),
+        (geometry.KrausFrame, "vector_dim"),
+        (sampling, "states_to_lists"),
+        (sampling, "states_from_lists"),
+        (sampling, "haar_unitary"),
     ],
 )
 def test_removed_names_stay_gone(module, name):

@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from kraussphere.geometry import matrices_from_pairs, matrices_to_pairs
 from kraussphere.linalg import validate_density_matrix
 from kraussphere.sampling import (
     SAMPLE_MEASURES,
     SampleConfig,
-    haar_unitary,
     philox_rng,
     sample_bloch_ball,
     sample_bures,
     sample_hilbert_schmidt,
-    states_from_lists,
-    states_to_lists,
 )
 
-from oracles import sample_one_at_a_time
+from oracles import haar_unitary, sample_one_at_a_time
 
 
 def bloch_radius(rho):
@@ -184,20 +182,20 @@ class TestBatchedDraws:
                 [[float(z.real), float(z.imag)] for z in rho.ravel()]
                 for rho in reference
             ]
-            assert states_to_lists(states) == encoded
+            assert matrices_to_pairs(states) == encoded
 
 
 class TestStateSerialization:
     def test_round_trip(self):
         states = sample_bures(seed=17, count=5, dim=4)
-        back = states_from_lists(states_to_lists(states))
+        back = matrices_from_pairs(matrices_to_pairs(states))
         assert back.shape == (5, 4, 4) and np.array_equal(states, back)
-        assert states_to_lists(list(states)) == states_to_lists(states)
+        assert matrices_to_pairs(list(states)) == matrices_to_pairs(states)
 
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
-            states_from_lists([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+            matrices_from_pairs([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            states_from_lists([[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]])
+            matrices_from_pairs([[[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]])

@@ -292,7 +292,7 @@ class TestApplyAngles:
         assert np.max(np.abs(out.vectors - reference)) <= 1e-12
         channel = channel_from_angles(d, m, angles, basis=basis)
         expected = frame_to_kraus(KrausFrame(d=d, m=m, vectors=reference))
-        gap = np.abs(channel.stack() - expected.stack())
+        gap = np.abs(channel.operators - expected.operators)
         assert np.max(gap) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8])
@@ -318,7 +318,7 @@ class TestApplyAngles:
             identity = np.eye(m * d, d, dtype=complex)
             reference = fancy_index_rotations(basis.pairs[nonzero], unitaries, identity)
             channel = channel_from_angles(d, m, angles, basis=basis)
-            assert np.array_equal(channel.stack(), reference.reshape(m, d, d))
+            assert np.array_equal(channel.operators, reference.reshape(m, d, d))
 
 
 class TestChannelFromAngles:
