@@ -96,6 +96,12 @@ class ExperimentConfig:
                 f"channel n_qubits={self.channel.n_qubits} does not match "
                 f"sample n_qubits={self.sample.n_qubits}"
             )
+        d = 2**self.channel.n_qubits
+        if self.optimizer.m is not None and self.optimizer.m > d * d:
+            raise ConfigError(
+                f"optimizer.m={self.optimizer.m} exceeds the limit d^2={d * d} "
+                f"for n_qubits={self.channel.n_qubits}"
+            )
         if self.p_grid is not None:
             if not self.p_grid:
                 raise ConfigError("p_grid must be non-empty in curve mode")

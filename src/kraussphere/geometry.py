@@ -66,7 +66,12 @@ class KrausSet:
     @classmethod
     def from_dict(cls, data: dict) -> "KrausSet":
         """Inverse of :meth:`to_dict`; ``d`` and ``m`` must be JSON integers
-        that agree with the decoded operators."""
+        that agree with the decoded operators.  A missing field raises
+        ValueError naming it."""
+        json_value(data, dict, "Kraus set")
+        for key in ("d", "m", "operators"):
+            if key not in data:
+                raise ValueError(f"Kraus set is missing required field {key!r}")
         return cls(
             d=json_value(data["d"], int, "d"),
             m=json_value(data["m"], int, "m"),

@@ -2,13 +2,16 @@
 
 The batched Uhlmann fidelity and its cotangent (the package's only
 fidelity code), the eigenvalue floor it applies, and the density-matrix
-check of state ensembles.  For qubits the fidelity is a closed form on
-the four flat entries of each state: the overlap is one dot product
-with the originals' entries in transposed order, and the adjugate a
-permutation and sign flip of the entries, so no per-call trace, eye or
-matrix product is made.  The eigenvalue floor, 64 * d * eps of the
-largest eigenvalue, sits clear of rounding noise, so the loss does not
-jump between nearby angles.
+check of state ensembles.  For qubits the fidelity is a closed form in
+Pauli coordinates c_alpha = Tr(sigma_alpha rho) (Jozsa 1994): with q
+the recovered state's coordinates and s the original's,
+F = q.s / 2 + 2 sqrt(det a det o), and det = (c_0^2 - |c_r|^2) / 4, so
+no per-state matrix, trace or product is made.  A qubit channel acts
+on these coordinates through one real 4 x 4 Pauli transfer matrix,
+which is how the loss reaches them without forming recovered states.
+The eigenvalue floor, 64 * d * eps of the largest eigenvalue, sits
+clear of rounding noise, so the loss does not jump between nearby
+angles.
 """
 
 from __future__ import annotations
@@ -21,7 +24,13 @@ PSD_EIG_FLOOR = -1e-10
 FIDELITY_BAND = 1e-8
 EPS = np.finfo(float).eps
 EIGENVALUE_FLOOR = 64 * EPS  # per dimension, relative to the largest eigenvalue
-_ADJUGATE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+PAULIS = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+)  # sigma_0 = I, sigma_x, sigma_y, sigma_z
+PAULI_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])  # adj(c . sigma) = (eta c) . sigma
+_DET_SPLIT = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
+for _array in (PAULIS, PAULI_SIGNS, _DET_SPLIT):
+    _array.setflags(write=False)
 
 
 def floor_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -42,16 +51,26 @@ def floor_eigenvalues(w: np.ndarray) -> np.ndarray:
     return np.where(w > EIGENVALUE_FLOOR * w.shape[-1] * top, w, 0.0)
 
 
-def qubit_dets(rho: np.ndarray) -> np.ndarray:
-    """Determinants of (..., 2, 2) PSD matrices under the same floor.
+def pauli_coordinates(rho: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) Hermitian matrices -> (..., 4) real Tr(sigma_alpha rho).
 
-    The smaller eigenvalue is det / top with top the larger one, so the
-    determinant is zeroed exactly where floor_eigenvalues would zero the
-    smaller eigenvalue.
+    The inverse is rho = (c . sigma) / 2, sigma = :data:`PAULIS`.
     """
-    det = (rho[..., 0, 0] * rho[..., 1, 1] - rho[..., 0, 1] * rho[..., 1, 0]).real
-    half = (rho[..., 0, 0] + rho[..., 1, 1]).real / 2.0
-    top = half + np.sqrt(np.clip(half**2 - det, 0.0, None))
+    flat = rho.reshape(*rho.shape[:-2], 4)
+    return (flat @ PAULIS.reshape(4, 4).conj().T).real  # vec(sigma^T) = conj
+
+
+def pauli_dets(coords: np.ndarray) -> np.ndarray:
+    """Determinants (c_0^2 - |c_r|^2) / 4 of the qubit states with Pauli
+    coordinates ``coords`` (..., 4), under the eigenvalue floor.
+
+    The eigenvalues are (c_0 +- |c_r|) / 2 and the smaller one is
+    det / top, so the determinant is zeroed exactly where
+    floor_eigenvalues would zero the smaller eigenvalue.
+    """
+    parts = (coords * coords) @ _DET_SPLIT  # c_0^2 - |c_r|^2, |c_r|^2
+    det = parts[..., 0] / 4.0
+    top = (coords[..., 0] + np.sqrt(parts[..., 1])) / 2.0
     return np.where(det > EIGENVALUE_FLOOR * 2.0 * top**2, det, 0.0)
 
 
@@ -59,67 +78,80 @@ class UhlmannFidelity:
     """Uhlmann fidelities of recovered batches against fixed (N, d, d)
     originals.
 
-    For qubits the closed form Tr(a o) + 2 sqrt(det a det o) avoids any
-    per-call eigendecomposition; otherwise the square roots of the
-    originals are precomputed once and a single batched eigh per call
-    gives both the fidelities and their cotangent.  Both paths zero
-    rounding-level eigenvalues with :func:`floor_eigenvalues`.
+    For qubits the closed form in Pauli coordinates (:meth:`qubit`)
+    avoids any per-call eigendecomposition or matrix; otherwise the
+    square roots of the originals are precomputed once and a single
+    batched eigh per call gives both the fidelities and their cotangent.
+    Both paths zero rounding-level eigenvalues with
+    :func:`floor_eigenvalues` or its determinant form :func:`pauli_dets`.
     """
 
     def __init__(self, originals: np.ndarray):
         self.originals = originals
         self.dim = originals.shape[-1]
         if self.dim == 2:
-            self._dets = qubit_dets(originals)
-            # Tr(a o) is the dot product of a's entries with o's, transposed
-            self._transposed = originals.swapaxes(-1, -2).reshape(-1, 4)
+            self.coordinates = pauli_coordinates(originals)  # s
+            self._roots = np.sqrt(pauli_dets(self.coordinates))  # sqrt(det o)
         else:
             w, v = np.linalg.eigh(originals)
             w = floor_eigenvalues(w)
             self._sqrts = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+    def qubit(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(..., N, 4) Pauli coordinates q of recovered qubit states -> the
+        (..., N) fidelities F = q.s / 2 + 2 sqrt(det a det o) and weights
+        w = sqrt(det o / det a), zero where det a is.
+
+        dF/dq = s / 2 + (w / 2) eta q with eta = (1, -1, -1, -1): the
+        second term is the adjugate of a, scaled.  Fidelities are checked
+        and clamped as in :meth:`evaluate`.
+        """
+        roots = np.sqrt(pauli_dets(coords))
+        overlap = np.einsum("...i,...i->...", coords, self.coordinates)
+        fid = 0.5 * overlap + 2.0 * roots * self._roots
+        weights = np.divide(
+            self._roots, roots, out=np.zeros_like(roots), where=roots > 0.0
+        )
+        return _checked(fid), weights
 
     def evaluate(self, recovered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(..., N, d, d) recovered states a -> (..., N) fidelities F and the
         Hermitian Q with dF = Tr(Q da) per state.
 
         Qubits: Q = o + sqrt(det o / det a) adj(a), the square-root term
-        dropped where det a is zero.  General d: with X = sqrt(o) a
-        sqrt(o), Q = sqrt(F) sqrt(o) X^(-1/2) sqrt(o), where X^(-1/2) is a
-        pseudo-inverse: eigenvalues zeroed by the floor contribute nothing.
-        A fidelity outside [-1e-8, 1 + 1e-8] means invalid inputs and
-        raises; the rest are clamped to [0, 1].  An empty batch gives
-        empty arrays.
+        dropped where det a is zero, from :meth:`qubit`.  General d: with
+        X = sqrt(o) a sqrt(o), Q = sqrt(F) sqrt(o) X^(-1/2) sqrt(o), where
+        X^(-1/2) is a pseudo-inverse: eigenvalues zeroed by the floor
+        contribute nothing.  A fidelity outside [-1e-8, 1 + 1e-8] means
+        invalid inputs and raises; the rest are clamped to [0, 1].  An
+        empty batch gives empty arrays.
         """
         if self.dim == 2:
-            a = recovered.reshape(*recovered.shape[:-2], 4)  # a00 a01 a10 a11
-            dets = qubit_dets(recovered)
-            overlap = np.einsum("...i,...i->...", a, self._transposed).real
-            fid = overlap + 2.0 * np.sqrt(dets * self._dets)
-            ratio = np.divide(
-                self._dets, dets, out=np.zeros_like(dets), where=dets > 0.0
+            coords = pauli_coordinates(recovered)
+            fid, weights = self.qubit(coords)
+            slope = 0.5 * (self.coordinates + weights[..., None] * PAULI_SIGNS * coords)
+            return fid, (slope @ PAULIS.reshape(4, 4)).reshape(recovered.shape)
+        # eigh reads one triangle, so X needs no symmetrizing
+        w, v = np.linalg.eigh(self._sqrts @ recovered @ self._sqrts)
+        roots = np.sqrt(floor_eigenvalues(w))
+        total = roots.sum(axis=-1)
+        scale = np.divide(  # sqrt(F) X^(-1/2)
+            total[..., None], roots, out=np.zeros_like(roots), where=roots > 0.0
+        )
+        rotated = self._sqrts @ v
+        adjoint = rotated.conj().swapaxes(-1, -2)
+        return _checked(total**2), (rotated * scale[..., None, :]) @ adjoint
+
+
+def _checked(fid: np.ndarray) -> np.ndarray:
+    """Fidelities clamped to [0, 1]; any outside [-1e-8, 1 + 1e-8] raise."""
+    if fid.size:  # an empty batch has no range to check
+        low, high = fid.min(), fid.max()
+        if low < -FIDELITY_BAND or high > 1.0 + FIDELITY_BAND:
+            raise ValueError(
+                f"fidelity outside [0, 1] beyond tolerance: range [{low}, {high}]"
             )
-            adj = a[..., [3, 1, 2, 0]] * _ADJUGATE_SIGNS  # (a11, -a01, -a10, a00)
-            scaled = (np.sqrt(ratio)[..., None] * adj).reshape(recovered.shape)
-            cotangent = self.originals + scaled
-        else:
-            # eigh reads one triangle, so X needs no symmetrizing
-            w, v = np.linalg.eigh(self._sqrts @ recovered @ self._sqrts)
-            roots = np.sqrt(floor_eigenvalues(w))
-            total = roots.sum(axis=-1)
-            fid = total**2
-            scale = np.divide(  # sqrt(F) X^(-1/2)
-                total[..., None], roots, out=np.zeros_like(roots), where=roots > 0.0
-            )
-            rotated = self._sqrts @ v
-            adjoint = rotated.conj().swapaxes(-1, -2)
-            cotangent = (rotated * scale[..., None, :]) @ adjoint
-        if fid.size:  # an empty batch has no range to check
-            low, high = fid.min(), fid.max()
-            if low < -FIDELITY_BAND or high > 1.0 + FIDELITY_BAND:
-                raise ValueError(
-                    f"fidelity outside [0, 1] beyond tolerance: range [{low}, {high}]"
-                )
-        return np.clip(fid, 0.0, 1.0), cotangent
+    return np.clip(fid, 0.0, 1.0)
 
 
 def uhlmann_fidelity(rho_a, rho_b) -> float | np.ndarray:

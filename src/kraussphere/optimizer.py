@@ -13,7 +13,12 @@ back through each nonzero angle's adjoint rotation, which touches two
 rows, in place through a strided view as in the forward sweep;
 every run of zero angles leaves the stack unchanged, so its gradient
 entries all come from one md x md product, read for that run's slice of
-angles only (:func:`generator_pairings`).
+angles only (:func:`generator_pairings`); the remaining nonzero angles
+are paired together from one buffer of their two rows after the sweep.
+For qubits no recovered state is formed: the swept rows give the real
+4 x 4 Pauli transfer matrix of the channel, which maps the corrupted
+states' Pauli coordinates to the recovered ones, and the fidelities and
+the cotangent contraction are closed forms in those coordinates.
 Plain fixed-rate descent follows.  Every angle vector corresponds to a
 CPTP channel by construction, so no iterate ever leaves the physical set.
 """
@@ -27,7 +32,13 @@ import numpy as np
 
 from .channels import apply_channel_batch
 from .geometry import KrausSet
-from .linalg import UhlmannFidelity, validate_density_matrix
+from .linalg import (
+    PAULI_SIGNS,
+    PAULIS,
+    UhlmannFidelity,
+    pauli_coordinates,
+    validate_density_matrix,
+)
 from .sampling import philox_rng
 from .transforms import (
     GeneratorBasis,
@@ -40,6 +51,8 @@ from .transforms import (
 )
 
 INIT_MODES = ("zeros", "small_random")
+_PAULI_ROWS = PAULIS.reshape(4, 4)  # Pi: row alpha is vec(sigma_alpha)
+_SIGNED_PAULI_ROWS = PAULI_SIGNS[:, None] * _PAULI_ROWS  # eta Pi
 
 
 class NonFiniteLossError(RuntimeError):
@@ -136,7 +149,11 @@ class LossContext:
     Holds the corrupted/original ensembles, the generator basis of the
     ansatz, and the fidelity machinery; immutable during a run.  Both
     ensemble contractions go through d^2 x d^2 matrices, so each is one
-    matrix product over the N states whatever m is.
+    matrix product over the N states whatever m is.  For qubits the
+    states are held as real (N, 4) Pauli coordinates p (corrupted) and
+    s (originals): the swept channel's transfer matrix becomes a real
+    4 x 4 Pauli transfer matrix R, the recovered coordinates are p R,
+    and no per-state matrix is made.
     """
 
     def __init__(self, corrupted, originals, d: int, m: int):
@@ -158,11 +175,21 @@ class LossContext:
         self.n_angles = angle_count(d, m)
         self.base_rows = np.eye(m * d, d, dtype=complex)  # [I; 0; ...; 0]
         self._fidelity = UhlmannFidelity(self.originals)
-        self._flat = self.corrupted.reshape(len(self.corrupted), d * d)
+        # the corrupted states as the contractions read them: (N, 4) Pauli
+        # coordinates p for qubits, else (N, d^2) flat entries
+        if d == 2:
+            self._states = pauli_coordinates(self.corrupted)
+            self._evaluate = self._fidelity.qubit
+            # Pi^T (s^T p / 2) Pi / 2, the constant part of the contraction
+            overlap = self._fidelity.coordinates.T @ self._states / 4.0
+            self._overlap = _PAULI_ROWS.T @ overlap @ _PAULI_ROWS
+        else:
+            self._states = self.corrupted.reshape(len(self.corrupted), d * d)
+            self._evaluate = self._fidelity.evaluate
 
     def loss(self, angles: np.ndarray) -> float:
         rows, _, _ = self._forward(self._check_angles(angles))
-        fid, _ = self._fidelity.evaluate(self._recover(rows))
+        fid, _ = self._evaluate(self._recover(rows))
         return float(1.0 - fid.mean())
 
     def gradient(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
@@ -182,22 +209,22 @@ class LossContext:
         entries, with the nonzero angle below it, all come from one
         generator_pairings call.  A nonzero angle with no zero run above
         it needs only its two rows of [C | W] before the pull-back; those
-        are copied and paired in one contraction after the sweep.  The loss
-        is the one :meth:`loss` returns, from the same forward sweep and
-        the same eigendecomposition.
+        are copied into one buffer and paired by one product after the
+        sweep.  The loss is the one :meth:`loss` returns, from the same
+        forward sweep and the same fidelities.
         """
         angles = self._check_angles(angles)
         rows, nonzero, unitaries = self._forward(angles)
         recovered = self._recover(rows)
-        fid, q = self._fidelity.evaluate(recovered)
+        fid, aux = self._evaluate(recovered)
         d, n_states = self.d, len(self.corrupted)
-        # sum_n Q_n K_a sigma_n through C[i, j, k, l] = sum_n Q_n[i, j] sigma_n[k, l]
-        corr = (q.reshape(n_states, d * d).T @ self._flat).reshape(d, d, d, d)
+        corr = self._contraction(recovered, aux).reshape(d, d, d, d)
         d_stack = np.einsum("ijkl,ajk->ail", corr, rows.reshape(self.m, d, d))
         cot = d_stack.reshape(rows.shape) * (-2.0 / n_states)
         sweep = np.concatenate([cot, rows], axis=1)
         grad = np.empty(self.n_angles)
-        lone, lone_rows = [], []  # nonzero angles with no zero run above
+        lone = []  # nonzero angles with no zero run above
+        lone_rows = np.empty((len(nonzero), 2, 2 * d), dtype=complex)
         end = self.n_angles  # angles a+1 .. end-1 are zeros
         pairs = self.basis.pairs[nonzero].tolist()
         adjoints = unitaries.conj().swapaxes(-1, -2)
@@ -207,18 +234,20 @@ class LossContext:
             if a + 1 < end:
                 grad[a:end] = generator_pairings(sweep[:, :d], sweep[:, d:], a, end)
             else:
+                lone_rows[len(lone)] = touched
                 lone.append(a)
-                lone_rows.append(touched.copy())
             touched[...] = u_adj @ touched
             end = a
         if end > 0:
             grad[:end] = generator_pairings(sweep[:, :d], sweep[:, d:], 0, end)
         if lone:
             # Re Tr(C^† J W) on the two touched rows, for all of them at once
-            stacked = np.array(lone_rows)
-            cots, frames = stacked[..., :d].conj(), stacked[..., d:]
+            stacked = lone_rows[: len(lone)]
             blocks = self.basis.blocks[self.basis.kinds[lone]]
-            grad[lone] = np.einsum("apq,api,aqi->a", blocks, cots, frames).real
+            moved = blocks @ stacked[..., d:]  # J W
+            # Re sum conj(c) x sums Re c Re x + Im c Im x over the float views
+            paired = stacked[..., :d].view(float) * moved.view(float)
+            grad[lone] = paired.reshape(len(lone), -1).sum(axis=1)
         return float(1.0 - fid.mean()), grad
 
     def _forward(
@@ -229,15 +258,34 @@ class LossContext:
         return rows, *forward_sweep(self.basis, angles, rows)
 
     def _recover(self, rows: np.ndarray) -> np.ndarray:
-        """Frame rows -> recovered states sum_a K_a sigma K_a^+.
+        """Frame rows -> the recovered ensemble sum_a K_a sigma K_a^+.
 
         With the transfer matrix T[(j, k), (i, l)] = sum_a K_a[i, j]
         conj(K_a[l, k]), each flattened recovered state is vec(sigma) T.
+        Qubits get their Pauli coordinates q = p R instead, with the real
+        Pauli transfer matrix R = Re(Pi T Pi_t^T) / 2, Pi holding the
+        vec(sigma_alpha) as rows and Pi_t the vec(sigma_alpha^T).
         """
         d = self.d
         stack = rows.reshape(self.m, d, d)
         transfer = np.einsum("aij,alk->jkil", stack, stack.conj()).reshape(d * d, d * d)
-        return (self._flat @ transfer).reshape(self.corrupted.shape)
+        if d == 2:
+            pauli_transfer = (_PAULI_ROWS @ transfer @ _PAULI_ROWS.conj().T).real
+            return self._states @ (pauli_transfer / 2.0)
+        return (self._states @ transfer).reshape(self.corrupted.shape)
+
+    def _contraction(self, recovered: np.ndarray, aux: np.ndarray) -> np.ndarray:
+        """The d^2 x d^2 matrix sum_n vec(Q_n)^T vec(sigma_n) of the cotangents.
+
+        Qubits: Q_n = g_n . sigma with g_n = s_n / 2 + (w_n / 2) eta q_n
+        and vec(sigma_n) = p_n Pi / 2, so the sum is Pi^T G Pi / 2 with
+        G = s^T p / 2 + (eta / 2) (w q)^T p; its first term is built once.
+        """
+        if self.d == 2:
+            weighted = (aux[:, None] * recovered).T @ self._states
+            return self._overlap + _SIGNED_PAULI_ROWS.T @ (weighted / 4.0) @ _PAULI_ROWS
+        n_states = len(self.corrupted)
+        return aux.reshape(n_states, self.d**2).T @ self._states
 
     def _check_angles(self, angles) -> np.ndarray:
         angles = np.asarray(angles, dtype=float)
@@ -275,6 +323,8 @@ def learn_quasi_inverse(
         raise ValueError(f"channel violates completeness: {deviation:.3e}")
     d = channel.d
     m = cfg.m if cfg.m is not None else d * d
+    if m > d * d:
+        raise ValueError(f"m={m} exceeds d^2={d * d}")
     validate_density_matrix(originals)
     corrupted = apply_channel_batch(channel.operators, originals)
     ctx = LossContext(corrupted, originals, d, m)
@@ -297,16 +347,17 @@ def learn_quasi_inverse(
     stop_reason = "max_iters"
     for iteration in range(cfg.max_iters):
         current, grad = ctx.gradient(theta)
-        if not np.isfinite(current):
+        if not math.isfinite(current):
             raise NonFiniteLossError(iteration, current)
-        if not np.all(np.isfinite(grad)):
-            raise NonFiniteLossError(iteration, float(np.sum(grad)))
+        squared = float(grad @ grad)  # not finite if any entry is not
+        if not math.isfinite(squared):
+            raise NonFiniteLossError(iteration, squared)
         history.append(
             TrainingRecord(
                 iteration=iteration,
                 loss=current,
                 avg_fidelity=1.0 - current,
-                grad_norm=float(np.linalg.norm(grad)),
+                grad_norm=math.sqrt(squared),
             )
         )
         if current < best_loss:

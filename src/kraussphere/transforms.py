@@ -36,10 +36,9 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import (
+    FRAME_TOL_LOOSE,
     KrausFrame,
     KrausSet,
-    frame_to_kraus,
-    identity_frame,
     operator_stack_to_vectors,
     vectors_to_operator_stack,
 )
@@ -176,17 +175,18 @@ def _pairing_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def finite_transform(block: np.ndarray, theta) -> np.ndarray:
-    """The 2 x 2 unitaries I + (cos(theta) - 1) P + sin(theta) J.
+    """The 2 x 2 unitaries cos(theta) I + sin(theta) J.
 
     ``block`` holds generator blocks J, shape (..., 2, 2), and ``theta``
-    the matching angles, shape (...); P = -J^2 is the 2 x 2 identity for
-    every block of the basis.  Each result acts on its generator's
-    coordinates (j, k) and is exactly exp(theta J) because J^3 = -J;
-    embedded in the real chart it is orthogonal and preserves the
-    symplectic form for every angle.
+    the matching angles, shape (...).  This is the closed form
+    I + (cos(theta) - 1) P + sin(theta) J with P = -J^2, which is the
+    2 x 2 identity for every block of the basis.  Each result acts on its
+    generator's coordinates (j, k) and is exactly exp(theta J) because
+    J^3 = -J; embedded in the real chart it is orthogonal and preserves
+    the symplectic form for every angle.
     """
     theta = np.asarray(theta, dtype=float)[..., None, None]
-    return _IDENTITY + (np.cos(theta) - 1.0) * _PROJECTOR + np.sin(theta) * block
+    return np.cos(theta) * _IDENTITY + np.sin(theta) * block
 
 
 def forward_sweep(
@@ -245,8 +245,12 @@ def channel_from_angles(
 ) -> KrausSet:
     """CPTP Kraus set reached from the identity channel by ``angles``.
 
+    The forward sweep rotates the rows [I; 0; ...; 0] and the result is
+    read as the operator stack, the same arithmetic as
+    apply_angles on identity_frame(d, m) without the frame relabeling.
     ``basis`` may be passed in to avoid rebuilding it across calls; it
-    must be generator_basis(2 * m * d).
+    must be generator_basis(2 * m * d).  A result off completeness by
+    more than 1e-6 raises ValueError.
     """
     angles = np.asarray(angles, dtype=float)
     expected = angle_count(d, m)
@@ -254,7 +258,14 @@ def channel_from_angles(
         raise ValueError(
             f"expected {expected} angles for d={d}, m={m}, got {angles.shape}"
         )
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("angles must be finite")
     if basis is None:
         basis = generator_basis(2 * m * d)
-    frame = apply_angles(basis, angles, identity_frame(d, m))
-    return frame_to_kraus(frame)
+    rows = np.eye(m * d, d, dtype=complex)
+    forward_sweep(basis, angles, rows)
+    channel = KrausSet(d=d, m=m, operators=rows.reshape(m, d, d))
+    deviation = channel.completeness_deviation()
+    if deviation > FRAME_TOL_LOOSE:
+        raise ValueError(f"swept channel violates completeness: {deviation:.3e}")
+    return channel

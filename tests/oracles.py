@@ -8,7 +8,9 @@ nonzero angle.  The package's two-coordinate chart must agree with it,
 and its strided-view row updates with a fancy-index loop.
 Beside it: a Taylor-series matrix exponential independent of any closed
 form, the central-difference gradient, a per-pair Uhlmann fidelity by
-eigendecomposition and its mean over (recovered, original) pairs, and
+eigendecomposition and its mean over (recovered, original) pairs, the
+qubit fidelity and cotangent as a closed form on the four flat matrix
+entries (the reference of the package's Pauli-coordinate form), and
 the three samplers drawn one state at a time, which the batched samplers
 must reproduce bit for bit, with the Haar-unitary draw of the Bures
 sampler.
@@ -158,6 +160,38 @@ def reference_fidelity(rho_a, rho_b) -> float:
     inner = root @ b @ root
     w = floored(np.linalg.eigvalsh((inner + inner.conj().T) / 2.0))
     return min(max(float(np.sum(np.sqrt(w)) ** 2), 0.0), 1.0)
+
+
+def qubit_dets(rho: np.ndarray) -> np.ndarray:
+    """Determinants of (..., 2, 2) PSD matrices from their flat entries,
+    zeroed at or below 64 * 2 * eps * top^2, top the larger eigenvalue:
+    exactly where the eigenvalue floor zeroes the smaller eigenvalue."""
+    det = (rho[..., 0, 0] * rho[..., 1, 1] - rho[..., 0, 1] * rho[..., 1, 0]).real
+    half = (rho[..., 0, 0] + rho[..., 1, 1]).real / 2.0
+    top = half + np.sqrt(np.clip(half**2 - det, 0.0, None))
+    return np.where(det > 64 * np.finfo(float).eps * 2.0 * top**2, det, 0.0)
+
+
+def flat_qubit_fidelity(originals, recovered) -> tuple[np.ndarray, np.ndarray]:
+    """Qubit fidelities Tr(a o) + 2 sqrt(det a det o) and their cotangents
+    Q = o + sqrt(det o / det a) adj(a), from the four flat entries.
+
+    ``originals`` o is (N, 2, 2), ``recovered`` a is (..., N, 2, 2).  The
+    overlap is one dot product with o's entries in transposed order and
+    the adjugate a permutation and sign flip of a's entries; the
+    square-root term is dropped where det a is zero.  Not clamped.
+    """
+    a = recovered.reshape(*recovered.shape[:-2], 4)  # a00 a01 a10 a11
+    transposed = originals.swapaxes(-1, -2).reshape(-1, 4)
+    dets, original_dets = qubit_dets(recovered), qubit_dets(originals)
+    overlap = np.einsum("...i,...i->...", a, transposed).real
+    fid = overlap + 2.0 * np.sqrt(dets * original_dets)
+    ratio = np.divide(
+        original_dets, dets, out=np.zeros_like(dets), where=dets > 0.0
+    )
+    adj = a[..., [3, 1, 2, 0]] * np.array([1.0, -1.0, -1.0, 1.0])
+    scaled = (np.sqrt(ratio)[..., None] * adj).reshape(recovered.shape)
+    return fid, originals + scaled
 
 
 def average_fidelity(pairs) -> float:

@@ -206,6 +206,25 @@ class TestOptimizerFieldChecks:
     def test_m(self, tmp_path, capsys):
         self.check(tmp_path, capsys, "m", [0, -3, 1.5, 2.0, True, "2"], [1, None])
 
+    @pytest.mark.parametrize("n_qubits,m", [(1, 5), (2, 17)])
+    def test_m_above_d_squared(self, tmp_path, capsys, n_qubits, m):
+        # m = 5 on one qubit used to run its whole descent and then exit 2
+        data = base_config(tmp_path / "run")
+        data["channel"]["n_qubits"] = n_qubits
+        data["sample"].update(n_qubits=n_qubits, measure="hilbert_schmidt")
+        data["optimizer"]["m"] = m
+        limit = 4**n_qubits
+        message = rf"optimizer\.m={m} exceeds .*d\^2={limit}"
+        with pytest.raises(ConfigError, match=message):
+            config_from_dict(data)
+        path = write_config(tmp_path, data)
+        assert main(["learn", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "optimizer.m" in err
+        assert not (tmp_path / "run").exists()
+        data["optimizer"]["m"] = limit
+        assert config_from_dict(data).optimizer.m == limit
+
     def test_max_iters(self, tmp_path, capsys):
         # 2.7 used to load as 2
         self.check(tmp_path, capsys, "max_iters", [0, 2.7, 20.0, True], [1])
@@ -287,6 +306,20 @@ class TestFieldTypes:
         data = base_config(tmp_path / "run", channel=channel)
         with pytest.raises(ConfigError, match=f"{field} must be a JSON int"):
             config_from_dict(data)
+
+    @pytest.mark.parametrize("field", ["d", "m", "operators"])
+    def test_custom_kraus_missing_field(self, tmp_path, capsys, field):
+        # used to print only "config error: 'd'"
+        kraus = flip_channel("bit_flip", 0.8).to_dict()
+        del kraus[field]
+        channel = {"kind": "custom", "n_qubits": 1, "custom_kraus": kraus}
+        data = base_config(tmp_path / "run", channel=channel)
+        with pytest.raises(ConfigError, match=f"missing required field '{field}'"):
+            config_from_dict(data)
+        path = write_config(tmp_path, data)
+        assert main(["learn", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"Kraus set is missing required field '{field}'" in err
 
     def test_integral_reals_still_load(self, tmp_path):
         data = base_config(tmp_path / "run", p_grid=[0, 1])
@@ -433,6 +466,23 @@ class TestValidateChannelFile:
         assert main(["validate", str(path), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error") and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["d", "m", "operators"])
+    def test_missing_field_is_named(self, tmp_path, capsys, field):
+        path = tmp_path / "bad.json"
+        data = flip_channel("bit_flip", 0.8).to_dict()
+        del data[field]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=f"missing required field '{field}'"):
+            validate_channel_file(path, quiet=True)
+        assert main(["validate", str(path), "--quiet"]) == EXIT_CONFIG
+        assert f"missing required field '{field}'" in capsys.readouterr().err
+
+    def test_non_object_file(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="Kraus set must be a JSON dict"):
+            validate_channel_file(path, quiet=True)
 
 
 class TestMainExitCodes:

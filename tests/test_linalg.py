@@ -2,14 +2,35 @@ import numpy as np
 import pytest
 
 from kraussphere.linalg import (
+    EIGENVALUE_FLOOR,
+    PAULIS,
+    UhlmannFidelity,
     floor_eigenvalues,
-    qubit_dets,
+    pauli_coordinates,
+    pauli_dets,
     uhlmann_fidelity,
     validate_density_matrix,
 )
 
 from conftest import pure_density, random_density
-from oracles import matrix_exp_series, reference_fidelity
+from oracles import (
+    flat_qubit_fidelity,
+    matrix_exp_series,
+    qubit_dets,
+    reference_fidelity,
+)
+
+
+def rotated_qubit(rng, low):
+    """A qubit state with eigenvalues (1 - low, low) in a random basis."""
+    g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    u, _ = np.linalg.qr(g)
+    rho = (u * np.array([1.0 - low, low])) @ u.conj().T
+    return (rho + rho.conj().T) / 2.0
+
+
+# the level at which the floor zeroes a qubit's smaller eigenvalue
+QUBIT_FLOOR = EIGENVALUE_FLOOR * 2
 
 
 class TestUhlmannFidelity:
@@ -111,9 +132,68 @@ class TestEigenvalueFloor:
     def test_qubit_dets_match_the_floor(self):
         rng = np.random.default_rng(6)
         pure, mixed = pure_density(rng, 2), random_density(rng, 2)
-        dets = qubit_dets(np.stack([pure, mixed]))
+        dets = pauli_dets(pauli_coordinates(np.stack([pure, mixed])))
         assert dets[0] == 0.0
         assert dets[1] == pytest.approx(np.linalg.det(mixed).real, rel=1e-12)
+
+    @pytest.mark.parametrize("factor,zeroed", [(0.5, True), (0.9, True), (2.0, False)])
+    def test_qubit_floor_boundary(self, factor, zeroed):
+        # the smaller eigenvalue just under or over the floor: the Pauli
+        # determinants are zeroed exactly where the flat-entry ones are
+        rng = np.random.default_rng(13)
+        low = factor * QUBIT_FLOOR
+        states = np.stack([rotated_qubit(rng, low) for _ in range(50)])
+        dets = pauli_dets(pauli_coordinates(states))
+        reference = qubit_dets(states)
+        assert np.array_equal(dets == 0.0, reference == 0.0)
+        assert np.all(dets == 0.0) if zeroed else np.all(dets > 0.0)
+        assert np.max(np.abs(dets - reference)) <= 1e-15
+
+
+class TestQubitPauliPath:
+    """The Pauli-coordinate qubit fidelity against the flat-entry closed form."""
+
+    @staticmethod
+    def ensemble(seed):
+        # originals and recovered states pair pure, mixed and floor-boundary
+        # states (smaller eigenvalue a quarter of the floor, so zeroed)
+        rng = np.random.default_rng(seed)
+        mixed = [random_density(rng, 2) for _ in range(20)]
+        pure = [pure_density(rng, 2) for _ in range(20)]
+        boundary = [rotated_qubit(rng, 0.25 * QUBIT_FLOOR) for _ in range(20)]
+        originals = mixed[:10] + pure[:10] + boundary[:10] + pure[10:] + mixed[10:]
+        recovered = pure[:10] + mixed[10:] + boundary[10:] + boundary[:10] + mixed[:10]
+        return np.stack(originals), np.stack(recovered)
+
+    def test_matches_flat_entries(self):
+        originals, recovered = self.ensemble(14)
+        batch = np.stack([recovered, originals, recovered[::-1]])  # extra batch axis
+        fid, cotangent = UhlmannFidelity(originals).evaluate(batch)
+        expected, expected_cotangent = flat_qubit_fidelity(originals, batch)
+        assert fid.shape == (3, 50) and cotangent.shape == (3, 50, 2, 2)
+        assert np.max(np.abs(fid - expected)) <= 1e-12
+        assert np.max(np.abs(cotangent - expected_cotangent)) <= 1e-12
+
+    def test_qubit_coordinates_give_the_same_fidelities(self):
+        originals, recovered = self.ensemble(15)
+        fidelity = UhlmannFidelity(originals)
+        fid, weights = fidelity.qubit(pauli_coordinates(recovered))
+        assert np.array_equal(fid, fidelity.evaluate(recovered)[0])
+        # w = sqrt(det o / det a), zero where det a is floored to zero
+        dets, original_dets = qubit_dets(recovered), qubit_dets(originals)
+        assert np.all(weights[dets == 0.0] == 0.0)
+        live = dets > 0.0
+        expected = np.sqrt(original_dets[live] / dets[live])
+        assert np.max(np.abs(weights[live] - expected)) <= 1e-12
+
+    def test_coordinates_round_trip(self):
+        rng = np.random.default_rng(16)
+        states = np.stack([random_density(rng, 2) for _ in range(6)])
+        states = states.reshape(2, 3, 2, 2)
+        coords = pauli_coordinates(states)
+        assert coords.shape == (2, 3, 4) and coords.dtype == float
+        rebuilt = np.einsum("...a,aij->...ij", coords, PAULIS) / 2.0
+        assert np.max(np.abs(rebuilt - states)) <= 1e-15
 
 
 class TestMatrixExpSeries:

@@ -9,6 +9,7 @@ from kraussphere.channels import (
     tensor_flip_channel,
 )
 from kraussphere.geometry import KrausSet
+from kraussphere import optimizer
 from kraussphere.linalg import UhlmannFidelity, uhlmann_fidelity
 from kraussphere.optimizer import (
     LossContext,
@@ -280,6 +281,33 @@ class TestGradient:
             angles = rng.normal(0, 0.5, ctx.n_angles)
             assert self._oracle_gap(ctx, angles) <= 1e-7, draw
 
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_qubit_pauli_path_on_pure_states(self, m):
+        # pure originals; the first corrupted state is pure, so under the
+        # m = 1 ansatz, and at zero angles under m = 4, its recovered state
+        # is pure and det a is floored to zero
+        rng = np.random.default_rng(64)
+        originals = [pure_density(rng, 2) for _ in range(6)]
+        corrupted = [pure_density(rng, 2)] + [random_density(rng, 2) for _ in range(5)]
+        ctx = LossContext(corrupted, originals, 2, m)
+        assert self._oracle_gap(ctx, np.zeros(ctx.n_angles)) <= 1e-7
+        for _ in range(10):
+            angles = rng.normal(0, 0.5, ctx.n_angles)
+            angles[rng.random(ctx.n_angles) < 0.3] = 0.0
+            assert self._oracle_gap(ctx, angles) <= 1e-7
+
+    def test_qubit_gradient_skips_the_matrix_path(self, monkeypatch):
+        # the d = 2 loss and gradient work on Pauli coordinates only
+        ctx, rng = self._small_context(seed=65, m=4)
+
+        def refuse(*args):
+            raise AssertionError("matrix fidelity path used at d = 2")
+
+        monkeypatch.setattr(UhlmannFidelity, "evaluate", refuse)
+        angles = rng.normal(0, 0.5, ctx.n_angles)
+        loss, grad = ctx.gradient(angles)
+        assert loss == ctx.loss(angles) and grad.shape == (ctx.n_angles,)
+
 
 class TestLearnQuasiInverse:
     def test_identity_channel_nothing_to_learn(self):
@@ -438,6 +466,16 @@ class TestLearnQuasiInverse:
         channel = tensor_flip_channel("bit_flip", 0.8, 2)
         with pytest.raises(ValueError, match="state 2: " + match):
             learn_quasi_inverse(channel, states, OptimizerConfig(max_iters=5, m=1))
+
+    def test_rejects_m_above_d_squared_before_corrupting(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("states corrupted before the m check")
+
+        monkeypatch.setattr(optimizer, "apply_channel_batch", refuse)
+        states = sample_bloch_ball(seed=57, count=5)
+        cfg = OptimizerConfig(max_iters=5, m=5)
+        with pytest.raises(ValueError, match=r"m=5 exceeds d\^2=4"):
+            learn_quasi_inverse(flip_channel("bit_flip", 0.8), states, cfg)
 
     def test_rejects_incomplete_channel(self):
         broken = KrausSet(d=2, m=1, operators=[0.5 * np.eye(2)])

@@ -347,3 +347,22 @@ class TestChannelFromAngles:
     def test_angle_count_check(self):
         with pytest.raises(ValueError, match="expected 63 angles"):
             channel_from_angles(2, 4, np.zeros(10))
+
+    def test_rejects_non_finite(self):
+        angles = np.zeros(63)
+        angles[5] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            channel_from_angles(2, 4, angles)
+
+    @pytest.mark.parametrize("d,m", [(2, 1), (2, 4), (4, 1), (4, 16)])
+    def test_swept_rows_equal_the_frame_route(self, d, m):
+        # channel_from_angles reads the swept rows as operators; the frame
+        # route relabels them into real vectors and back, so it is the
+        # same arithmetic and the operators must agree bit for bit
+        rng = np.random.default_rng(27)
+        basis = generator_basis(2 * m * d)
+        angles = rng.normal(0.0, 1.0, len(basis))
+        angles[rng.random(len(basis)) < 0.9] = 0.0
+        channel = channel_from_angles(d, m, angles, basis=basis)
+        frame = apply_angles(basis, angles, identity_frame(d, m))
+        assert np.array_equal(channel.operators, frame_to_kraus(frame).operators)
