@@ -24,6 +24,7 @@ def test_no_duplicate_exports():
         (linalg, "hermitian_eig"),
         (linalg, "psd_sqrt"),
         (linalg, "clamp_fidelity"),
+        (linalg, "qubit_dets"),
         (cli, "load_states"),
         (geometry.KrausSet, "stack"),
         (geometry.KrausFrame, "to_dict"),
