@@ -32,7 +32,8 @@ FRAME_TOL_LOOSE = 1e-6
 @dataclass
 class KrausSet:
     """Ordered set of ``m`` Kraus operators, each ``d x d`` complex, held
-    as one (m, d, d) array; a list of matrices converts on construction."""
+    as one (m, d, d) array; a list of matrices converts on construction.
+    Operators with NaN or infinite entries raise ValueError naming them."""
 
     d: int
     m: int
@@ -49,6 +50,11 @@ class KrausSet:
             raise ValueError(
                 f"operators have shape {self.operators.shape}, expected {expected}"
             )
+        # NaN fails every tolerance test, so no completeness check would catch it
+        finite = np.isfinite(self.operators).all(axis=(1, 2))
+        if not finite.all():
+            bad = np.flatnonzero(~finite).tolist()
+            raise ValueError(f"Kraus operators {bad} have non-finite entries")
 
     def completeness_deviation(self) -> float:
         """Max entrywise deviation of sum_a (K^a)† K^a from the identity."""

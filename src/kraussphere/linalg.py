@@ -9,6 +9,9 @@ F = q.s / 2 + 2 sqrt(det a det o), and det = (c_0^2 - |c_r|^2) / 4, so
 no per-state matrix, trace or product is made.  A qubit channel acts
 on these coordinates through one real 4 x 4 Pauli transfer matrix,
 which is how the loss reaches them without forming recovered states.
+For d > 2 every product with sqrt(o) is a float64 product against a
+real 2d x 2d form of sqrt(o), made once: the complex stacked products
+of numpy cost several times the float ones at these sizes.
 The eigenvalue floor, 64 * d * eps of the largest eigenvalue, sits
 clear of rounding noise, so the loss does not jump between nearby
 angles.
@@ -47,7 +50,7 @@ def floor_eigenvalues(w: np.ndarray) -> np.ndarray:
     factor 64 puts the floor clear of that noise.
     """
     w = np.asarray(w, dtype=float)
-    top = np.clip(w[..., -1:], 0.0, None)
+    top = np.maximum(w[..., -1:], 0.0)
     return np.where(w > EIGENVALUE_FLOOR * w.shape[-1] * top, w, 0.0)
 
 
@@ -80,8 +83,9 @@ class UhlmannFidelity:
 
     For qubits the closed form in Pauli coordinates (:meth:`qubit`)
     avoids any per-call eigendecomposition or matrix; otherwise the
-    square roots of the originals are precomputed once and a single
-    batched eigh per call gives both the fidelities and their cotangent.
+    square roots S of the originals are precomputed once, as the real
+    (N, 2d, 2d) form of :func:`real_form`, and a single batched eigh per
+    call gives both the fidelities and their cotangent.
     Both paths zero rounding-level eigenvalues with
     :func:`floor_eigenvalues` or its determinant form :func:`pauli_dets`.
     """
@@ -95,7 +99,10 @@ class UhlmannFidelity:
         else:
             w, v = np.linalg.eigh(originals)
             w = floor_eigenvalues(w)
-            self._sqrts = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+            sqrts = (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
+            self._real_sqrts = real_form(sqrts)
+            eye = np.eye(self.dim)
+            self._read_off = np.vstack([real_form(eye), real_form(-1j * eye)])
 
     def qubit(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(..., N, 4) Pauli coordinates q of recovered qubit states -> the
@@ -120,27 +127,61 @@ class UhlmannFidelity:
 
         Qubits: Q = o + sqrt(det o / det a) adj(a), the square-root term
         dropped where det a is zero, from :meth:`qubit`.  General d: with
-        X = sqrt(o) a sqrt(o), Q = sqrt(F) sqrt(o) X^(-1/2) sqrt(o), where
+        S = sqrt(o) and X = S a S, Q = sqrt(F) S X^(-1/2) S, where
         X^(-1/2) is a pseudo-inverse: eigenvalues zeroed by the floor
-        contribute nothing.  A fidelity outside [-1e-8, 1 + 1e-8] means
-        invalid inputs and raises; the rest are clamped to [0, 1].  An
-        empty batch gives empty arrays.
+        contribute nothing.  Every product with S is one float64 product
+        of a float view against S's real form: Y = a S, X = Y^H S (as S
+        and a are Hermitian), and after eigh(X) = (w, V), Z = V^H S and
+        Q = Z^H diag(sqrt(F / w)) Z, read off the real Gram matrix of Z's
+        float view by one more float product.  A fidelity outside
+        [-1e-8, 1 + 1e-8] means invalid inputs and raises; the rest are
+        clamped to [0, 1].  An empty batch gives empty arrays.
         """
         if self.dim == 2:
             coords = pauli_coordinates(recovered)
             fid, weights = self.qubit(coords)
             slope = 0.5 * (self.coordinates + weights[..., None] * PAULI_SIGNS * coords)
             return fid, (slope @ PAULIS.reshape(4, 4)).reshape(recovered.shape)
+        a = np.asarray(recovered, dtype=complex)
+        if a.strides[-1] != a.itemsize:  # a float view needs a unit-stride last axis
+            a = a.copy()
+        real_sqrts = self._real_sqrts
+        y = (a.view(float) @ real_sqrts).view(complex)  # a S
         # eigh reads one triangle, so X needs no symmetrizing
-        w, v = np.linalg.eigh(self._sqrts @ recovered @ self._sqrts)
+        w, v = np.linalg.eigh((_adjoint(y).view(float) @ real_sqrts).view(complex))
         roots = np.sqrt(floor_eigenvalues(w))
         total = roots.sum(axis=-1)
-        scale = np.divide(  # sqrt(F) X^(-1/2)
+        scale = np.divide(  # sqrt(F) / sqrt(w)
             total[..., None], roots, out=np.zeros_like(roots), where=roots > 0.0
         )
-        rotated = self._sqrts @ v
-        adjoint = rotated.conj().swapaxes(-1, -2)
-        return _checked(total**2), (rotated * scale[..., None, :]) @ adjoint
+        z = _adjoint(v).view(float) @ real_sqrts  # V^H S as floats
+        # Gram rows 2i, 2i + 1 sum Re Z_ki and Im Z_ki times scale_k Z_k over
+        # k; as conj(Z_ki) = Re - i Im, [I; real form of -i] adds them into Q_i
+        gram = z.swapaxes(-1, -2) @ (z * scale[..., None])
+        cotangent = gram.reshape(-1, 4 * self.dim) @ self._read_off
+        return _checked(total**2), cotangent.view(complex).reshape(a.shape)
+
+
+def real_form(s: np.ndarray) -> np.ndarray:
+    """(..., d, d) complex S -> (..., 2d, 2d) float R with
+    ``(A @ S).view(float) == A.view(float) @ R`` for complex A whose last
+    axis has unit stride.
+
+    Block (r, c) of R is [[Re S_rc, Im S_rc], [-Im S_rc, Re S_rc]]: row
+    2r + p of R takes the real (p = 0) or imaginary (p = 1) part of
+    A[:, r] to the interleaved real and imaginary parts of column c.
+    """
+    d = s.shape[-1]
+    blocks = np.empty((*s.shape[:-2], d, 2, d, 2))
+    blocks[..., 0, :, 0] = blocks[..., 1, :, 1] = s.real
+    blocks[..., 0, :, 1] = s.imag
+    blocks[..., 1, :, 0] = -s.imag
+    return blocks.reshape(*s.shape[:-2], 2 * d, 2 * d)
+
+
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transposes of (..., d, d) matrices, C-contiguous."""
+    return np.conjugate(m.swapaxes(-1, -2), order="C")
 
 
 def _checked(fid: np.ndarray) -> np.ndarray:
@@ -151,7 +192,7 @@ def _checked(fid: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"fidelity outside [0, 1] beyond tolerance: range [{low}, {high}]"
             )
-    return np.clip(fid, 0.0, 1.0)
+    return np.minimum(np.maximum(fid, 0.0), 1.0)
 
 
 def uhlmann_fidelity(rho_a, rho_b) -> float | np.ndarray:

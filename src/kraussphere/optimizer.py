@@ -18,7 +18,10 @@ are paired together from one buffer of their two rows after the sweep.
 For qubits no recovered state is formed: the swept rows give the real
 4 x 4 Pauli transfer matrix of the channel, which maps the corrupted
 states' Pauli coordinates to the recovered ones, and the fidelities and
-the cotangent contraction are closed forms in those coordinates.
+the cotangent contraction are closed forms in those coordinates.  For
+d > 2 the recovered states are formed and the fidelity makes one batched
+eigh per call; its products with the originals' square roots are float
+products against their real form (:func:`linalg.real_form`).
 Plain fixed-rate descent follows.  Every angle vector corresponds to a
 CPTP channel by construction, so no iterate ever leaves the physical set.
 """
@@ -190,7 +193,7 @@ class LossContext:
     def loss(self, angles: np.ndarray) -> float:
         rows, _, _ = self._forward(self._check_angles(angles))
         fid, _ = self._evaluate(self._recover(rows))
-        return float(1.0 - fid.mean())
+        return float(1.0 - fid.sum() / fid.size)
 
     def gradient(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss and exact gradient: one forward and one reverse sweep.
@@ -208,10 +211,11 @@ class LossContext:
         so C and W stay fixed across each run of them and that run's
         entries, with the nonzero angle below it, all come from one
         generator_pairings call.  A nonzero angle with no zero run above
-        it needs only its two rows of [C | W] before the pull-back; those
-        are copied into one buffer and paired by one product after the
-        sweep.  The loss is the one :meth:`loss` returns, from the same
-        forward sweep and the same fidelities.
+        it needs only its two rows of [C | W]; U_a commutes with J_a and
+        is unitary, so their pairing is the same after the pull-back,
+        which writes them straight into one buffer, paired by one
+        product after the sweep.  The loss is the one :meth:`loss`
+        returns, from the same forward sweep and the same fidelities.
         """
         angles = self._check_angles(angles)
         rows, nonzero, unitaries = self._forward(angles)
@@ -219,12 +223,18 @@ class LossContext:
         fid, aux = self._evaluate(recovered)
         d, n_states = self.d, len(self.corrupted)
         corr = self._contraction(recovered, aux).reshape(d, d, d, d)
-        d_stack = np.einsum("ijkl,ajk->ail", corr, rows.reshape(self.m, d, d))
-        cot = d_stack.reshape(rows.shape) * (-2.0 / n_states)
-        sweep = np.concatenate([cot, rows], axis=1)
+        sweep = np.empty((len(rows), 2 * d), dtype=complex)  # [C | W]
+        sweep[:, d:] = rows
+        np.einsum(
+            "ijkl,ajk->ail",
+            corr * (-2.0 / n_states),
+            rows.reshape(self.m, d, d),
+            out=sweep.reshape(self.m, d, 2 * d)[..., :d],
+        )
         grad = np.empty(self.n_angles)
         lone = []  # nonzero angles with no zero run above
         lone_rows = np.empty((len(nonzero), 2, 2 * d), dtype=complex)
+        pulled = np.empty((2, 2 * d), dtype=complex)
         end = self.n_angles  # angles a+1 .. end-1 are zeros
         pairs = self.basis.pairs[nonzero].tolist()
         adjoints = unitaries.conj().swapaxes(-1, -2)
@@ -233,10 +243,10 @@ class LossContext:
             touched = sweep[j : k + 1 : k - j]  # rows j and k, a view
             if a + 1 < end:
                 grad[a:end] = generator_pairings(sweep[:, :d], sweep[:, d:], a, end)
+                touched[...] = u_adj.dot(touched, out=pulled)
             else:
-                lone_rows[len(lone)] = touched
+                touched[...] = u_adj.dot(touched, out=lone_rows[len(lone)])
                 lone.append(a)
-            touched[...] = u_adj @ touched
             end = a
         if end > 0:
             grad[:end] = generator_pairings(sweep[:, :d], sweep[:, d:], 0, end)
@@ -248,7 +258,7 @@ class LossContext:
             # Re sum conj(c) x sums Re c Re x + Im c Im x over the float views
             paired = stacked[..., :d].view(float) * moved.view(float)
             grad[lone] = paired.reshape(len(lone), -1).sum(axis=1)
-        return float(1.0 - fid.mean()), grad
+        return float(1.0 - fid.sum() / fid.size), grad
 
     def _forward(
         self, angles: np.ndarray
@@ -293,7 +303,7 @@ class LossContext:
             raise ValueError(
                 f"expected {self.n_angles} angles, got shape {angles.shape}"
             )
-        if not np.all(np.isfinite(angles)):
+        if not np.isfinite(angles).all():
             raise ValueError("angles must be finite")
         return angles
 

@@ -197,15 +197,17 @@ def forward_sweep(
     ``rows`` is an (md, d) complex frame, updated in place two rows at a
     time; zero angles are identity factors and are skipped.  Rows j < k
     are the basic slice rows[j : k + 1 : k - j], a strided view, so each
-    rotation reads and writes them without a fancy-index copy.  Returns
-    the indices of the nonzero angles and their (K, 2, 2) unitaries,
-    made in one finite_transform call, in the order they were applied.
+    rotation reads them without a fancy-index copy and writes them back
+    from one two-row buffer.  Returns the indices of the nonzero angles
+    and their (K, 2, 2) unitaries, made in one finite_transform call, in
+    the order they were applied.
     """
     nonzero = np.flatnonzero(angles)
     unitaries = finite_transform(basis.blocks[basis.kinds[nonzero]], angles[nonzero])
+    moved = np.empty((2, rows.shape[1]), dtype=complex)
     for (j, k), u in zip(basis.pairs[nonzero].tolist(), unitaries):
         view = rows[j : k + 1 : k - j]
-        view[...] = u @ view
+        view[...] = u.dot(view, out=moved)
     return nonzero, unitaries
 
 

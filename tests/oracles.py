@@ -10,7 +10,9 @@ Beside it: a Taylor-series matrix exponential independent of any closed
 form, the central-difference gradient, a per-pair Uhlmann fidelity by
 eigendecomposition and its mean over (recovered, original) pairs, the
 qubit fidelity and cotangent as a closed form on the four flat matrix
-entries (the reference of the package's Pauli-coordinate form), and
+entries (the reference of the package's Pauli-coordinate form), the
+batched fidelity and cotangent by complex stacked products (the
+reference of the package's real-form d > 2 path), and
 the three samplers drawn one state at a time, which the batched samplers
 must reproduce bit for bit, with the Haar-unitary draw of the Bures
 sampler.
@@ -192,6 +194,33 @@ def flat_qubit_fidelity(originals, recovered) -> tuple[np.ndarray, np.ndarray]:
     adj = a[..., [3, 1, 2, 0]] * np.array([1.0, -1.0, -1.0, 1.0])
     scaled = (np.sqrt(ratio)[..., None] * adj).reshape(recovered.shape)
     return fid, originals + scaled
+
+
+def complex_product_fidelity(originals, recovered) -> tuple[np.ndarray, np.ndarray]:
+    """Fidelities and cotangents of (..., N, d, d) recovered states a
+    against (N, d, d) originals o by complex stacked products.
+
+    With S = sqrt(o) and X = S a S: F = (Tr sqrt(X))^2 and
+    Q = sqrt(F) S X^(-1/2) S, the inverse square root a pseudo-inverse.
+    Eigenvalues at or below 64 * d * eps * (largest) are zeroed first,
+    in S and in X, as the package's floor does.  Not clamped or checked.
+    """
+
+    def floored(w):
+        top = np.maximum(w[..., -1:], 0.0)
+        return np.where(w > 64 * np.finfo(float).eps * w.shape[-1] * top, w, 0.0)
+
+    w, v = np.linalg.eigh(originals)
+    sqrts = (v * np.sqrt(floored(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    w, v = np.linalg.eigh(sqrts @ recovered @ sqrts)
+    roots = np.sqrt(floored(w))
+    total = roots.sum(axis=-1)
+    scale = np.divide(
+        total[..., None], roots, out=np.zeros_like(roots), where=roots > 0.0
+    )
+    rotated = sqrts @ v
+    cotangent = (rotated * scale[..., None, :]) @ rotated.conj().swapaxes(-1, -2)
+    return total**2, cotangent
 
 
 def average_fidelity(pairs) -> float:

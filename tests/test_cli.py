@@ -321,6 +321,20 @@ class TestFieldTypes:
         err = capsys.readouterr().err
         assert f"Kraus set is missing required field '{field}'" in err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_custom_kraus_non_finite(self, tmp_path, capsys, value):
+        # NaN passed the completeness check; the learn then exited 2 with
+        # "non-finite loss nan at iteration 0"
+        kraus = flip_channel("bit_flip", 0.8).to_dict()
+        kraus["operators"][1][2][0] = value
+        channel = {"kind": "custom", "n_qubits": 1, "custom_kraus": kraus}
+        path = write_config(tmp_path, base_config(tmp_path / "run", channel=channel))
+        assert main(["learn", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error")
+        assert "Kraus operators [1] have non-finite entries" in err
+        assert not (tmp_path / "run").exists()
+
     def test_integral_reals_still_load(self, tmp_path):
         data = base_config(tmp_path / "run", p_grid=[0, 1])
         data["channel"]["p"] = 1
@@ -477,6 +491,20 @@ class TestValidateChannelFile:
             validate_channel_file(path, quiet=True)
         assert main(["validate", str(path), "--quiet"]) == EXIT_CONFIG
         assert f"missing required field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "inf"])
+    def test_non_finite_operators_are_config_errors(self, tmp_path, capsys, value):
+        # used to print "completeness deviation: nan", warn and exit 2
+        path = tmp_path / "bad.json"
+        data = flip_channel("bit_flip", 0.8).to_dict()
+        data["operators"][0][3][1] = value
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigError, match=r"Kraus operators \[0\] have non-finite"):
+            validate_channel_file(path, quiet=True)
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error") and captured.out == ""
 
     def test_non_object_file(self, tmp_path):
         path = tmp_path / "list.json"

@@ -201,6 +201,18 @@ class TestKrausSet:
         expected = np.max(np.abs(acc - np.eye(2)))
         assert kraus.completeness_deviation() == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_operators(self, value):
+        # NaN fails every deviation > tol test, so the completeness checks
+        # let such a set through to the learner
+        ops = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)]).astype(complex)
+        ops[0, 1, 0] = ops[2, 0, 1] = value
+        with pytest.raises(ValueError, match=r"operators \[0, 2\] have non-finite"):
+            KrausSet(d=2, m=3, operators=ops)
+        data = {"d": 2, "m": 3, "operators": matrices_to_pairs(ops)}
+        with pytest.raises(ValueError, match="non-finite"):
+            KrausSet.from_dict(data)
+
 
 class TestSerialization:
     def test_kraus_round_trip(self):

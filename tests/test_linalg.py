@@ -8,12 +8,14 @@ from kraussphere.linalg import (
     floor_eigenvalues,
     pauli_coordinates,
     pauli_dets,
+    real_form,
     uhlmann_fidelity,
     validate_density_matrix,
 )
 
 from conftest import pure_density, random_density
 from oracles import (
+    complex_product_fidelity,
     flat_qubit_fidelity,
     matrix_exp_series,
     qubit_dets,
@@ -194,6 +196,94 @@ class TestQubitPauliPath:
         assert coords.shape == (2, 3, 4) and coords.dtype == float
         rebuilt = np.einsum("...a,aij->...ij", coords, PAULIS) / 2.0
         assert np.max(np.abs(rebuilt - states)) <= 1e-15
+
+
+def spread_density(rng, dim):
+    """A full-rank state with every eigenvalue at least 1 / (2 dim)."""
+    return 0.5 * random_density(rng, dim) + 0.5 * np.eye(dim) / dim
+
+
+def rank_two_density(rng, dim):
+    """The equal mixture of two random orthogonal pure states."""
+    g = rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2))
+    q, _ = np.linalg.qr(g)
+    rho = q @ q.conj().T / 2.0
+    return (rho + rho.conj().T) / 2.0
+
+
+class TestRealFormPath:
+    """The d > 2 fidelity in real float products against complex ones."""
+
+    @staticmethod
+    def ensemble(seed, dim):
+        # originals and recovered states pair full-rank, pure and rank-2
+        # states, never a state with itself.  The nonzero eigenvalues of
+        # X = sqrt(o) a sqrt(o) stay far from rounding: at ~1e-8 (two
+        # Ginibre states with eigenvalues ~1e-4) they carry a relative
+        # error ~1e-8 into Q in any arithmetic
+        rng = np.random.default_rng(seed)
+        full = [spread_density(rng, dim) for _ in range(20)]
+        pure = [pure_density(rng, dim) for _ in range(20)]
+        low = [rank_two_density(rng, dim) for _ in range(20)]
+        originals = full[:10] + pure[:10] + low[:10] + pure[10:] + full[10:]
+        recovered = pure[:10] + low[10:] + full[:10] + low[:10] + full[::-1][:10]
+        return np.stack(originals), np.stack(recovered)
+
+    @staticmethod
+    def assert_matches(got, expected):
+        (fid, cotangent), (ref_fid, ref_cotangent) = got, expected
+        assert fid.shape == ref_fid.shape and cotangent.shape == ref_cotangent.shape
+        assert np.max(np.abs(fid - ref_fid)) <= 1e-12
+        gap = np.max(np.abs(cotangent - ref_cotangent))
+        assert gap <= 1e-10 * np.max(np.abs(ref_cotangent))
+
+    @pytest.mark.parametrize("dim", [3, 4, 8])
+    def test_real_form_multiplies(self, dim):
+        rng = np.random.default_rng(17)
+        s = rng.normal(size=(5, dim, dim)) + 1j * rng.normal(size=(5, dim, dim))
+        a = rng.normal(size=(2, 5, dim, dim)) + 1j * rng.normal(size=(2, 5, dim, dim))
+        product = (a.view(float) @ real_form(s)).view(complex)
+        assert np.max(np.abs(product - a @ s)) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_matches_complex_products(self, dim):
+        originals, recovered = self.ensemble(18, dim)
+        fidelity = UhlmannFidelity(originals)
+        shifted = np.roll(recovered, 2, axis=0)  # still no state with itself
+        for batch in (recovered, np.stack([recovered, shifted])):
+            got = fidelity.evaluate(batch)
+            self.assert_matches(got, complex_product_fidelity(originals, batch))
+        fid, _ = fidelity.evaluate(originals)
+        assert np.max(np.abs(fid - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [4, 8])
+    def test_strided_recovered_batches(self, dim):
+        # a non-unit stride on the last axis is copied once; one on the
+        # state axis is read through the float view as it is
+        originals, recovered = self.ensemble(19, dim)
+        slots = np.empty(recovered.shape + (2,), dtype=complex)
+        slots[..., 0] = recovered
+        across = slots[..., 0]
+        every_other = np.stack([recovered, recovered[::-1]], axis=1)[:, 0]
+        assert not across.flags.c_contiguous and not every_other.flags.c_contiguous
+        fidelity = UhlmannFidelity(originals)
+        expected = complex_product_fidelity(originals, recovered)
+        for strided in (across, every_other, across.swapaxes(-1, -2).conj()):
+            self.assert_matches(fidelity.evaluate(strided), expected)
+
+    def test_one_eigh_per_evaluate(self, monkeypatch):
+        originals, recovered = self.ensemble(20, 4)
+        fidelity = UhlmannFidelity(originals)
+        inner, calls = np.linalg.eigh, []
+
+        def counting(x):
+            calls.append(x.shape)
+            return inner(x)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        fidelity.evaluate(recovered)
+        fidelity.evaluate(np.stack([recovered, originals]))
+        assert calls == [(50, 4, 4), (2, 50, 4, 4)]
 
 
 class TestMatrixExpSeries:
