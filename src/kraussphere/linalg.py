@@ -94,7 +94,9 @@ class UhlmannFidelity:
         self.originals = originals
         self.dim = originals.shape[-1]
         if self.dim == 2:
-            self.coordinates = pauli_coordinates(originals)  # s
+            # s, column-major like the learner's recovered coordinates, so
+            # per-state products run along contiguous columns
+            self.coordinates = np.asfortranarray(pauli_coordinates(originals))
             self._roots = np.sqrt(pauli_dets(self.coordinates))  # sqrt(det o)
         else:
             w, v = np.linalg.eigh(originals)

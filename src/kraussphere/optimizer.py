@@ -6,19 +6,27 @@ channel.  Its exact gradient comes from one forward sweep of the 2 x 2
 one-angle rotations over the md x d complex frame rows, the analytic
 fidelity cotangent, and one reverse sweep (the adjoint method); the same
 sweep gives the loss, so each descent step costs one ``(loss, grad)``
-call.  The forward sweep makes the rotations of all nonzero angles in
-one batched call and reads their row pairs from the generator table.
-The reverse sweep stacks the cotangent beside the frame and pulls both
-back through each nonzero angle's adjoint rotation, which touches two
-rows, in place through a strided view as in the forward sweep;
+call.  Every constant of a step is made once per LossContext, so a step
+is the two sweeps around a short, fixed list of 2-D products.  The
+forward sweep makes the rotations of all nonzero angles in one batched
+call and hands back the row pairs and blocks it gathered.  The swept
+rows S (row a is vec(K_a)) enter both ensemble contractions through
+their d^2 x d^2 Gram matrix G = S^T conj(S): the channel's transfer
+matrix is a fixed permutation of G, and the cotangent rows are S M for
+one d^2 x d^2 matrix M made from the fidelity cotangents by a fixed
+map.  The reverse sweep stacks the cotangent beside the frame and pulls
+both back through each nonzero angle's adjoint rotation, which touches
+two rows, in place through a strided view as in the forward sweep;
 every run of zero angles leaves the stack unchanged, so its gradient
-entries all come from one md x md product, read for that run's slice of
-angles only (:func:`generator_pairings`); the remaining nonzero angles
-are paired together from one buffer of their two rows after the sweep.
-For qubits no recovered state is formed: the swept rows give the real
-4 x 4 Pauli transfer matrix of the channel, which maps the corrupted
-states' Pauli coordinates to the recovered ones, and the fidelities and
-the cotangent contraction are closed forms in those coordinates.  For
+entries are read off one md x md product by two takes of the pairing
+offset table the context holds (:func:`transforms.pairing_offsets`);
+the remaining nonzero angles are paired together from one buffer of
+their two rows after the sweep.
+For qubits no recovered state is formed: one fixed real map takes G to
+the real 4 x 4 Pauli transfer matrix of the channel, which maps the
+corrupted states' Pauli coordinates to the recovered ones, and the
+fidelities and the cotangent contraction are closed forms in those
+coordinates, held (4, N) so that per-state work runs along rows.  For
 d > 2 the recovered states are formed and the fidelity makes one batched
 eigh per call; its products with the originals' square roots are float
 products against their real form (:func:`linalg.real_form`).
@@ -50,19 +58,18 @@ from .transforms import (
     finite_transform,  # noqa: F401  bench/spans.py hooks the sweep's transforms here
     forward_sweep,
     generator_basis,
-    generator_pairings,
+    pairing_offsets,
 )
 
 INIT_MODES = ("zeros", "small_random")
-_PAULI_ROWS = PAULIS.reshape(4, 4)  # Pi: row alpha is vec(sigma_alpha)
-_SIGNED_PAULI_ROWS = PAULI_SIGNS[:, None] * _PAULI_ROWS  # eta Pi
 
 
 class NonFiniteLossError(RuntimeError):
-    """Loss became NaN/Inf during optimization; carries the iteration."""
+    """Loss or gradient became NaN/Inf during optimization; carries the
+    iteration.  ``quantity`` names what was not finite."""
 
-    def __init__(self, iteration: int, value: float):
-        super().__init__(f"non-finite loss {value!r} at iteration {iteration}")
+    def __init__(self, iteration: int, value: float, quantity: str = "loss"):
+        super().__init__(f"non-finite {quantity} {value!r} at iteration {iteration}")
         self.iteration = iteration
 
 
@@ -150,13 +157,17 @@ class LossContext:
     """Precomputed state for repeated loss and gradient evaluations.
 
     Holds the corrupted/original ensembles, the generator basis of the
-    ansatz, and the fidelity machinery; immutable during a run.  Both
-    ensemble contractions go through d^2 x d^2 matrices, so each is one
-    matrix product over the N states whatever m is.  For qubits the
-    states are held as real (N, 4) Pauli coordinates p (corrupted) and
-    s (originals): the swept channel's transfer matrix becomes a real
-    4 x 4 Pauli transfer matrix R, the recovered coordinates are p R,
-    and no per-state matrix is made.
+    ansatz with its pairing offset table, the fidelity machinery and the
+    fixed maps of both ensemble contractions; immutable during a run.
+    Every per-context constant is made here, so a step is one forward
+    sweep, a short fixed list of 2-D products and one reverse sweep.
+    Both contractions go through the d^2 x d^2 frame Gram matrix
+    G = S^T conj(S), S = rows.reshape(m, d^2) (row a is vec(K_a)), so
+    each is one product over the N states whatever m is.  For qubits
+    the states are held as real Pauli coordinates p (corrupted, stored
+    as its (4, N) transpose) and s (originals): G maps straight to the
+    real 4 x 4 Pauli transfer matrix R, the recovered coordinates are
+    p R, and no per-state matrix is made.
     """
 
     def __init__(self, corrupted, originals, d: int, m: int):
@@ -175,23 +186,45 @@ class LossContext:
                 f"expected states of shape (N, {d}, {d}), got {self.corrupted.shape}"
             )
         self.basis: GeneratorBasis = generator_basis(2 * m * d)
+        self._pairings = pairing_offsets(self.basis)
         self.n_angles = angle_count(d, m)
         self.base_rows = np.eye(m * d, d, dtype=complex)  # [I; 0; ...; 0]
         self._fidelity = UhlmannFidelity(self.originals)
-        # the corrupted states as the contractions read them: (N, 4) Pauli
-        # coordinates p for qubits, else (N, d^2) flat entries
+        scale = -2.0 / len(self.corrupted)  # dL/dF_n
         if d == 2:
-            self._states = pauli_coordinates(self.corrupted)
+            # p^T, held (4, N) so that per-state work runs along rows
+            self._states = pauli_coordinates(self.corrupted).T.copy()
             self._evaluate = self._fidelity.qubit
-            # Pi^T (s^T p / 2) Pi / 2, the constant part of the contraction
-            overlap = self._fidelity.coordinates.T @ self._states / 4.0
-            self._overlap = _PAULI_ROWS.T @ overlap @ _PAULI_ROWS
+            # R^T[b, a] = Re sum Pi[a, (j, k)] T[(j, k), (i, l)] conj(Pi[b, (i, l)])
+            # / 2 with Pi[a] = vec(sigma_a) is real-linear in G[(i, j), (l, k)];
+            # rows 2g, 2g + 1 of the map take Re G_g, Im G_g (G's float view) to it
+            transfer = np.einsum("ajk,bil->ijlkba", PAULIS, PAULIS.conj())
+            transfer = transfer.reshape(16, 16) / 2.0
+            self._transfer_map = np.stack([transfer.real, -transfer.imag], 1).reshape(
+                32, 16
+            )
+            # M[(j, k), (i, l)] = -(2/N) X[(i, j), (k, l)] with
+            # X = (eta Pi)^T Y Pi / 4 and Y = eta s^T p + (w q)^T p real
+            # 4 x 4: the complex entries of M, as floats, are vec(Y) times
+            # this map; its constant term eta s^T p is made here
+            cotangent = np.einsum("a,aij,bkl->abjkil", PAULI_SIGNS, PAULIS, PAULIS)
+            cotangent = cotangent.reshape(16, 16) * (scale / 4.0)
+            self._cotangent_map = cotangent.view(float)
+            self._overlap = PAULI_SIGNS[:, None] * (
+                self._fidelity.coordinates.T @ self._states.T
+            )
         else:
             self._states = self.corrupted.reshape(len(self.corrupted), d * d)
+            self._scaled_states = self._states * scale
             self._evaluate = self._fidelity.evaluate
+            # flat orders of T[(j, k), (i, l)] = G[(i, j), (l, k)] and of
+            # M[(j, k), (i, l)] = X[(i, j), (k, l)] (see _cotangent)
+            axes = np.arange(d**4).reshape(d, d, d, d)
+            self._transfer_order = axes.transpose(1, 3, 0, 2).ravel()
+            self._cotangent_order = axes.transpose(1, 2, 0, 3).ravel()
 
     def loss(self, angles: np.ndarray) -> float:
-        rows, _, _ = self._forward(self._check_angles(angles))
+        rows, *_ = self._forward(self._check_angles(angles))
         fid, _ = self._evaluate(self._recover(rows))
         return float(1.0 - fid.sum() / fid.size)
 
@@ -203,67 +236,70 @@ class LossContext:
         U_a^†: C_{a-1} = U_a^† C_a, W_{a-1} = U_a^† W_a (the adjoint
         method).  C_n comes from the fidelity cotangent Q of each state:
         dL/dK_a = -(2/N) sum_n Q_n K_a sigma_n, sigma_n the corrupted
-        states, stacked like the frame rows.
+        states, stacked like the frame rows; that is C = S M for one
+        d^2 x d^2 matrix M (:meth:`_cotangent`).
 
         The sweep keeps the stack [C | W] and pulls its two touched rows
         back at each nonzero angle; the pull-back is exact, so no
         intermediate frame is stored.  Zero angles are identity factors,
         so C and W stay fixed across each run of them and that run's
-        entries, with the nonzero angle below it, all come from one
-        generator_pairings call.  A nonzero angle with no zero run above
-        it needs only its two rows of [C | W]; U_a commutes with J_a and
-        is unitary, so their pairing is the same after the pull-back,
-        which writes them straight into one buffer, paired by one
-        product after the sweep.  The loss is the one :meth:`loss`
-        returns, from the same forward sweep and the same fidelities.
+        entries, with the nonzero angle below it, are read off the one
+        md x md product Z = C W^† by two takes of the context's pairing
+        table (:func:`transforms.pairing_offsets`).  A nonzero angle with
+        no zero run above it needs only its two rows of [C | W]; U_a
+        commutes with J_a and is unitary, so their pairing is the same
+        after the pull-back, which writes them straight into one buffer,
+        paired by one product after the sweep.  The loss is the one
+        :meth:`loss` returns, from the same forward sweep and the same
+        fidelities.
         """
         angles = self._check_angles(angles)
-        rows, nonzero, unitaries = self._forward(angles)
+        rows, nonzero, pairs, blocks, unitaries = self._forward(angles)
         recovered = self._recover(rows)
         fid, aux = self._evaluate(recovered)
-        d, n_states = self.d, len(self.corrupted)
-        corr = self._contraction(recovered, aux).reshape(d, d, d, d)
+        d = self.d
         sweep = np.empty((len(rows), 2 * d), dtype=complex)  # [C | W]
         sweep[:, d:] = rows
-        np.einsum(
-            "ijkl,ajk->ail",
-            corr * (-2.0 / n_states),
-            rows.reshape(self.m, d, d),
-            out=sweep.reshape(self.m, d, 2 * d)[..., :d],
-        )
+        sweep[:, :d] = self._cotangent(rows, recovered, aux).reshape(-1, d)
         grad = np.empty(self.n_angles)
-        lone = []  # nonzero angles with no zero run above
+        first, second, sign = self._pairings
+        cotangent, frame = sweep[:, :d], sweep[:, d:]  # views of the stack
+
+        def read_run(start: int, stop: int) -> None:
+            # two takes of the pairing table off Z = C W^† as floats
+            parts = (cotangent @ frame.conj().T).view(float).ravel()
+            run = slice(start, stop)
+            grad[run] = parts.take(first[run]) + sign[run] * parts.take(second[run])
+
+        lone = []  # positions in nonzero of the angles with no zero run above
         lone_rows = np.empty((len(nonzero), 2, 2 * d), dtype=complex)
         pulled = np.empty((2, 2 * d), dtype=complex)
         end = self.n_angles  # angles a+1 .. end-1 are zeros
-        pairs = self.basis.pairs[nonzero].tolist()
         adjoints = unitaries.conj().swapaxes(-1, -2)
         reverse = zip(nonzero[::-1].tolist(), pairs[::-1], adjoints[::-1])
-        for a, (j, k), u_adj in reverse:
+        for at, (a, (j, k), u_adj) in zip(range(len(pairs) - 1, -1, -1), reverse):
             touched = sweep[j : k + 1 : k - j]  # rows j and k, a view
             if a + 1 < end:
-                grad[a:end] = generator_pairings(sweep[:, :d], sweep[:, d:], a, end)
+                read_run(a, end)
                 touched[...] = u_adj.dot(touched, out=pulled)
             else:
                 touched[...] = u_adj.dot(touched, out=lone_rows[len(lone)])
-                lone.append(a)
+                lone.append(at)
             end = a
         if end > 0:
-            grad[:end] = generator_pairings(sweep[:, :d], sweep[:, d:], 0, end)
+            read_run(0, end)
         if lone:
             # Re Tr(C^† J W) on the two touched rows, for all of them at once
             stacked = lone_rows[: len(lone)]
-            blocks = self.basis.blocks[self.basis.kinds[lone]]
-            moved = blocks @ stacked[..., d:]  # J W
+            moved = blocks[lone] @ stacked[..., d:]  # J W
             # Re sum conj(c) x sums Re c Re x + Im c Im x over the float views
             paired = stacked[..., :d].view(float) * moved.view(float)
-            grad[lone] = paired.reshape(len(lone), -1).sum(axis=1)
+            grad[nonzero[lone]] = paired.reshape(len(lone), -1).sum(axis=1)
         return float(1.0 - fid.sum() / fid.size), grad
 
-    def _forward(
-        self, angles: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Final frame rows W_n, the nonzero angles and their 2 x 2 unitaries."""
+    def _forward(self, angles: np.ndarray) -> tuple:
+        """Final frame rows W_n, then forward_sweep's nonzero angles, row
+        pairs, blocks and 2 x 2 unitaries."""
         rows = self.base_rows.copy()
         return rows, *forward_sweep(self.basis, angles, rows)
 
@@ -271,31 +307,44 @@ class LossContext:
         """Frame rows -> the recovered ensemble sum_a K_a sigma K_a^+.
 
         With the transfer matrix T[(j, k), (i, l)] = sum_a K_a[i, j]
-        conj(K_a[l, k]), each flattened recovered state is vec(sigma) T.
-        Qubits get their Pauli coordinates q = p R instead, with the real
-        Pauli transfer matrix R = Re(Pi T Pi_t^T) / 2, Pi holding the
-        vec(sigma_alpha) as rows and Pi_t the vec(sigma_alpha^T).
+        conj(K_a[l, k]) = G[(i, j), (l, k)], a permutation of the frame
+        Gram matrix G = S^T conj(S), each flattened recovered state is
+        vec(sigma) T.  Qubits get their Pauli coordinates q = p R
+        instead, with the real Pauli transfer matrix R = Re(Pi T Pi^H) / 2
+        made from G's float view by one fixed real map; q is returned as
+        the (N, 4) transpose of R^T p^T.
         """
-        d = self.d
-        stack = rows.reshape(self.m, d, d)
-        transfer = np.einsum("aij,alk->jkil", stack, stack.conj()).reshape(d * d, d * d)
-        if d == 2:
-            pauli_transfer = (_PAULI_ROWS @ transfer @ _PAULI_ROWS.conj().T).real
-            return self._states @ (pauli_transfer / 2.0)
+        stack = rows.reshape(self.m, self.d**2)  # S
+        gram = stack.T @ stack.conj()
+        if self.d == 2:
+            transfer = gram.view(float).ravel() @ self._transfer_map
+            return (transfer.reshape(4, 4) @ self._states).T
+        transfer = gram.ravel().take(self._transfer_order).reshape(gram.shape)
         return (self._states @ transfer).reshape(self.corrupted.shape)
 
-    def _contraction(self, recovered: np.ndarray, aux: np.ndarray) -> np.ndarray:
-        """The d^2 x d^2 matrix sum_n vec(Q_n)^T vec(sigma_n) of the cotangents.
+    def _cotangent(
+        self, rows: np.ndarray, recovered: np.ndarray, aux: np.ndarray
+    ) -> np.ndarray:
+        """The (m, d^2) cotangent rows C = S M, row a being vec(dL/dK_a).
 
-        Qubits: Q_n = g_n . sigma with g_n = s_n / 2 + (w_n / 2) eta q_n
-        and vec(sigma_n) = p_n Pi / 2, so the sum is Pi^T G Pi / 2 with
-        G = s^T p / 2 + (eta / 2) (w q)^T p; its first term is built once.
+        M[(j, k), (i, l)] = -(2/N) X[(i, j), (k, l)] with
+        X = sum_n vec(Q_n)^T vec(sigma_n).  Qubits: Q_n = g_n . sigma with
+        g_n = s_n / 2 + (w_n / 2) eta q_n and vec(sigma_n) = p_n Pi / 2, so
+        X is a fixed linear map of the real 4 x 4 matrix
+        eta s^T p + (w q)^T p, whose first term is built once.  General
+        d: X is one product over the states, prescaled by -2/N, and M
+        a fixed permutation of it.
         """
+        stack = rows.reshape(self.m, self.d**2)  # S
         if self.d == 2:
-            weighted = (aux[:, None] * recovered).T @ self._states
-            return self._overlap + _SIGNED_PAULI_ROWS.T @ (weighted / 4.0) @ _PAULI_ROWS
+            weighted = (recovered.T * aux) @ self._states.T + self._overlap
+            entries = weighted.ravel() @ self._cotangent_map  # M as floats
+            return stack @ entries.view(complex).reshape(4, 4)
         n_states = len(self.corrupted)
-        return aux.reshape(n_states, self.d**2).T @ self._states
+        moments = aux.reshape(n_states, self.d**2).T @ self._scaled_states
+        return stack @ moments.ravel().take(self._cotangent_order).reshape(
+            moments.shape
+        )
 
     def _check_angles(self, angles) -> np.ndarray:
         angles = np.asarray(angles, dtype=float)
@@ -361,7 +410,7 @@ def learn_quasi_inverse(
             raise NonFiniteLossError(iteration, current)
         squared = float(grad @ grad)  # not finite if any entry is not
         if not math.isfinite(squared):
-            raise NonFiniteLossError(iteration, squared)
+            raise NonFiniteLossError(iteration, squared, "gradient (squared norm)")
         history.append(
             TrainingRecord(
                 iteration=iteration,

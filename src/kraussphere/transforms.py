@@ -19,7 +19,11 @@ array operations; Generator items exist only when the table is indexed.
 A sweep makes the rotations of all its nonzero angles in one batched
 finite_transform call and applies each in place to the strided view
 W[j : k + 1 : k - j] of its two rows, a basic slice, so no row is
-copied.  Embedded in the interleaved real layout, each block is a dense
+copied.  Every generator's pairing Re Tr(L^† J R) with a pair of
+frame-shaped arrays is a signed sum of two entries of L R^†; the
+offsets of those entries, made once per basis (pairing_offsets), let a
+gradient read a whole run of pairings off one product by two takes.
+Embedded in the interleaved real layout, each block is a dense
 2md x 2md real generator commuting with the symplectic form; that dense
 chart is the reference the tests check this one against.  Composing one
 transform per nonzero angle, lowest index first, and applying the
@@ -31,7 +35,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -138,30 +141,18 @@ def generator_basis(dim: int) -> GeneratorBasis:
     return GeneratorBasis(dim, pairs, kinds)
 
 
-def generator_pairings(
-    left: np.ndarray, right: np.ndarray, start: int = 0, stop: int | None = None
-) -> np.ndarray:
-    """Re Tr(left^† J_a right) for the J_a of generator_basis, a in [start, stop).
+def pairing_offsets(basis: GeneratorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The table that reads every generator's pairing off one product.
 
-    ``left`` and ``right`` are (md, rows) complex arrays; in the dense
-    real chart this is <J_a, L^T R> for their interleaved real forms.
-    With Z = left right^†, the pairings are Im(Z_jk + Z_kj), then
-    Re(Z_jk - Z_kj) for j < k, then Im(Z_jj - Z_{j+1,j+1}): every
-    generator from one md x md product, each a sum of two entries of
-    its real and imaginary parts, read at precomputed offsets.
+    Re Tr(L^† J_a R) for md x rows complex L and R, in the dense real
+    chart <J_a, L^T R>, is a sum of two entries of Z = L R^†:
+    Im(Z_jk + Z_kj), then Re(Z_jk - Z_kj) for j < k, then
+    Im(Z_jj - Z_{j+1,j+1}).  Returns, per generator of ``basis``, the
+    offsets of those two entries into the interleaved real and imaginary
+    parts of Z (Z.view(float).ravel()) and the sign of the second, so a
+    slice of the pairings is ``parts.take(first) + sign * parts.take(second)``.
     """
-    z = (left @ right.conj().T).astype(complex, copy=False)
-    first, second, sign = _pairing_offsets(z.shape[0])
-    part = slice(start, stop)
-    parts = z.view(float).ravel()  # Re Z_00, Im Z_00, Re Z_01, ...
-    return parts.take(first[part]) + sign[part] * parts.take(second[part])
-
-
-@lru_cache
-def _pairing_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Offsets into the interleaved real parts of an n x n complex matrix,
-    and the sign of the second entry, for each generator of the basis."""
-    basis = generator_basis(2 * n)
+    n = basis.dim // 2
     j, k = basis.pairs.T
     kinds = basis.kinds
     diagonal = kinds == 2
@@ -169,8 +160,6 @@ def _pairing_offsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first = 2 * np.where(diagonal, j * n + j, j * n + k) + imaginary
     second = 2 * np.where(diagonal, k * n + k, k * n + j) + imaginary
     sign = np.where(kinds == 0, 1.0, -1.0)
-    for array in (first, second, sign):
-        array.setflags(write=False)  # shared by every caller
     return first, second, sign
 
 
@@ -191,24 +180,28 @@ def finite_transform(block: np.ndarray, theta) -> np.ndarray:
 
 def forward_sweep(
     basis: GeneratorBasis, angles: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
     """Apply the transforms of the nonzero angles to ``rows``, lowest first.
 
     ``rows`` is an (md, d) complex frame, updated in place two rows at a
     time; zero angles are identity factors and are skipped.  Rows j < k
     are the basic slice rows[j : k + 1 : k - j], a strided view, so each
     rotation reads them without a fancy-index copy and writes them back
-    from one two-row buffer.  Returns the indices of the nonzero angles
-    and their (K, 2, 2) unitaries, made in one finite_transform call, in
-    the order they were applied.
+    from one two-row buffer.  Returns, in the order they were applied,
+    the indices of the nonzero angles, their row pairs as a list of
+    [j, k], their (K, 2, 2) generator blocks and their (K, 2, 2)
+    unitaries, made in one finite_transform call, so a reverse sweep
+    gathers none of them again.
     """
     nonzero = np.flatnonzero(angles)
-    unitaries = finite_transform(basis.blocks[basis.kinds[nonzero]], angles[nonzero])
+    pairs = basis.pairs[nonzero].tolist()
+    blocks = basis.blocks[basis.kinds[nonzero]]
+    unitaries = finite_transform(blocks, angles[nonzero])
     moved = np.empty((2, rows.shape[1]), dtype=complex)
-    for (j, k), u in zip(basis.pairs[nonzero].tolist(), unitaries):
+    for (j, k), u in zip(pairs, unitaries):
         view = rows[j : k + 1 : k - j]
         view[...] = u.dot(view, out=moved)
-    return nonzero, unitaries
+    return nonzero, pairs, blocks, unitaries
 
 
 def apply_angles(

@@ -12,13 +12,20 @@ eigendecomposition and its mean over (recovered, original) pairs, the
 qubit fidelity and cotangent as a closed form on the four flat matrix
 entries (the reference of the package's Pauli-coordinate form), the
 batched fidelity and cotangent by complex stacked products (the
-reference of the package's real-form d > 2 path), and
+reference of the package's real-form d > 2 path),
+the transfer matrix, Pauli sandwich and loss cotangent of the learner's
+contractions by einsum (the references of its fixed 2-D products),
+generator pairings read off one product through the package's pairing
+table (checked against the dense chart), and
 the three samplers drawn one state at a time, which the batched samplers
 must reproduce bit for bit, with the Haar-unitary draw of the Bures
 sampler.
 """
 
 import numpy as np
+
+from kraussphere.linalg import PAULI_SIGNS, PAULIS
+from kraussphere.transforms import generator_basis, pairing_offsets
 
 
 def embed_real(h: np.ndarray) -> np.ndarray:
@@ -91,6 +98,60 @@ def fancy_index_rotations(pairs, unitaries, rows: np.ndarray) -> np.ndarray:
     for pair, u in zip(pairs, unitaries):
         rows[pair] = u @ rows[pair]
     return rows
+
+
+def generator_pairings(left, right, start: int = 0, stop: int | None = None):
+    """Re Tr(left^† J_a right) for the J_a of generator_basis, a in [start, stop).
+
+    ``left`` and ``right`` are (md, rows) complex arrays; the entries are
+    read off Z = left right^† through the package's pairing table, as
+    the gradient reads each zero run, so checking this against the dense
+    chart checks the table.
+    """
+    first, second, sign = pairing_offsets(generator_basis(2 * left.shape[0]))
+    parts = (left @ right.conj().T).astype(complex, copy=False).view(float).ravel()
+    part = slice(start, stop)
+    return parts.take(first[part]) + sign[part] * parts.take(second[part])
+
+
+def einsum_transfer(rows: np.ndarray, d: int, m: int) -> np.ndarray:
+    """The d^2 x d^2 transfer matrix T[(j, k), (i, l)] = sum_a K_a[i, j]
+    conj(K_a[l, k]) of the (md, d) frame rows [K_1; ...; K_m], by one
+    einsum; each flattened recovered state is vec(sigma) T."""
+    stack = rows.reshape(m, d, d)
+    return np.einsum("aij,alk->jkil", stack, stack.conj()).reshape(d * d, d * d)
+
+
+def pauli_sandwich(transfer: np.ndarray) -> np.ndarray:
+    """Re(Pi T Pi^H) / 2 of a qubit transfer matrix T, Pi holding the
+    vec(sigma_alpha) as rows: the real Pauli transfer matrix R with
+    q = p R for Pauli coordinates p of a state and q of its image."""
+    rows = PAULIS.reshape(4, 4)
+    return (rows @ transfer @ rows.conj().T).real / 2.0
+
+
+def pauli_contraction(originals, corrupted, recovered, weights) -> np.ndarray:
+    """X = sum_n vec(Q_n)^T vec(sigma_n) for qubits by the Pauli sandwich
+    Pi^T (s^T p / 4) Pi + (eta Pi)^T ((w q)^T p / 4) Pi, where s, p and q
+    are the (N, 4) Pauli coordinates of the originals, corrupted and
+    recovered states and w the weights sqrt(det o / det a)."""
+    rows = PAULIS.reshape(4, 4)
+    overlap = originals.T @ corrupted / 4.0
+    weighted = (weights[:, None] * recovered).T @ corrupted / 4.0
+    return rows.T @ overlap @ rows + (PAULI_SIGNS[:, None] * rows).T @ weighted @ rows
+
+
+def einsum_cotangent(
+    contraction: np.ndarray, rows: np.ndarray, d: int, m: int, n_states: int
+) -> np.ndarray:
+    """The (m, d, d) loss cotangents dL/dK_a[i, l] = -(2/N) sum_jk
+    X[(i, j), (k, l)] K_a[j, k] of the frame rows, by one einsum over the
+    contraction X = sum_n vec(Q_n)^T vec(sigma_n)."""
+    return np.einsum(
+        "ijkl,ajk->ail",
+        contraction.reshape(d, d, d, d) * (-2.0 / n_states),
+        rows.reshape(m, d, d),
+    )
 
 
 def complex_rows(vectors: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from kraussphere.cli import (
 )
 from kraussphere.channels import flip_channel
 from kraussphere.geometry import KrausSet, matrices_from_pairs
+from kraussphere.optimizer import LossContext
 
 
 def base_config(out_dir, **overrides):
@@ -523,6 +524,17 @@ class TestMainExitCodes:
         path = write_config(tmp_path, base_config(tmp_path / "run"))
         assert main(["learn", "--config", str(path), "--quiet"]) == EXIT_OK
         assert capsys.readouterr().out == ""
+
+    def test_non_finite_gradient_exit(self, tmp_path, capsys, monkeypatch):
+        def nan_gradient(ctx, angles):
+            return 0.5, np.full(ctx.n_angles, np.nan)
+
+        monkeypatch.setattr(LossContext, "gradient", nan_gradient)
+        path = write_config(tmp_path, base_config(tmp_path / "run"))
+        assert main(["learn", "--config", str(path)]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical failure: non-finite gradient" in err
+        assert "at iteration 0" in err
 
     def test_config_error_exit(self, tmp_path, capsys):
         data = base_config(tmp_path / "run")

@@ -69,6 +69,24 @@ def test_gradient_transforms_through_the_module(monkeypatch, ensemble):
     assert calls
 
 
+def test_learn_evaluates_the_loss_before_its_first_gradient(monkeypatch):
+    # the benchmark child ends set-up at the first LossContext.loss call;
+    # a learn that went straight to gradient would leave set-up unstamped
+    order = []
+    for name in ("loss", "gradient"):
+        inner = getattr(optimizer.LossContext, name)
+
+        def wrapper(self, *args, _inner=inner, _name=name, **kwargs):
+            order.append(_name)
+            return _inner(self, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer.LossContext, name, wrapper)
+    states = np.stack(sample_bloch_ball(seed=3, count=6))
+    config = optimizer.OptimizerConfig(max_iters=3, m=2)
+    optimizer.learn_quasi_inverse(flip_channel("bit_flip", 0.3), states, config)
+    assert order[0] == "loss" and "gradient" in order
+
+
 def test_basis_items_report_their_bytes():
     # the traced run totals .matrix.nbytes + .projector.nbytes over the basis
     basis = transforms.generator_basis(16)

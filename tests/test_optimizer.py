@@ -10,7 +10,7 @@ from kraussphere.channels import (
 )
 from kraussphere.geometry import KrausSet
 from kraussphere import optimizer
-from kraussphere.linalg import UhlmannFidelity, uhlmann_fidelity
+from kraussphere.linalg import UhlmannFidelity, pauli_coordinates, uhlmann_fidelity
 from kraussphere.optimizer import (
     LossContext,
     NonFiniteLossError,
@@ -22,7 +22,15 @@ from kraussphere.sampling import sample_bloch_ball, sample_bures
 from kraussphere.transforms import channel_from_angles
 
 from conftest import pure_density, random_density, random_hermitian
-from oracles import average_fidelity, central_difference, reference_fidelity
+from oracles import (
+    average_fidelity,
+    central_difference,
+    einsum_cotangent,
+    einsum_transfer,
+    pauli_contraction,
+    pauli_sandwich,
+    reference_fidelity,
+)
 
 ZERO = np.diag([1.0, 0.0]).astype(complex)
 ONE = np.diag([0.0, 1.0]).astype(complex)
@@ -309,6 +317,44 @@ class TestGradient:
         assert loss == ctx.loss(angles) and grad.shape == (ctx.n_angles,)
 
 
+class TestFixedProducts:
+    """The context's fixed 2-D products against the einsum references."""
+
+    @pytest.mark.parametrize(
+        "d,m", [(2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (4, 2), (4, 16)]
+    )
+    @pytest.mark.parametrize("pattern", ["zero", "sparse", "dense"])
+    def test_transfer_and_cotangent_match_einsum(self, d, m, pattern):
+        rng = np.random.default_rng(66 + d + m)
+        count = 7
+        originals = np.stack([random_density(rng, d) for _ in range(count)])
+        corrupted = np.stack([random_density(rng, d) for _ in range(count)])
+        ctx = LossContext(corrupted, originals, d, m)
+        angles = np.zeros(ctx.n_angles)
+        if pattern != "zero":
+            angles = rng.normal(0.0, 0.7, ctx.n_angles)
+        if pattern == "sparse":
+            angles[rng.random(ctx.n_angles) < 0.9] = 0.0
+        rows = ctx._forward(angles)[0]
+        recovered = ctx._recover(rows)
+        transfer = einsum_transfer(rows, d, m)
+        _, aux = ctx._evaluate(recovered)
+        if d == 2:
+            states = pauli_coordinates(corrupted)
+            expected = states @ pauli_sandwich(transfer)
+            contraction = pauli_contraction(
+                pauli_coordinates(originals), states, recovered, aux
+            )
+        else:
+            flat = corrupted.reshape(count, d * d)
+            expected = (flat @ transfer).reshape(count, d, d)
+            contraction = aux.reshape(count, d * d).T @ flat
+        assert np.max(np.abs(recovered - expected)) <= 1e-14
+        cotangent = ctx._cotangent(rows, recovered, aux)
+        reference = einsum_cotangent(contraction, rows, d, m, count)
+        assert np.max(np.abs(cotangent - reference.reshape(m, d * d))) <= 1e-14
+
+
 class TestLearnQuasiInverse:
     def test_identity_channel_nothing_to_learn(self):
         states = sample_bloch_ball(seed=51, count=40)
@@ -448,6 +494,19 @@ class TestLearnQuasiInverse:
         with pytest.raises(NonFiniteLossError, match="iteration 1") as caught:
             learn_quasi_inverse(identity_kraus(2, 4), states, cfg)
         assert caught.value.iteration == 1
+
+    def test_non_finite_gradient_is_named(self, monkeypatch):
+        # a finite loss with a NaN gradient used to read "non-finite loss"
+        def nan_gradient(ctx, angles):
+            return 0.5, np.full(ctx.n_angles, np.nan)
+
+        monkeypatch.setattr(LossContext, "gradient", nan_gradient)
+        states = sample_bloch_ball(seed=57, count=5)
+        cfg = OptimizerConfig(max_iters=5, m=4)
+        with pytest.raises(NonFiniteLossError, match="non-finite gradient") as caught:
+            learn_quasi_inverse(identity_kraus(2, 4), states, cfg)
+        assert caught.value.iteration == 0
+        assert "loss" not in str(caught.value)
 
     @pytest.mark.parametrize(
         "bad,match",

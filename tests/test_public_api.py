@@ -4,7 +4,7 @@ removed ones stay removed."""
 import pytest
 
 import kraussphere
-from kraussphere import cli, geometry, linalg, sampling
+from kraussphere import cli, geometry, linalg, sampling, transforms
 
 
 @pytest.mark.parametrize("name", kraussphere.__all__)
@@ -33,6 +33,7 @@ def test_no_duplicate_exports():
         (sampling, "states_to_lists"),
         (sampling, "states_from_lists"),
         (sampling, "haar_unitary"),
+        (transforms, "generator_pairings"),
     ],
 )
 def test_removed_names_stay_gone(module, name):

@@ -20,7 +20,6 @@ from kraussphere.transforms import (
     finite_transform,
     forward_sweep,
     generator_basis,
-    generator_pairings,
 )
 
 from conftest import random_density
@@ -31,6 +30,7 @@ from oracles import (
     dense_product,
     embed_transform,
     fancy_index_rotations,
+    generator_pairings,
     matrix_exp_series,
 )
 
@@ -268,14 +268,17 @@ class TestApplyAngles:
 
     def test_forward_sweep_skips_zero_angles(self, basis_16):
         rows = np.eye(8, 2, dtype=complex)
-        nonzero, unitaries = forward_sweep(basis_16, np.zeros(63), rows)
-        assert nonzero.size == 0 and unitaries.shape == (0, 2, 2)
+        nonzero, pairs, blocks, unitaries = forward_sweep(basis_16, np.zeros(63), rows)
+        assert nonzero.size == 0 and pairs == []
+        assert blocks.shape == unitaries.shape == (0, 2, 2)
         assert np.array_equal(rows, np.eye(8, 2))
         angles = np.zeros(63)
         angles[[3, 40]] = 0.5, -1.2
-        nonzero, unitaries = forward_sweep(basis_16, angles, rows)
+        nonzero, pairs, blocks, unitaries = forward_sweep(basis_16, angles, rows)
         assert nonzero.tolist() == [3, 40]
-        for a, u in zip(nonzero, unitaries):
+        assert pairs == basis_16.pairs[[3, 40]].tolist()
+        for a, block, u in zip(nonzero, blocks, unitaries):
+            assert np.array_equal(block, basis_16[a].matrix)
             assert np.array_equal(u, finite_transform(basis_16[a].matrix, angles[a]))
 
     @pytest.mark.parametrize("d", [2, 4, 8])
@@ -312,7 +315,7 @@ class TestApplyAngles:
                     angles[rng.choice(group)] = rng.uniform(0.1, 2.0)
             rows = rng.normal(size=(m * d, d)) + 1j * rng.normal(size=(m * d, d))
             expected = rows.copy()
-            nonzero, unitaries = forward_sweep(basis, angles, rows)
+            nonzero, _, _, unitaries = forward_sweep(basis, angles, rows)
             fancy_index_rotations(basis.pairs[nonzero], unitaries, expected)
             assert np.array_equal(rows, expected)
             identity = np.eye(m * d, d, dtype=complex)
