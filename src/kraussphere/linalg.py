@@ -1,17 +1,16 @@
 """Dense complex linear algebra used throughout the package.
 
-The batched Uhlmann fidelity and its cotangent (the package's only
-fidelity code), the eigenvalue floor it applies, and the density-matrix
-check of state ensembles.  For qubits the fidelity is a closed form in
-Pauli coordinates c_alpha = Tr(sigma_alpha rho) (Jozsa 1994): with q
-the recovered state's coordinates and s the original's,
+The batched Uhlmann fidelity and its cotangent (one matrix path for
+every d), the qubit closed form the learner's loss uses instead, the
+eigenvalue floor both apply, and the density-matrix check of state
+ensembles.  The matrix path (:class:`UhlmannFidelity`) makes every
+product with sqrt(o) a float64 product against a real 2d x 2d form of
+sqrt(o), made once: the complex stacked products of numpy cost several
+times the float ones at these sizes.  For qubits the fidelity is also a
+closed form in Pauli coordinates c_alpha = Tr(sigma_alpha rho) (Jozsa
+1994): with q the recovered state's coordinates and s the original's,
 F = q.s / 2 + 2 sqrt(det a det o), and det = (c_0^2 - |c_r|^2) / 4, so
-no per-state matrix, trace or product is made.  A qubit channel acts
-on these coordinates through one real 4 x 4 Pauli transfer matrix,
-which is how the loss reaches them without forming recovered states.
-For d > 2 every product with sqrt(o) is a float64 product against a
-real 2d x 2d form of sqrt(o), made once: the complex stacked products
-of numpy cost several times the float ones at these sizes.
+no per-state matrix, trace or product is made (:func:`qubit_fidelity`).
 The eigenvalue floor, 64 * d * eps of the largest eigenvalue, sits
 clear of rounding noise, so the loss does not jump between nearby
 angles.
@@ -77,59 +76,54 @@ def pauli_dets(coords: np.ndarray) -> np.ndarray:
     return np.where(det > EIGENVALUE_FLOOR * 2.0 * top**2, det, 0.0)
 
 
+def qubit_fidelity(
+    q: np.ndarray, s: np.ndarray, sqrt_det_o: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Qubit fidelities from Pauli coordinates, with no matrix made.
+
+    ``q`` holds the (..., N, 4) coordinates of the recovered states a,
+    ``s`` the (N, 4) coordinates of the originals o and ``sqrt_det_o``
+    their (N,) sqrt(det o), floored by :func:`pauli_dets`; any memory
+    layout works.  Returns the (..., N) fidelities
+    F = q.s / 2 + 2 sqrt(det a det o) and weights w = sqrt(det o / det a),
+    zero where det a is.  dF/dq = s / 2 + (w / 2) eta q with
+    eta = (1, -1, -1, -1): the second term is the adjugate of a, scaled.
+    Fidelities are checked and clamped as in
+    :meth:`UhlmannFidelity.evaluate`.
+    """
+    roots = np.sqrt(pauli_dets(q))
+    overlap = np.einsum("...i,...i->...", q, s)
+    fid = 0.5 * overlap + 2.0 * roots * sqrt_det_o
+    weights = np.divide(
+        sqrt_det_o, roots, out=np.zeros_like(roots), where=roots > 0.0
+    )
+    return _checked(fid), weights
+
+
 class UhlmannFidelity:
     """Uhlmann fidelities of recovered batches against fixed (N, d, d)
-    originals.
+    originals, for any d.
 
-    For qubits the closed form in Pauli coordinates (:meth:`qubit`)
-    avoids any per-call eigendecomposition or matrix; otherwise the
-    square roots S of the originals are precomputed once, as the real
-    (N, 2d, 2d) form of :func:`real_form`, and a single batched eigh per
-    call gives both the fidelities and their cotangent.
-    Both paths zero rounding-level eigenvalues with
-    :func:`floor_eigenvalues` or its determinant form :func:`pauli_dets`.
+    The square roots S of the originals are precomputed once, as the
+    real (N, 2d, 2d) form of :func:`real_form`, and a single batched
+    eigh per call gives both the fidelities and their cotangent, with
+    rounding-level eigenvalues zeroed by :func:`floor_eigenvalues`.
     """
 
     def __init__(self, originals: np.ndarray):
-        self.originals = originals
         self.dim = originals.shape[-1]
-        if self.dim == 2:
-            # s, column-major like the learner's recovered coordinates, so
-            # per-state products run along contiguous columns
-            self.coordinates = np.asfortranarray(pauli_coordinates(originals))
-            self._roots = np.sqrt(pauli_dets(self.coordinates))  # sqrt(det o)
-        else:
-            w, v = np.linalg.eigh(originals)
-            w = floor_eigenvalues(w)
-            sqrts = (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
-            self._real_sqrts = real_form(sqrts)
-            eye = np.eye(self.dim)
-            self._read_off = np.vstack([real_form(eye), real_form(-1j * eye)])
-
-    def qubit(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(..., N, 4) Pauli coordinates q of recovered qubit states -> the
-        (..., N) fidelities F = q.s / 2 + 2 sqrt(det a det o) and weights
-        w = sqrt(det o / det a), zero where det a is.
-
-        dF/dq = s / 2 + (w / 2) eta q with eta = (1, -1, -1, -1): the
-        second term is the adjugate of a, scaled.  Fidelities are checked
-        and clamped as in :meth:`evaluate`.
-        """
-        roots = np.sqrt(pauli_dets(coords))
-        overlap = np.einsum("...i,...i->...", coords, self.coordinates)
-        fid = 0.5 * overlap + 2.0 * roots * self._roots
-        weights = np.divide(
-            self._roots, roots, out=np.zeros_like(roots), where=roots > 0.0
-        )
-        return _checked(fid), weights
+        w, v = np.linalg.eigh(originals)
+        w = floor_eigenvalues(w)
+        sqrts = (v * np.sqrt(w)[..., None, :]) @ _adjoint(v)
+        self._real_sqrts = real_form(sqrts)
+        eye = np.eye(self.dim)
+        self._read_off = np.vstack([real_form(eye), real_form(-1j * eye)])
 
     def evaluate(self, recovered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(..., N, d, d) recovered states a -> (..., N) fidelities F and the
         Hermitian Q with dF = Tr(Q da) per state.
 
-        Qubits: Q = o + sqrt(det o / det a) adj(a), the square-root term
-        dropped where det a is zero, from :meth:`qubit`.  General d: with
-        S = sqrt(o) and X = S a S, Q = sqrt(F) S X^(-1/2) S, where
+        With S = sqrt(o) and X = S a S, Q = sqrt(F) S X^(-1/2) S, where
         X^(-1/2) is a pseudo-inverse: eigenvalues zeroed by the floor
         contribute nothing.  Every product with S is one float64 product
         of a float view against S's real form: Y = a S, X = Y^H S (as S
@@ -139,11 +133,6 @@ class UhlmannFidelity:
         [-1e-8, 1 + 1e-8] means invalid inputs and raises; the rest are
         clamped to [0, 1].  An empty batch gives empty arrays.
         """
-        if self.dim == 2:
-            coords = pauli_coordinates(recovered)
-            fid, weights = self.qubit(coords)
-            slope = 0.5 * (self.coordinates + weights[..., None] * PAULI_SIGNS * coords)
-            return fid, (slope @ PAULIS.reshape(4, 4)).reshape(recovered.shape)
         a = np.asarray(recovered, dtype=complex)
         if a.strides[-1] != a.itemsize:  # a float view needs a unit-stride last axis
             a = a.copy()
@@ -206,7 +195,7 @@ def uhlmann_fidelity(rho_a, rho_b) -> float | np.ndarray:
     must be density matrices (finite, Hermitian, unit trace, PSD; see
     :func:`validate_density_matrix`), else ValueError names the first
     bad state.  Symmetric in its arguments up to rounding; computed by
-    :class:`UhlmannFidelity`, the class the learner's loss uses.
+    :class:`UhlmannFidelity` for every d.
     """
     a = np.asarray(rho_a, dtype=complex)
     b = np.asarray(rho_b, dtype=complex)

@@ -16,26 +16,31 @@ matrix is a fixed permutation of G, and the cotangent rows are S M for
 one d^2 x d^2 matrix M made from the fidelity cotangents by a fixed
 map.  The reverse sweep stacks the cotangent beside the frame and pulls
 both back through each nonzero angle's adjoint rotation, which touches
-two rows, in place through a strided view as in the forward sweep;
-every run of zero angles leaves the stack unchanged, so its gradient
-entries are read off one md x md product by two takes of the pairing
-offset table the context holds (:func:`transforms.pairing_offsets`);
-the remaining nonzero angles are paired together from one buffer of
-their two rows after the sweep.
+two rows, in place through a strided view as in the forward sweep, and
+writes the two pulled-back rows into one buffer; after the sweep every
+nonzero angle is paired with its rows by one batched product.  Every
+run of zero angles leaves the stack unchanged, so its gradient entries
+are read off one md x md product by two takes of the pairing offset
+table the context holds (:func:`transforms.pairing_offsets`).
 For qubits no recovered state is formed: one fixed real map takes G to
 the real 4 x 4 Pauli transfer matrix of the channel, which maps the
 corrupted states' Pauli coordinates to the recovered ones, and the
-fidelities and the cotangent contraction are closed forms in those
-coordinates, held (4, N) so that per-state work runs along rows.  For
-d > 2 the recovered states are formed and the fidelity makes one batched
-eigh per call; its products with the originals' square roots are float
-products against their real form (:func:`linalg.real_form`).
+fidelities (:func:`linalg.qubit_fidelity`) and the cotangent
+contraction are closed forms in those coordinates.  Only the context
+knows their layout: the corrupted coordinates are held (4, N) and the
+originals' column-major, so per-state work runs along contiguous
+memory.  For d > 2 the recovered states are formed and
+:class:`linalg.UhlmannFidelity`, the matrix fidelity for every d, makes
+one batched eigh per call; its products with the originals' square
+roots are float products against their real form
+(:func:`linalg.real_form`).
 Plain fixed-rate descent follows.  Every angle vector corresponds to a
 CPTP channel by construction, so no iterate ever leaves the physical set.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +53,8 @@ from .linalg import (
     PAULIS,
     UhlmannFidelity,
     pauli_coordinates,
+    pauli_dets,
+    qubit_fidelity,
     validate_density_matrix,
 )
 from .sampling import philox_rng
@@ -55,6 +62,7 @@ from .transforms import (
     GeneratorBasis,
     angle_count,
     channel_from_angles,
+    checked_angles,
     finite_transform,  # noqa: F401  bench/spans.py hooks the sweep's transforms here
     forward_sweep,
     generator_basis,
@@ -189,12 +197,17 @@ class LossContext:
         self._pairings = pairing_offsets(self.basis)
         self.n_angles = angle_count(d, m)
         self.base_rows = np.eye(m * d, d, dtype=complex)  # [I; 0; ...; 0]
-        self._fidelity = UhlmannFidelity(self.originals)
         scale = -2.0 / len(self.corrupted)  # dL/dF_n
         if d == 2:
-            # p^T, held (4, N) so that per-state work runs along rows
+            # p^T, held (4, N) so that per-state work runs along rows, and
+            # s column-major like the recovered coordinates q = (R^T p^T)^T
             self._states = pauli_coordinates(self.corrupted).T.copy()
-            self._evaluate = self._fidelity.qubit
+            coordinates = np.asfortranarray(pauli_coordinates(self.originals))
+            self._evaluate = functools.partial(
+                qubit_fidelity,
+                s=coordinates,
+                sqrt_det_o=np.sqrt(pauli_dets(coordinates)),
+            )
             # R^T[b, a] = Re sum Pi[a, (j, k)] T[(j, k), (i, l)] conj(Pi[b, (i, l)])
             # / 2 with Pi[a] = vec(sigma_a) is real-linear in G[(i, j), (l, k)];
             # rows 2g, 2g + 1 of the map take Re G_g, Im G_g (G's float view) to it
@@ -210,13 +223,11 @@ class LossContext:
             cotangent = np.einsum("a,aij,bkl->abjkil", PAULI_SIGNS, PAULIS, PAULIS)
             cotangent = cotangent.reshape(16, 16) * (scale / 4.0)
             self._cotangent_map = cotangent.view(float)
-            self._overlap = PAULI_SIGNS[:, None] * (
-                self._fidelity.coordinates.T @ self._states.T
-            )
+            self._overlap = PAULI_SIGNS[:, None] * (coordinates.T @ self._states.T)
         else:
             self._states = self.corrupted.reshape(len(self.corrupted), d * d)
             self._scaled_states = self._states * scale
-            self._evaluate = self._fidelity.evaluate
+            self._evaluate = UhlmannFidelity(self.originals).evaluate
             # flat orders of T[(j, k), (i, l)] = G[(i, j), (l, k)] and of
             # M[(j, k), (i, l)] = X[(i, j), (k, l)] (see _cotangent)
             axes = np.arange(d**4).reshape(d, d, d, d)
@@ -224,7 +235,7 @@ class LossContext:
             self._cotangent_order = axes.transpose(1, 2, 0, 3).ravel()
 
     def loss(self, angles: np.ndarray) -> float:
-        rows, *_ = self._forward(self._check_angles(angles))
+        rows, *_ = self._forward(checked_angles(angles, self.n_angles))
         fid, _ = self._evaluate(self._recover(rows))
         return float(1.0 - fid.sum() / fid.size)
 
@@ -241,19 +252,18 @@ class LossContext:
 
         The sweep keeps the stack [C | W] and pulls its two touched rows
         back at each nonzero angle; the pull-back is exact, so no
-        intermediate frame is stored.  Zero angles are identity factors,
-        so C and W stay fixed across each run of them and that run's
-        entries, with the nonzero angle below it, are read off the one
-        md x md product Z = C W^† by two takes of the context's pairing
-        table (:func:`transforms.pairing_offsets`).  A nonzero angle with
-        no zero run above it needs only its two rows of [C | W]; U_a
-        commutes with J_a and is unitary, so their pairing is the same
-        after the pull-back, which writes them straight into one buffer,
-        paired by one product after the sweep.  The loss is the one
-        :meth:`loss` returns, from the same forward sweep and the same
-        fidelities.
+        intermediate frame is stored.  U_a commutes with J_a and is
+        unitary, so a nonzero angle's pairing is the same after its
+        pull-back, which writes its two rows of [C | W] straight into
+        one buffer; all of them are paired by one product after the
+        sweep.  Zero angles are identity factors, so C and W stay fixed
+        across each run of them, and that run's entries are read off
+        the one md x md product Z = C W^† by two takes of the context's
+        pairing table (:func:`transforms.pairing_offsets`).  The loss is
+        the one :meth:`loss` returns, from the same forward sweep and
+        the same fidelities.
         """
-        angles = self._check_angles(angles)
+        angles = checked_angles(angles, self.n_angles)
         rows, nonzero, pairs, blocks, unitaries = self._forward(angles)
         recovered = self._recover(rows)
         fid, aux = self._evaluate(recovered)
@@ -271,30 +281,23 @@ class LossContext:
             run = slice(start, stop)
             grad[run] = parts.take(first[run]) + sign[run] * parts.take(second[run])
 
-        lone = []  # positions in nonzero of the angles with no zero run above
-        lone_rows = np.empty((len(nonzero), 2, 2 * d), dtype=complex)
-        pulled = np.empty((2, 2 * d), dtype=complex)
+        pulled = np.empty((len(pairs), 2, 2 * d), dtype=complex)  # rows j, k
         end = self.n_angles  # angles a+1 .. end-1 are zeros
         adjoints = unitaries.conj().swapaxes(-1, -2)
-        reverse = zip(nonzero[::-1].tolist(), pairs[::-1], adjoints[::-1])
-        for at, (a, (j, k), u_adj) in zip(range(len(pairs) - 1, -1, -1), reverse):
-            touched = sweep[j : k + 1 : k - j]  # rows j and k, a view
+        reverse = zip(nonzero.tolist(), pairs, adjoints, pulled)
+        for a, (j, k), u_adj, out in reversed(list(reverse)):
             if a + 1 < end:
-                read_run(a, end)
-                touched[...] = u_adj.dot(touched, out=pulled)
-            else:
-                touched[...] = u_adj.dot(touched, out=lone_rows[len(lone)])
-                lone.append(at)
+                read_run(a + 1, end)
+            touched = sweep[j : k + 1 : k - j]  # rows j and k, a view
+            touched[...] = u_adj.dot(touched, out=out)
             end = a
         if end > 0:
             read_run(0, end)
-        if lone:
-            # Re Tr(C^† J W) on the two touched rows, for all of them at once
-            stacked = lone_rows[: len(lone)]
-            moved = blocks[lone] @ stacked[..., d:]  # J W
-            # Re sum conj(c) x sums Re c Re x + Im c Im x over the float views
-            paired = stacked[..., :d].view(float) * moved.view(float)
-            grad[nonzero[lone]] = paired.reshape(len(lone), -1).sum(axis=1)
+        # Re Tr(C^† J W) on the two pulled-back rows, for all of them at once
+        moved = blocks @ pulled[..., d:]  # J W
+        # Re sum conj(c) x sums Re c Re x + Im c Im x over the float views
+        paired = pulled[..., :d].view(float) * moved.view(float)
+        grad[nonzero] = paired.reshape(len(pairs), 4 * d).sum(axis=1)
         return float(1.0 - fid.sum() / fid.size), grad
 
     def _forward(self, angles: np.ndarray) -> tuple:
@@ -346,16 +349,6 @@ class LossContext:
             moments.shape
         )
 
-    def _check_angles(self, angles) -> np.ndarray:
-        angles = np.asarray(angles, dtype=float)
-        if angles.shape != (self.n_angles,):
-            raise ValueError(
-                f"expected {self.n_angles} angles, got shape {angles.shape}"
-            )
-        if not np.isfinite(angles).all():
-            raise ValueError("angles must be finite")
-        return angles
-
 
 def learn_quasi_inverse(
     channel: KrausSet, states, cfg: OptimizerConfig
@@ -384,6 +377,11 @@ def learn_quasi_inverse(
     m = cfg.m if cfg.m is not None else d * d
     if m > d * d:
         raise ValueError(f"m={m} exceeds d^2={d * d}")
+    if originals.shape[1:] != (d, d):
+        raise ValueError(
+            f"the channel acts on {d} x {d} states, "
+            f"got states of shape {originals.shape[1:]}"
+        )
     validate_density_matrix(originals)
     corrupted = apply_channel_batch(channel.operators, originals)
     ctx = LossContext(corrupted, originals, d, m)
@@ -435,7 +433,7 @@ def learn_quasi_inverse(
         prev_loss = current
         theta = theta - cfg.eta0 * grad
 
-    learned = channel_from_angles(d, m, best_theta, basis=ctx.basis)
+    learned = channel_from_angles(d, m, best_theta)
     return QuasiInverseResult(
         channel=learned,
         angles=best_theta,

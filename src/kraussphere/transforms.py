@@ -211,13 +211,7 @@ def apply_angles(
 
     With all angles zero the frame is returned bit-identical.
     """
-    angles = np.asarray(angles, dtype=float)
-    if angles.shape != (len(basis),):
-        raise ValueError(
-            f"angle count {angles.shape} does not match basis size {len(basis)}"
-        )
-    if not np.all(np.isfinite(angles)):
-        raise ValueError("angles must be finite")
+    angles = checked_angles(angles, len(basis))
     if not np.any(angles):
         return KrausFrame(d=frame.d, m=frame.m, vectors=frame.vectors.copy())
     d, m = frame.d, frame.m
@@ -232,33 +226,33 @@ def angle_count(d: int, m: int) -> int:
     return (m * d) ** 2 - 1
 
 
-def channel_from_angles(
-    d: int,
-    m: int,
-    angles: np.ndarray,
-    basis: GeneratorBasis | None = None,
-) -> KrausSet:
+def checked_angles(angles, count: int) -> np.ndarray:
+    """``angles`` as a float array, checked to be ``count`` finite angles.
+
+    The one angle-vector check of the package; a wrong shape or a NaN
+    or infinite angle raises ValueError.
+    """
+    angles = np.asarray(angles, dtype=float)
+    if angles.shape != (count,):
+        raise ValueError(
+            f"angle count mismatch: expected {count} angles, got shape {angles.shape}"
+        )
+    if not np.isfinite(angles).all():
+        raise ValueError("angles must be finite")
+    return angles
+
+
+def channel_from_angles(d: int, m: int, angles: np.ndarray) -> KrausSet:
     """CPTP Kraus set reached from the identity channel by ``angles``.
 
     The forward sweep rotates the rows [I; 0; ...; 0] and the result is
     read as the operator stack, the same arithmetic as
     apply_angles on identity_frame(d, m) without the frame relabeling.
-    ``basis`` may be passed in to avoid rebuilding it across calls; it
-    must be generator_basis(2 * m * d).  A result off completeness by
-    more than 1e-6 raises ValueError.
+    A result off completeness by more than 1e-6 raises ValueError.
     """
-    angles = np.asarray(angles, dtype=float)
-    expected = angle_count(d, m)
-    if angles.shape != (expected,):
-        raise ValueError(
-            f"expected {expected} angles for d={d}, m={m}, got {angles.shape}"
-        )
-    if not np.all(np.isfinite(angles)):
-        raise ValueError("angles must be finite")
-    if basis is None:
-        basis = generator_basis(2 * m * d)
+    angles = checked_angles(angles, angle_count(d, m))
     rows = np.eye(m * d, d, dtype=complex)
-    forward_sweep(basis, angles, rows)
+    forward_sweep(generator_basis(2 * m * d), angles, rows)
     channel = KrausSet(d=d, m=m, operators=rows.reshape(m, d, d))
     deviation = channel.completeness_deviation()
     if deviation > FRAME_TOL_LOOSE:

@@ -24,10 +24,10 @@ def random_hermitian(rng, dim):
     return (g + g.conj().T) / 2.0
 
 
-def random_channel(rng, d, m, basis=None, scale=0.7):
+def random_channel(rng, d, m, scale=0.7):
     """Random CPTP Kraus set reached by random angles from the identity."""
     angles = rng.normal(0.0, scale, angle_count(d, m))
-    return channel_from_angles(d, m, angles, basis=basis)
+    return channel_from_angles(d, m, angles)
 
 
 @pytest.fixture(scope="session")

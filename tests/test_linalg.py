@@ -3,11 +3,13 @@ import pytest
 
 from kraussphere.linalg import (
     EIGENVALUE_FLOOR,
+    PAULI_SIGNS,
     PAULIS,
     UhlmannFidelity,
     floor_eigenvalues,
     pauli_coordinates,
     pauli_dets,
+    qubit_fidelity,
     real_form,
     uhlmann_fidelity,
     validate_density_matrix,
@@ -153,7 +155,8 @@ class TestEigenvalueFloor:
 
 
 class TestQubitPauliPath:
-    """The Pauli-coordinate qubit fidelity against the flat-entry closed form."""
+    """The Pauli-coordinate qubit fidelity against the flat-entry closed form
+    and the matrix path."""
 
     @staticmethod
     def ensemble(seed):
@@ -167,10 +170,19 @@ class TestQubitPauliPath:
         recovered = pure[:10] + mixed[10:] + boundary[10:] + boundary[:10] + mixed[:10]
         return np.stack(originals), np.stack(recovered)
 
+    @staticmethod
+    def closed_form(originals, recovered):
+        """qubit_fidelity's (F, w) and the coordinates q, s it was given."""
+        q, s = pauli_coordinates(recovered), pauli_coordinates(originals)
+        return (*qubit_fidelity(q, s, np.sqrt(pauli_dets(s))), q, s)
+
     def test_matches_flat_entries(self):
         originals, recovered = self.ensemble(14)
         batch = np.stack([recovered, originals, recovered[::-1]])  # extra batch axis
-        fid, cotangent = UhlmannFidelity(originals).evaluate(batch)
+        fid, weights, q, s = self.closed_form(originals, batch)
+        # Q = ((s + w eta q) / 2) . sigma
+        slope = 0.5 * (s + weights[..., None] * PAULI_SIGNS * q)
+        cotangent = (slope @ PAULIS.reshape(4, 4)).reshape(batch.shape)
         expected, expected_cotangent = flat_qubit_fidelity(originals, batch)
         assert fid.shape == (3, 50) and cotangent.shape == (3, 50, 2, 2)
         assert np.max(np.abs(fid - expected)) <= 1e-12
@@ -178,15 +190,22 @@ class TestQubitPauliPath:
 
     def test_qubit_coordinates_give_the_same_fidelities(self):
         originals, recovered = self.ensemble(15)
-        fidelity = UhlmannFidelity(originals)
-        fid, weights = fidelity.qubit(pauli_coordinates(recovered))
-        assert np.array_equal(fid, fidelity.evaluate(recovered)[0])
+        fid, weights, _, _ = self.closed_form(originals, recovered)
+        expected, _ = flat_qubit_fidelity(originals, recovered)
+        assert np.max(np.abs(fid - expected)) <= 1e-12
         # w = sqrt(det o / det a), zero where det a is floored to zero
         dets, original_dets = qubit_dets(recovered), qubit_dets(originals)
         assert np.all(weights[dets == 0.0] == 0.0)
         live = dets > 0.0
         expected = np.sqrt(original_dets[live] / dets[live])
         assert np.max(np.abs(weights[live] - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [14, 15])
+    def test_matrix_path_agrees_at_d2(self, seed):
+        originals, recovered = self.ensemble(seed)
+        fid, _ = UhlmannFidelity(originals).evaluate(recovered)
+        closed, _, _, _ = self.closed_form(originals, recovered)
+        assert np.max(np.abs(fid - closed)) <= 1e-12
 
     def test_coordinates_round_trip(self):
         rng = np.random.default_rng(16)

@@ -536,6 +536,18 @@ class TestLearnQuasiInverse:
         with pytest.raises(ValueError, match=r"m=5 exceeds d\^2=4"):
             learn_quasi_inverse(flip_channel("bit_flip", 0.8), states, cfg)
 
+    def test_rejects_states_of_another_dimension_before_corrupting(
+        self, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("states corrupted before the dimension check")
+
+        monkeypatch.setattr(optimizer, "apply_channel_batch", refuse)
+        states = sample_bures(seed=1, count=3, dim=4)
+        cfg = OptimizerConfig(max_iters=2)
+        with pytest.raises(ValueError, match=r"2 x 2 states, .* shape \(4, 4\)"):
+            learn_quasi_inverse(flip_channel("bit_flip", 0.2), states, cfg)
+
     def test_rejects_incomplete_channel(self):
         broken = KrausSet(d=2, m=1, operators=[0.5 * np.eye(2)])
         states = sample_bloch_ball(seed=57, count=5)

@@ -25,6 +25,7 @@ def test_no_duplicate_exports():
         (linalg, "psd_sqrt"),
         (linalg, "clamp_fidelity"),
         (linalg, "qubit_dets"),
+        (linalg.UhlmannFidelity, "qubit"),
         (cli, "load_states"),
         (geometry.KrausSet, "stack"),
         (geometry.KrausFrame, "to_dict"),

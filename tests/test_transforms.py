@@ -236,7 +236,7 @@ class TestApplyAngles:
         angles = np.zeros(3)
         angles[0] = np.pi / 2  # i(E01+E10) direction, a quarter turn
         frame = apply_angles(basis_4, angles, identity_frame(2, 1))
-        channel = channel_from_angles(2, 1, angles, basis=basis_4)
+        channel = channel_from_angles(2, 1, angles)
         zero = np.diag([1.0, 0.0]).astype(complex)
         one = np.diag([0.0, 1.0]).astype(complex)
         assert np.max(np.abs(apply_channel(channel, zero) - one)) <= 1e-12
@@ -293,7 +293,7 @@ class TestApplyAngles:
         reference = frame.vectors @ dense_product(dense, angles).T
         out = apply_angles(basis, angles, frame)
         assert np.max(np.abs(out.vectors - reference)) <= 1e-12
-        channel = channel_from_angles(d, m, angles, basis=basis)
+        channel = channel_from_angles(d, m, angles)
         expected = frame_to_kraus(KrausFrame(d=d, m=m, vectors=reference))
         gap = np.abs(channel.operators - expected.operators)
         assert np.max(gap) <= 1e-12
@@ -320,7 +320,7 @@ class TestApplyAngles:
             assert np.array_equal(rows, expected)
             identity = np.eye(m * d, d, dtype=complex)
             reference = fancy_index_rotations(basis.pairs[nonzero], unitaries, identity)
-            channel = channel_from_angles(d, m, angles, basis=basis)
+            channel = channel_from_angles(d, m, angles)
             assert np.array_equal(channel.operators, reference.reshape(m, d, d))
 
 
@@ -331,17 +331,17 @@ class TestChannelFromAngles:
         for op in channel.operators[1:]:
             assert np.array_equal(op, np.zeros((2, 2)))
 
-    def test_random_angles_complete(self, basis_16):
+    def test_random_angles_complete(self):
         rng = np.random.default_rng(22)
         for _ in range(100):
             angles = rng.normal(0.0, 1.2, 63)
-            channel = channel_from_angles(2, 4, angles, basis=basis_16)
+            channel = channel_from_angles(2, 4, angles)
             assert channel.completeness_deviation() <= 1e-6
 
-    def test_trace_preserved_on_random_states(self, basis_16):
+    def test_trace_preserved_on_random_states(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
-            channel = channel_from_angles(2, 4, rng.normal(0, 1, 63), basis=basis_16)
+            channel = channel_from_angles(2, 4, rng.normal(0, 1, 63))
             for _ in range(10):
                 rho = random_density(rng, 2)
                 out = apply_channel(channel, rho)
@@ -366,6 +366,6 @@ class TestChannelFromAngles:
         basis = generator_basis(2 * m * d)
         angles = rng.normal(0.0, 1.0, len(basis))
         angles[rng.random(len(basis)) < 0.9] = 0.0
-        channel = channel_from_angles(d, m, angles, basis=basis)
+        channel = channel_from_angles(d, m, angles)
         frame = apply_angles(basis, angles, identity_frame(d, m))
         assert np.array_equal(channel.operators, frame_to_kraus(frame).operators)
