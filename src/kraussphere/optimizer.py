@@ -34,6 +34,8 @@ memory.  For d > 2 the recovered states are formed and
 one batched eigh per call; its products with the originals' square
 roots are float products against their real form
 (:func:`linalg.real_form`).
+A gradient at the angles of the preceding loss call starts from that
+evaluation, so each iterate is evaluated once.
 Plain fixed-rate descent follows.  Every angle vector corresponds to a
 CPTP channel by construction, so no iterate ever leaves the physical set.
 """
@@ -144,6 +146,8 @@ class QuasiInverseResult:
     fidelity_after: float
     stop_reason: str  # "loss_tol", "patience" or "max_iters"
     best_iteration: int | None  # history index of ``angles``; None: identity
+    loss_evaluations: int  # forward sweep + fidelity passes
+    gradient_evaluations: int  # reverse sweeps
 
     @property
     def iterations_used(self) -> int:
@@ -158,6 +162,8 @@ class QuasiInverseResult:
             "fidelity_after": self.fidelity_after,
             "stop_reason": self.stop_reason,
             "best_iteration": self.best_iteration,
+            "loss_evaluations": self.loss_evaluations,
+            "gradient_evaluations": self.gradient_evaluations,
         }
 
 
@@ -166,7 +172,12 @@ class LossContext:
 
     Holds the corrupted/original ensembles, the generator basis of the
     ansatz with its pairing offset table, the fidelity machinery and the
-    fixed maps of both ensemble contractions; immutable during a run.
+    fixed maps of both ensemble contractions.  Its one mutable state is
+    the point of the last :meth:`loss`, kept until the next
+    :meth:`gradient`, and the counts of both kinds of evaluation
+    (``loss_evaluations``: forward sweep and fidelity passes;
+    ``gradient_evaluations``: reverse sweeps), so a context is not meant
+    to be shared across threads.
     Every per-context constant is made here, so a step is one forward
     sweep, a short fixed list of 2-D products and one reverse sweep.
     Both contractions go through the d^2 x d^2 frame Gram matrix
@@ -197,6 +208,9 @@ class LossContext:
         self._pairings = pairing_offsets(self.basis)
         self.n_angles = angle_count(d, m)
         self.base_rows = np.eye(m * d, d, dtype=complex)  # [I; 0; ...; 0]
+        self._point = None  # (angles, evaluation) of the last loss call
+        self.loss_evaluations = 0  # forward sweep + fidelity passes
+        self.gradient_evaluations = 0  # reverse sweeps
         scale = -2.0 / len(self.corrupted)  # dL/dF_n
         if d == 2:
             # p^T, held (4, N) so that per-state work runs along rows, and
@@ -235,9 +249,17 @@ class LossContext:
             self._cotangent_order = axes.transpose(1, 2, 0, 3).ravel()
 
     def loss(self, angles: np.ndarray) -> float:
-        rows, *_ = self._forward(checked_angles(angles, self.n_angles))
-        fid, _ = self._evaluate(self._recover(rows))
-        return float(1.0 - fid.sum() / fid.size)
+        """Loss 1 - mean F at ``angles``: one forward sweep and one
+        fidelity pass.
+
+        The evaluated point (a copy of the angles and everything the
+        reverse sweep needs) is kept until the next :meth:`gradient`,
+        which starts from it if called at equal angles.
+        """
+        angles = checked_angles(angles, self.n_angles)
+        point = self._evaluated(angles)
+        self._point = angles.copy(), point
+        return point[0]
 
     def gradient(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss and exact gradient: one forward and one reverse sweep.
@@ -261,12 +283,19 @@ class LossContext:
         the one md x md product Z = C W^† by two takes of the context's
         pairing table (:func:`transforms.pairing_offsets`).  The loss is
         the one :meth:`loss` returns, from the same forward sweep and
-        the same fidelities.
+        the same fidelities.  Called at the angles of the last
+        :meth:`loss`, it starts from that evaluation instead of repeating
+        the forward sweep and the fidelities; either way it drops the
+        point :meth:`loss` kept.
         """
         angles = checked_angles(angles, self.n_angles)
-        rows, nonzero, pairs, blocks, unitaries = self._forward(angles)
-        recovered = self._recover(rows)
-        fid, aux = self._evaluate(recovered)
+        kept, self._point = self._point, None
+        if kept is not None and np.array_equal(kept[0], angles):
+            point = kept[1]
+        else:
+            point = self._evaluated(angles)
+        self.gradient_evaluations += 1
+        loss, rows, (nonzero, pairs, blocks, unitaries), recovered, aux = point
         d = self.d
         sweep = np.empty((len(rows), 2 * d), dtype=complex)  # [C | W]
         sweep[:, d:] = rows
@@ -298,13 +327,19 @@ class LossContext:
         # Re sum conj(c) x sums Re c Re x + Im c Im x over the float views
         paired = pulled[..., :d].view(float) * moved.view(float)
         grad[nonzero] = paired.reshape(len(pairs), 4 * d).sum(axis=1)
-        return float(1.0 - fid.sum() / fid.size), grad
+        return loss, grad
 
-    def _forward(self, angles: np.ndarray) -> tuple:
-        """Final frame rows W_n, then forward_sweep's nonzero angles, row
-        pairs, blocks and 2 x 2 unitaries."""
+    def _evaluated(self, angles: np.ndarray) -> tuple:
+        """The forward-and-fidelity half of a step at checked ``angles``:
+        the loss, the final frame rows W_n, forward_sweep's outputs
+        (nonzero angles, row pairs, blocks, 2 x 2 unitaries), the
+        recovered states and their fidelity cotangent."""
+        self.loss_evaluations += 1
         rows = self.base_rows.copy()
-        return rows, *forward_sweep(self.basis, angles, rows)
+        swept = forward_sweep(self.basis, angles, rows)
+        recovered = self._recover(rows)
+        fid, aux = self._evaluate(recovered)
+        return float(1.0 - fid.sum() / fid.size), rows, swept, recovered, aux
 
     def _recover(self, rows: np.ndarray) -> np.ndarray:
         """Frame rows -> the recovered ensemble sum_a K_a sigma K_a^+.
@@ -362,8 +397,12 @@ def learn_quasi_inverse(
     (the identity start point always counts as a candidate, so the
     result never recovers worse than doing nothing), the corresponding
     channel, the full training history, why the descent stopped and
-    which iterate was best.  Each iteration takes its loss and gradient
-    from one ``ctx.gradient`` call.
+    which iterate was best, and how many evaluations the descent made.
+    Each iteration takes its loss and gradient from one ``ctx.gradient``
+    call, and each iterate is evaluated once: the identity's loss, taken
+    first for ``fidelity_before``, is also the start of a zeros start's
+    first gradient, so such a learn makes ``iterations_used`` forward
+    sweep and fidelity passes (one more from a ``small_random`` start).
     States that are not density matrices (non-finite, non-Hermitian,
     off unit trace or not PSD) raise one ValueError naming the first.
     """
@@ -442,6 +481,8 @@ def learn_quasi_inverse(
         fidelity_after=1.0 - best_loss,
         stop_reason=stop_reason,
         best_iteration=best_iteration,
+        loss_evaluations=ctx.loss_evaluations,
+        gradient_evaluations=ctx.gradient_evaluations,
     )
 
 

@@ -520,6 +520,16 @@ class TestMainExitCodes:
         assert main(["learn", "--config", str(path)]) == EXIT_OK
         assert "fidelity" in capsys.readouterr().out
 
+    def test_learn_reports_one_evaluation_per_iterate(self, tmp_path):
+        # zeros start: the identity's loss is the first gradient's start
+        data = base_config(tmp_path / "run")
+        data["optimizer"].update({"init": "zeros", "loss_tol": 0.0, "patience": 20})
+        path = write_config(tmp_path, data)
+        assert main(["learn", "--config", str(path), "--quiet"]) == EXIT_OK
+        saved = json.loads((tmp_path / "run" / "result.json").read_text())
+        assert len(saved["history"]) == 20
+        assert saved["loss_evaluations"] == saved["gradient_evaluations"] == 20
+
     def test_quiet_suppresses_output(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path / "run"))
         assert main(["learn", "--config", str(path), "--quiet"]) == EXIT_OK

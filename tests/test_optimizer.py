@@ -335,10 +335,8 @@ class TestFixedProducts:
             angles = rng.normal(0.0, 0.7, ctx.n_angles)
         if pattern == "sparse":
             angles[rng.random(ctx.n_angles) < 0.9] = 0.0
-        rows = ctx._forward(angles)[0]
-        recovered = ctx._recover(rows)
+        _, rows, _, recovered, aux = ctx._evaluated(angles)
         transfer = einsum_transfer(rows, d, m)
-        _, aux = ctx._evaluate(recovered)
         if d == 2:
             states = pauli_coordinates(corrupted)
             expected = states @ pauli_sandwich(transfer)
@@ -353,6 +351,117 @@ class TestFixedProducts:
         cotangent = ctx._cotangent(rows, recovered, aux)
         reference = einsum_cotangent(contraction, rows, d, m, count)
         assert np.max(np.abs(cotangent - reference.reshape(m, d * d))) <= 1e-14
+
+
+class TestEvaluationReuse:
+    """A gradient at the angles of the last loss starts from its evaluation."""
+
+    CASES = [(2, 4, "zero"), (2, 4, "sparse"), (4, 1, "zero"), (4, 1, "sparse")]
+
+    @staticmethod
+    def _context(d, m):
+        rng = np.random.default_rng(81 + d)
+        originals = np.stack([random_density(rng, d) for _ in range(6)])
+        corrupted = np.stack([random_density(rng, d) for _ in range(6)])
+        return LossContext(corrupted, originals, d, m)
+
+    @staticmethod
+    def _angles(ctx, pattern, seed=0):
+        angles = np.zeros(ctx.n_angles)
+        if pattern == "sparse":
+            rng = np.random.default_rng(seed)
+            picked = rng.choice(ctx.n_angles, size=5, replace=False)
+            angles[picked] = rng.normal(0.0, 0.5, 5)
+        return angles
+
+    def _fresh_gradient(self, ctx, angles):
+        # a context that has made no loss call evaluates anew
+        return self._context(ctx.d, ctx.m).gradient(angles)
+
+    @staticmethod
+    def _same(got, expected):
+        (loss, grad), (expected_loss, expected_grad) = got, expected
+        assert loss == expected_loss
+        assert np.array_equal(grad, expected_grad)
+
+    @pytest.mark.parametrize("d,m,pattern", CASES)
+    def test_gradient_after_loss_reuses_the_point(self, d, m, pattern):
+        ctx = self._context(d, m)
+        angles = self._angles(ctx, pattern)
+        fresh_step = self._fresh_gradient(ctx, angles)
+        assert ctx.loss(angles) == fresh_step[0]
+        self._same(ctx.gradient(angles), fresh_step)
+        assert (ctx.loss_evaluations, ctx.gradient_evaluations) == (1, 1)
+
+    @pytest.mark.parametrize("d,m,pattern", CASES)
+    def test_gradient_at_other_angles_recomputes(self, d, m, pattern):
+        ctx = self._context(d, m)
+        angles = self._angles(ctx, pattern)
+        other = self._angles(ctx, "sparse", seed=1)
+        ctx.loss(angles)
+        self._same(ctx.gradient(other), self._fresh_gradient(ctx, other))
+        assert ctx.loss_evaluations == 2
+
+    @pytest.mark.parametrize("d,m,pattern", CASES)
+    def test_angles_changed_in_place_are_not_reused(self, d, m, pattern):
+        ctx = self._context(d, m)
+        angles = self._angles(ctx, pattern)
+        ctx.loss(angles)
+        angles[3] += 0.25
+        self._same(ctx.gradient(angles), self._fresh_gradient(ctx, angles))
+        assert ctx.loss_evaluations == 2
+
+    @pytest.mark.parametrize("d,m,pattern", CASES)
+    def test_second_gradient_recomputes(self, d, m, pattern):
+        ctx = self._context(d, m)
+        angles = self._angles(ctx, pattern)
+        fresh_step = self._fresh_gradient(ctx, angles)
+        ctx.loss(angles)
+        self._same(ctx.gradient(angles), fresh_step)
+        self._same(ctx.gradient(angles), fresh_step)
+        assert (ctx.loss_evaluations, ctx.gradient_evaluations) == (2, 2)
+
+    @pytest.mark.parametrize("d,m", [(2, 4), (4, 1)])
+    def test_bad_angles_still_raise_after_a_loss(self, d, m):
+        ctx = self._context(d, m)
+        angles = self._angles(ctx, "zero")
+        ctx.loss(angles)
+        bad = angles.copy()
+        bad[2] = np.nan
+        for wrong in (bad, np.zeros(ctx.n_angles + 1), np.zeros(ctx.n_angles - 1)):
+            with pytest.raises(ValueError):
+                ctx.gradient(wrong)
+        self._same(ctx.gradient(angles), self._fresh_gradient(ctx, angles))
+
+    @pytest.mark.parametrize("d,m", [(2, 4), (4, 1)])
+    @pytest.mark.parametrize("init", ["zeros", "small_random"])
+    def test_learn_evaluates_each_iterate_once(self, monkeypatch, d, m, init):
+        # count the fidelity passes through the evaluator the context binds
+        calls = []
+        if d == 2:
+            owner, name = optimizer, "qubit_fidelity"
+            states = sample_bloch_ball(seed=59, count=20)
+            channel = flip_channel("bit_flip", 0.8)
+        else:
+            owner, name = UhlmannFidelity, "evaluate"
+            states = sample_bures(seed=59, count=10, dim=4)
+            channel = tensor_flip_channel("bit_flip", 0.8, 2)
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        cfg = OptimizerConfig(
+            max_iters=7, m=m, loss_tol=0.0, patience=7, init=init, init_scale=0.1
+        )
+        result = learn_quasi_inverse(channel, states, cfg)
+        used = result.iterations_used
+        assert used == 7
+        expected = used if init == "zeros" else used + 1
+        assert len(calls) == result.loss_evaluations == expected
+        assert result.gradient_evaluations == used
 
 
 class TestLearnQuasiInverse:
@@ -567,6 +676,8 @@ class TestLearnQuasiInverse:
         assert len(parsed["history"]) == result.iterations_used
         assert parsed["stop_reason"] == result.stop_reason == "max_iters"
         assert parsed["best_iteration"] == result.best_iteration
+        assert parsed["loss_evaluations"] == result.loss_evaluations == 5
+        assert parsed["gradient_evaluations"] == result.gradient_evaluations == 5
 
 
 class TestDominantKrausReport:
