@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import KrausSet
+from .geometry import COMPLETENESS_TOL, KrausSet
+from .linalg import PAULIS
 
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = PAULIS
 
 FLIP_PAULIS = {
     "bit_flip": PAULI_X,
@@ -112,7 +110,7 @@ class ChannelSpec:
             if self.custom_kraus is None:
                 raise ValueError("custom channel requires custom_kraus")
             deviation = self.custom_kraus.completeness_deviation()
-            if deviation > 1e-8:
+            if deviation > COMPLETENESS_TOL:
                 raise ValueError(
                     f"custom Kraus set violates completeness: {deviation:.3e}"
                 )

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import ChannelSpec
-from .geometry import KrausSet, json_value, matrices_to_pairs
+from .geometry import FRAME_TOL_LOOSE, KrausSet, json_value, matrices_to_pairs
 from .optimizer import (
     NonFiniteLossError,
     OptimizerConfig,
@@ -213,15 +213,23 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def load_config(path) -> ExperimentConfig:
+def _read_json(path, what: str):
+    """The JSON document in ``path`` (a ``what``); ConfigError if the file
+    cannot be read or parsed, with the line and column of a JSON error."""
     try:
         with open(path) as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return config_from_dict(data)
+        raise ConfigError(
+            f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}"
+        ) from exc
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(_read_json(path, "config"))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -295,22 +303,13 @@ def validate_channel_file(path, quiet: bool = False) -> dict:
 
     Returns the report dict; raises ConfigError on malformed files.
     """
-    try:
-        with open(path) as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ConfigError(f"cannot read channel file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}"
-        ) from exc
+    data = _read_json(path, "channel file")
     try:
         kraus = KrausSet.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid channel structure in {path}: {exc}") from exc
     deviation = kraus.completeness_deviation()
-    complete = deviation <= 1e-6
+    complete = deviation <= FRAME_TOL_LOOSE
     report = {
         "d": kraus.d,
         "m": kraus.m,
@@ -328,7 +327,8 @@ def validate_channel_file(path, quiet: bool = False) -> dict:
             print("weights: " + " ".join(_sig6(w) for w in report["weights"]))
             print(f"effectively unitary: {report['effectively_unitary']}")
         else:
-            print("channel is NOT complete within 1e-6")
+            tol = np.format_float_scientific(FRAME_TOL_LOOSE, trim="-", exp_digits=1)
+            print(f"channel is NOT complete within {tol}")
     return report
 
 

@@ -4,24 +4,16 @@ The loss is 1 minus the ensemble-average Uhlmann fidelity between
 original states and the states recovered by the angle-parameterized
 channel.  Its exact gradient comes from one forward sweep of the 2 x 2
 one-angle rotations over the md x d complex frame rows, the analytic
-fidelity cotangent, and one reverse sweep (the adjoint method); the same
-sweep gives the loss, so each descent step costs one ``(loss, grad)``
-call.  Every constant of a step is made once per LossContext, so a step
-is the two sweeps around a short, fixed list of 2-D products.  The
-forward sweep makes the rotations of all nonzero angles in one batched
-call and hands back the row pairs and blocks it gathered.  The swept
-rows S (row a is vec(K_a)) enter both ensemble contractions through
-their d^2 x d^2 Gram matrix G = S^T conj(S): the channel's transfer
-matrix is a fixed permutation of G, and the cotangent rows are S M for
-one d^2 x d^2 matrix M made from the fidelity cotangents by a fixed
-map.  The reverse sweep stacks the cotangent beside the frame and pulls
-both back through each nonzero angle's adjoint rotation, which touches
-two rows, in place through a strided view as in the forward sweep, and
-writes the two pulled-back rows into one buffer; after the sweep every
-nonzero angle is paired with its rows by one batched product.  Every
-run of zero angles leaves the stack unchanged, so its gradient entries
-are read off one md x md product by two takes of the pairing offset
-table the context holds (:func:`transforms.pairing_offsets`).
+fidelity cotangent, and one reverse sweep (the adjoint method); both
+sweeps live in :mod:`transforms`, the one module that knows the chart's
+layout.  The same forward sweep gives the loss, so each descent step
+costs one ``(loss, grad)`` call.  Every constant of a step, the reverse
+sweep's pairing offset table included, is made once per LossContext.
+The swept rows S (row a is vec(K_a)) enter both ensemble contractions
+through their d^2 x d^2 Gram matrix G = S^T conj(S): the channel's
+transfer matrix is a fixed permutation of G, and the cotangent rows are
+S M for one d^2 x d^2 matrix M made from the fidelity cotangents by a
+fixed map.
 For qubits no recovered state is formed: one fixed real map takes G to
 the real 4 x 4 Pauli transfer matrix of the channel, which maps the
 corrupted states' Pauli coordinates to the recovered ones, and the
@@ -49,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import apply_channel_batch
-from .geometry import KrausSet
+from .geometry import FRAME_TOL_LOOSE, KrausSet
 from .linalg import (
     PAULI_SIGNS,
     PAULIS,
@@ -61,7 +53,6 @@ from .linalg import (
 )
 from .sampling import philox_rng
 from .transforms import (
-    GeneratorBasis,
     angle_count,
     channel_from_angles,
     checked_angles,
@@ -69,6 +60,7 @@ from .transforms import (
     forward_sweep,
     generator_basis,
     pairing_offsets,
+    reverse_sweep,
 )
 
 INIT_MODES = ("zeros", "small_random")
@@ -204,7 +196,7 @@ class LossContext:
             raise ValueError(
                 f"expected states of shape (N, {d}, {d}), got {self.corrupted.shape}"
             )
-        self.basis: GeneratorBasis = generator_basis(2 * m * d)
+        self.basis = generator_basis(2 * m * d)
         self._pairings = pairing_offsets(self.basis)
         self.n_angles = angle_count(d, m)
         self.base_rows = np.eye(m * d, d, dtype=complex)  # [I; 0; ...; 0]
@@ -264,29 +256,16 @@ class LossContext:
     def gradient(self, angles: np.ndarray) -> tuple[float, np.ndarray]:
         """Loss and exact gradient: one forward and one reverse sweep.
 
-        With frame rows W_a = U_a W_{a-1} and C_a = dL/dW_a, angle a
-        contributes Re Tr(C_a^† J_a W_a), and both move back by
-        U_a^†: C_{a-1} = U_a^† C_a, W_{a-1} = U_a^† W_a (the adjoint
-        method).  C_n comes from the fidelity cotangent Q of each state:
+        C_n = dL/dW_n comes from the fidelity cotangent Q of each state:
         dL/dK_a = -(2/N) sum_n Q_n K_a sigma_n, sigma_n the corrupted
         states, stacked like the frame rows; that is C = S M for one
-        d^2 x d^2 matrix M (:meth:`_cotangent`).
-
-        The sweep keeps the stack [C | W] and pulls its two touched rows
-        back at each nonzero angle; the pull-back is exact, so no
-        intermediate frame is stored.  U_a commutes with J_a and is
-        unitary, so a nonzero angle's pairing is the same after its
-        pull-back, which writes its two rows of [C | W] straight into
-        one buffer; all of them are paired by one product after the
-        sweep.  Zero angles are identity factors, so C and W stay fixed
-        across each run of them, and that run's entries are read off
-        the one md x md product Z = C W^† by two takes of the context's
-        pairing table (:func:`transforms.pairing_offsets`).  The loss is
-        the one :meth:`loss` returns, from the same forward sweep and
-        the same fidelities.  Called at the angles of the last
-        :meth:`loss`, it starts from that evaluation instead of repeating
-        the forward sweep and the fidelities; either way it drops the
-        point :meth:`loss` kept.
+        d^2 x d^2 matrix M (:meth:`_cotangent`).  The stack [C | W] goes
+        through :func:`transforms.reverse_sweep` with the context's
+        pairing table.  The loss is the one :meth:`loss` returns, from
+        the same forward sweep and the same fidelities.  Called at the
+        angles of the last :meth:`loss`, it starts from that evaluation
+        instead of repeating the forward sweep and the fidelities;
+        either way it drops the point :meth:`loss` kept.
         """
         angles = checked_angles(angles, self.n_angles)
         kept, self._point = self._point, None
@@ -295,44 +274,16 @@ class LossContext:
         else:
             point = self._evaluated(angles)
         self.gradient_evaluations += 1
-        loss, rows, (nonzero, pairs, blocks, unitaries), recovered, aux = point
+        loss, rows, swept, recovered, aux = point
         d = self.d
-        sweep = np.empty((len(rows), 2 * d), dtype=complex)  # [C | W]
-        sweep[:, d:] = rows
-        sweep[:, :d] = self._cotangent(rows, recovered, aux).reshape(-1, d)
-        grad = np.empty(self.n_angles)
-        first, second, sign = self._pairings
-        cotangent, frame = sweep[:, :d], sweep[:, d:]  # views of the stack
-
-        def read_run(start: int, stop: int) -> None:
-            # two takes of the pairing table off Z = C W^† as floats
-            parts = (cotangent @ frame.conj().T).view(float).ravel()
-            run = slice(start, stop)
-            grad[run] = parts.take(first[run]) + sign[run] * parts.take(second[run])
-
-        pulled = np.empty((len(pairs), 2, 2 * d), dtype=complex)  # rows j, k
-        end = self.n_angles  # angles a+1 .. end-1 are zeros
-        adjoints = unitaries.conj().swapaxes(-1, -2)
-        reverse = zip(nonzero.tolist(), pairs, adjoints, pulled)
-        for a, (j, k), u_adj, out in reversed(list(reverse)):
-            if a + 1 < end:
-                read_run(a + 1, end)
-            touched = sweep[j : k + 1 : k - j]  # rows j and k, a view
-            touched[...] = u_adj.dot(touched, out=out)
-            end = a
-        if end > 0:
-            read_run(0, end)
-        # Re Tr(C^† J W) on the two pulled-back rows, for all of them at once
-        moved = blocks @ pulled[..., d:]  # J W
-        # Re sum conj(c) x sums Re c Re x + Im c Im x over the float views
-        paired = pulled[..., :d].view(float) * moved.view(float)
-        grad[nonzero] = paired.reshape(len(pairs), 4 * d).sum(axis=1)
-        return loss, grad
+        stack = np.empty((len(rows), 2 * d), dtype=complex)  # [C | W]
+        stack[:, d:] = rows
+        stack[:, :d] = self._cotangent(rows, recovered, aux).reshape(-1, d)
+        return loss, reverse_sweep(self._pairings, swept, stack)
 
     def _evaluated(self, angles: np.ndarray) -> tuple:
         """The forward-and-fidelity half of a step at checked ``angles``:
-        the loss, the final frame rows W_n, forward_sweep's outputs
-        (nonzero angles, row pairs, blocks, 2 x 2 unitaries), the
+        the loss, the final frame rows W_n, forward_sweep's outputs, the
         recovered states and their fidelity cotangent."""
         self.loss_evaluations += 1
         rows = self.base_rows.copy()
@@ -410,7 +361,7 @@ def learn_quasi_inverse(
     if len(originals) == 0:
         raise ValueError("state ensemble is empty")
     deviation = channel.completeness_deviation()
-    if deviation > 1e-6:
+    if deviation > FRAME_TOL_LOOSE:
         raise ValueError(f"channel violates completeness: {deviation:.3e}")
     d = channel.d
     m = cfg.m if cfg.m is not None else d * d
@@ -493,7 +444,7 @@ def dominant_kraus_report(kraus: KrausSet) -> tuple[np.ndarray, bool]:
     carries at least 99% of the weight.
     """
     deviation = kraus.completeness_deviation()
-    if deviation > 1e-6:
+    if deviation > FRAME_TOL_LOOSE:
         raise ValueError(f"channel violates completeness: {deviation:.3e}")
     ops = kraus.operators
     weights = np.trace(ops.conj().swapaxes(1, 2) @ ops, axis1=1, axis2=2).real / kraus.d

@@ -15,14 +15,17 @@ series therefore collapses to the closed form
 a Givens-type two-mode rotation that updates two rows of W.  The basis
 is therefore a table (GeneratorBasis): the row pair (j, k) of every
 generator and a kind index into the three shared blocks, built in a few
-array operations; Generator items exist only when the table is indexed.
-A sweep makes the rotations of all its nonzero angles in one batched
-finite_transform call and applies each in place to the strided view
-W[j : k + 1 : k - j] of its two rows, a basic slice, so no row is
-copied.  Every generator's pairing Re Tr(L^† J R) with a pair of
-frame-shaped arrays is a signed sum of two entries of L R^†; the
-offsets of those entries, made once per basis (pairing_offsets), let a
-gradient read a whole run of pairings off one product by two takes.
+array operations; Generator items are made only by iterating it, for
+the traced benchmark's byte count.  A sweep makes the rotations of all
+its nonzero angles in one batched finite_transform call and applies
+each in place to the strided view W[j : k + 1 : k - j] of its two rows,
+a basic slice, so no row is copied.  forward_sweep composes the
+rotations; reverse_sweep pulls a cotangent and the frame back through
+them and returns the exact gradient.  Every generator's pairing
+Re Tr(L^† J R) with two frame-shaped arrays is a signed sum of two
+entries of L R^†; their offsets, made once per basis (pairing_offsets),
+let the reverse sweep read a whole run of pairings off one product by
+two takes.
 Embedded in the interleaved real layout, each block is a dense
 2md x 2md real generator commuting with the symplectic form; that dense
 chart is the reference the tests check this one against.  Composing one
@@ -33,7 +36,6 @@ real angle vector.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +70,8 @@ class Generator:
     ``j < k`` of frame vectors of real length ``dim``; it squares to -I.
     ``projector`` is -matrix @ matrix (the 2 x 2 identity), the
     idempotent of the closed-form exponential.  Both are shared and
-    read-only; an item is a copy of its row of the basis table.
+    read-only.  Items are made only by iterating a GeneratorBasis, for
+    the traced benchmark's byte count; the package reads the table.
     """
 
     dim: int
@@ -85,13 +88,13 @@ class Generator:
         return _PROJECTOR
 
 
-class GeneratorBasis(Sequence):
+class GeneratorBasis:
     """The generators of generator_basis(dim) as a table.
 
     Generator ``a`` acts on the frame rows ``pairs[a] = (j, k)`` with the
     block ``blocks[kinds[a]]``; the three blocks are shared by the whole
-    basis.  Indexing or iterating makes Generator items on demand; the
-    sweeps read the arrays.
+    basis.  The sweeps and the tests read these arrays; iterating makes
+    Generator items, for the traced benchmark only.
     """
 
     blocks = _BLOCKS
@@ -101,12 +104,6 @@ class GeneratorBasis(Sequence):
 
     def __len__(self) -> int:
         return len(self.kinds)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[a] for a in range(*index.indices(len(self)))]
-        j, k = self.pairs[index].tolist()
-        return Generator(self.dim, j, k, int(self.kinds[index]))
 
     def __iter__(self):
         for (j, k), kind in zip(self.pairs.tolist(), self.kinds.tolist()):
@@ -204,6 +201,59 @@ def forward_sweep(
     return nonzero, pairs, blocks, unitaries
 
 
+def reverse_sweep(
+    offsets: tuple[np.ndarray, np.ndarray, np.ndarray],
+    swept: tuple[np.ndarray, list, np.ndarray, np.ndarray],
+    stack: np.ndarray,
+) -> np.ndarray:
+    """The gradient Re Tr(C_a^† J_a W_a) of every angle a, by the adjoint method.
+
+    ``stack`` is the (md, 2d) complex [C | W] of a cotangent C_n = dL/dW_n
+    and the rows W_n that forward_sweep left, ``swept`` that sweep's
+    outputs and ``offsets`` the pairing_offsets table of its basis.  With
+    W_a = U_a W_{a-1}, both move back by U_a^†: C_{a-1} = U_a^† C_a,
+    W_{a-1} = U_a^† W_a.  The pull-back is exact, so no intermediate frame
+    is stored: at each nonzero angle, highest first, its two rows of the
+    stack are pulled back in place through the strided view
+    stack[j : k + 1 : k - j] into one buffer.  U_a commutes with J_a and
+    is unitary, so the pairing is the same after the pull-back, and all
+    nonzero angles are paired by one batched product after the sweep.
+    Zero angles are identity factors, so each run of them is read off the
+    one md x md product Z = C W^† by two takes of the offset table.  The
+    stack is left as [C_0 | W_0].
+    """
+    first, second, sign = offsets
+    nonzero, pairs, blocks, unitaries = swept
+    d = stack.shape[1] // 2
+    cotangent, frame = stack[:, :d], stack[:, d:]  # views of the stack
+    grad = np.empty(len(first))
+
+    def read_run(start: int, stop: int) -> None:
+        # two takes of the pairing table off Z = C W^† as floats
+        parts = (cotangent @ frame.conj().T).view(float).ravel()
+        run = slice(start, stop)
+        grad[run] = parts.take(first[run]) + sign[run] * parts.take(second[run])
+
+    pulled = np.empty((len(pairs), 2, 2 * d), dtype=complex)  # rows j, k
+    end = len(grad)  # angles a+1 .. end-1 are zeros
+    adjoints = unitaries.conj().swapaxes(-1, -2)
+    reverse = zip(nonzero.tolist(), pairs, adjoints, pulled)
+    for a, (j, k), u_adj, out in reversed(list(reverse)):
+        if a + 1 < end:
+            read_run(a + 1, end)
+        touched = stack[j : k + 1 : k - j]  # rows j and k, a view
+        touched[...] = u_adj.dot(touched, out=out)
+        end = a
+    if end > 0:
+        read_run(0, end)
+    # Re Tr(C^† J W) on the two pulled-back rows, for all of them at once
+    moved = blocks @ pulled[..., d:]  # J W
+    # Re sum conj(c) x sums Re c Re x + Im c Im x over the float views
+    paired = pulled[..., :d].view(float) * moved.view(float)
+    grad[nonzero] = paired.reshape(len(pairs), 4 * d).sum(axis=1)
+    return grad
+
+
 def apply_angles(
     basis: GeneratorBasis, angles: np.ndarray, frame: KrausFrame
 ) -> KrausFrame:
@@ -212,8 +262,6 @@ def apply_angles(
     With all angles zero the frame is returned bit-identical.
     """
     angles = checked_angles(angles, len(basis))
-    if not np.any(angles):
-        return KrausFrame(d=frame.d, m=frame.m, vectors=frame.vectors.copy())
     d, m = frame.d, frame.m
     rows = vectors_to_operator_stack(frame.vectors, d, m).reshape(m * d, d)
     forward_sweep(basis, angles, rows)

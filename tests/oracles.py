@@ -3,9 +3,12 @@
 The dense real chart: every generator as a real 2md x 2md matrix acting
 on interleaved frame vectors, built here from scratch in the order of
 ``generator_basis``, with the closed-form transform
-I + (cos t - 1) P + sin t J and the ordered product of one transform per
-nonzero angle.  The package's two-coordinate chart must agree with it,
-and its strided-view row updates with a fancy-index loop.
+I + (cos t - 1) P + sin t J, the ordered product of one transform per
+nonzero angle and every angle's pairing at its prefix of that product
+(the reverse sweep's gradient entries).  The package's two-coordinate
+chart, read through the basis table's pairs, kinds and blocks, must
+agree with it, and its strided-view row updates with a fancy-index
+loop.
 Beside it: a Taylor-series matrix exponential independent of any closed
 form, the central-difference gradient, a per-pair Uhlmann fidelity by
 eigendecomposition and its mean over (recovered, original) pairs, the
@@ -66,14 +69,18 @@ def embed_block(dim: int, j: int, k: int, block: np.ndarray, fill: float) -> np.
     return embed_real(h)
 
 
-def dense_generator(gen) -> np.ndarray:
-    """The package generator's 2 x 2 block in the dense real chart."""
-    return embed_block(gen.dim, gen.j, gen.k, gen.matrix, 0.0)
+def dense_generator(basis, a: int) -> np.ndarray:
+    """The 2 x 2 block of the package's generator ``a`` in the dense real
+    chart, read off the basis table."""
+    j, k = basis.pairs[a]
+    return embed_block(basis.dim, j, k, basis.blocks[basis.kinds[a]], 0.0)
 
 
-def embed_transform(gen, u: np.ndarray) -> np.ndarray:
-    """A 2 x 2 unitary on the generator's coordinates in the dense real chart."""
-    return embed_block(gen.dim, gen.j, gen.k, u, 1.0)
+def embed_transform(basis, a: int, u: np.ndarray) -> np.ndarray:
+    """A 2 x 2 unitary on generator ``a``'s coordinates in the dense real
+    chart."""
+    j, k = basis.pairs[a]
+    return embed_block(basis.dim, j, k, u, 1.0)
 
 
 def dense_transform(j: np.ndarray, theta: float) -> np.ndarray:
@@ -88,6 +95,20 @@ def dense_product(dense: list[np.ndarray], angles: np.ndarray) -> np.ndarray:
         if theta != 0.0:
             total = dense_transform(j, theta) @ total
     return total
+
+
+def prefix_pairings(dense: list[np.ndarray], angles, left, right) -> np.ndarray:
+    """<J_a, L_a^T R_a> for every angle a in the dense real chart, where
+    L_a and R_a are the real (rows, 2n) vectors ``left`` and ``right``
+    moved by the transforms of angles 1..a (M_a ... M_1, zeros skipped):
+    the pairings Re Tr(C_a^† J_a W_a) of the adjoint gradient."""
+    total = np.eye(len(dense[0]))
+    out = np.empty(len(dense))
+    for a, (j, theta) in enumerate(zip(dense, angles)):
+        if theta != 0.0:
+            total = dense_transform(j, theta) @ total
+        out[a] = np.sum(j * ((left @ total.T).T @ (right @ total.T)))
+    return out
 
 
 def fancy_index_rotations(pairs, unitaries, rows: np.ndarray) -> np.ndarray:
@@ -157,6 +178,12 @@ def einsum_cotangent(
 def complex_rows(vectors: np.ndarray) -> np.ndarray:
     """Real (rows, 2n) interleaved vectors -> their complex (n, rows) form."""
     return (vectors[:, 0::2] + 1j * vectors[:, 1::2]).T
+
+
+def real_vectors(rows: np.ndarray) -> np.ndarray:
+    """Complex (n, rows) form -> the real (rows, 2n) interleaved vectors;
+    the inverse of complex_rows."""
+    return np.stack([rows.T.real, rows.T.imag], axis=-1).reshape(rows.shape[1], -1)
 
 
 def matrix_exp_series(generator: np.ndarray, theta: float) -> np.ndarray:

@@ -144,7 +144,7 @@ class TestConfigParsing:
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"format_version": 1,')
-        with pytest.raises(ConfigError, match="malformed JSON"):
+        with pytest.raises(ConfigError, match="malformed JSON in .* at line 1, column 22"):
             load_config(path)
 
     def test_negative_sample_seed(self, tmp_path, capsys):
@@ -456,7 +456,7 @@ class TestValidateChannelFile:
     def test_truncated_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"d": 2, "m": 2, "operators": [[')
-        with pytest.raises(ConfigError, match="line"):
+        with pytest.raises(ConfigError, match="malformed JSON in .* at line 1, column 33"):
             validate_channel_file(path, quiet=True)
 
     @pytest.mark.parametrize(
@@ -555,12 +555,17 @@ class TestMainExitCodes:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["learn", "--config", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+        assert "cannot read config" in capsys.readouterr().err
+        assert main(["validate", str(tmp_path / "nope.json")]) == EXIT_CONFIG
+        assert "cannot read channel file" in capsys.readouterr().err
 
-    def test_validate_incomplete_channel_exit(self, tmp_path):
+    def test_validate_incomplete_channel_exit(self, tmp_path, capsys):
         path = tmp_path / "half.json"
         half = KrausSet(d=2, m=1, operators=[0.5 * np.eye(2, dtype=complex)])
         path.write_text(json.dumps(half.to_dict()))
         assert main(["validate", str(path), "--quiet"]) == EXIT_NUMERIC
+        assert main(["validate", str(path)]) == EXIT_NUMERIC
+        assert "channel is NOT complete within 1e-6\n" in capsys.readouterr().out
 
     def test_validate_ok_exit(self, tmp_path):
         path = tmp_path / "bf.json"

@@ -35,6 +35,7 @@ def test_no_duplicate_exports():
         (sampling, "states_from_lists"),
         (sampling, "haar_unitary"),
         (transforms, "generator_pairings"),
+        (transforms.GeneratorBasis, "__getitem__"),
     ],
 )
 def test_removed_names_stay_gone(module, name):
