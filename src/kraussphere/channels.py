@@ -43,7 +43,7 @@ def flip_channel(kind: str, p: float) -> KrausSet:
         raise ValueError(f"unknown flip kind {kind!r}")
     p = _check_probability(p)
     ops = [np.sqrt(1.0 - p) * PAULI_I, np.sqrt(p) * FLIP_PAULIS[kind]]
-    return KrausSet(d=2, m=2, operators=ops)
+    return KrausSet(ops)
 
 
 def depolarizing_channel(p: float) -> KrausSet:
@@ -55,7 +55,7 @@ def depolarizing_channel(p: float) -> KrausSet:
         np.sqrt(p / 3.0) * PAULI_Y,
         np.sqrt(p / 3.0) * PAULI_Z,
     ]
-    return KrausSet(d=2, m=4, operators=ops)
+    return KrausSet(ops)
 
 
 def tensor_flip_channel(kind: str, p: float, n_qubits: int) -> KrausSet:
@@ -71,7 +71,7 @@ def tensor_flip_channel(kind: str, p: float, n_qubits: int) -> KrausSet:
     for _ in range(n_qubits - 1):  # ops[2a + b] = kron(ops[a], single[b])
         d = 2 * ops.shape[-1]
         ops = np.kron(ops[:, None], single[None]).reshape(-1, d, d)
-    return KrausSet(d=2**n_qubits, m=2**n_qubits, operators=ops)
+    return KrausSet(ops)
 
 
 def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:

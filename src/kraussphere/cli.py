@@ -17,7 +17,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -82,15 +82,9 @@ class ExperimentConfig:
     optimizer: OptimizerConfig
     output_dir: str
     p_grid: list[float] | None = None
-    format_version: int = FORMAT_VERSION
     ignored_fields: list[str] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.format_version != FORMAT_VERSION:
-            raise ConfigError(
-                f"unsupported format_version {self.format_version}; "
-                f"this build reads version {FORMAT_VERSION}"
-            )
         if self.channel.n_qubits != self.sample.n_qubits:
             raise ConfigError(
                 f"channel n_qubits={self.channel.n_qubits} does not match "
@@ -118,7 +112,7 @@ class ExperimentConfig:
         if self.channel.custom_kraus is not None:
             channel["custom_kraus"] = self.channel.custom_kraus.to_dict()
         data = {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "channel": channel,
             "sample": asdict(self.sample),
             "optimizer": asdict(self.optimizer),
@@ -158,6 +152,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             },
             "config",
         )
+        version = top.get("format_version", FORMAT_VERSION)
+        if version != FORMAT_VERSION:
+            raise ConfigError(
+                f"unsupported format_version {version}; "
+                f"this build reads version {FORMAT_VERSION}"
+            )
         for required in ("channel", "sample", "output_dir"):
             if required not in top:
                 raise ConfigError(f"config is missing required field {required!r}")
@@ -206,7 +206,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             optimizer=OptimizerConfig(**optimizer_fields),
             output_dir=top["output_dir"],
             p_grid=p_grid,
-            format_version=top.get("format_version", FORMAT_VERSION),
             ignored_fields=ignored,
         )
     except (KeyError, TypeError, ValueError) as exc:  # ConfigError too
@@ -265,20 +264,19 @@ def run_curve(config: ExperimentConfig) -> list[CurveRow]:
     """One learning run per noise strength in p_grid; emits curve.csv.
 
     Every grid point samples a fresh ensemble with seed (base seed +
-    grid index), so points are independent but reproducible.
+    grid index), so points are independent but reproducible.  A
+    ``custom`` channel has no noise strength to sweep and raises
+    ConfigError before anything is written.
     """
     if config.p_grid is None:
         raise ConfigError("curve mode requires p_grid")
+    if config.channel.kind == "custom":
+        raise ConfigError("curve mode sweeps p, which channel.kind 'custom' ignores")
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for index, p in enumerate(config.p_grid):
-        spec = ChannelSpec(
-            kind=config.channel.kind,
-            p=p,
-            n_qubits=config.channel.n_qubits,
-            custom_kraus=config.channel.custom_kraus,
-        )
+        spec = replace(config.channel, p=p)
         states = config.sample.draw(seed=config.sample.seed + index)
         start = time.perf_counter()
         result = learn_quasi_inverse(spec.build(), states, config.optimizer)

@@ -12,7 +12,11 @@ mutual Euclidean orthogonality, and mutual symplectic orthogonality of
 the frame vectors are together exactly the completeness relation
 ``sum_a (K^a)† K^a = I``, so valid frames and CPTP Kraus sets are in
 bijection.  The frame is the documented equivalence; the package works
-on ``KrausSet.operators``, one complex (m, d, d) array.
+on ``KrausSet.operators``, one complex (m, d, d) array.  Each record is
+its array: ``d`` and ``m`` are read off its shape, and only a Kraus
+file's ``d`` and ``m`` (:meth:`KrausSet.from_dict`) arrive beside it and
+are checked against it.  A channel may have any number of operators;
+the bound m <= d^2 belongs to the learner's ansatz, not to the channel.
 
 On disk, Kraus sets and state ensembles share one encoding
 (:func:`matrices_to_pairs` / :func:`matrices_from_pairs`): each matrix
@@ -33,28 +37,33 @@ FRAME_TOL_LOOSE = 1e-6
 class KrausSet:
     """Ordered set of ``m`` Kraus operators, each ``d x d`` complex, held
     as one (m, d, d) array; a list of matrices converts on construction.
-    Operators with NaN or infinite entries raise ValueError naming them."""
+    ``d`` and ``m`` are read off the array.  A stack that is not a
+    non-empty run of square matrices raises ValueError naming its shape,
+    and operators with NaN or infinite entries raise ValueError naming
+    them."""
 
-    d: int
-    m: int
     operators: np.ndarray
 
     def __post_init__(self):
-        if self.d < 1 or self.m < 1:
-            raise ValueError(f"invalid dimensions d={self.d}, m={self.m}")
-        if self.m > self.d**2:
-            raise ValueError(f"m={self.m} exceeds d^2={self.d ** 2}")
         self.operators = np.ascontiguousarray(self.operators, dtype=complex)
-        expected = (self.m, self.d, self.d)
-        if self.operators.shape != expected:
+        shape = self.operators.shape
+        if len(shape) != 3 or shape[1] != shape[2] or 0 in shape:
             raise ValueError(
-                f"operators have shape {self.operators.shape}, expected {expected}"
+                f"operators have shape {shape}, expected (m, d, d) with m, d >= 1"
             )
         # NaN fails every tolerance test, so no completeness check would catch it
         finite = np.isfinite(self.operators).all(axis=(1, 2))
         if not finite.all():
             bad = np.flatnonzero(~finite).tolist()
             raise ValueError(f"Kraus operators {bad} have non-finite entries")
+
+    @property
+    def d(self) -> int:
+        return self.operators.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.operators.shape[0]
 
     def completeness_deviation(self) -> float:
         """Max entrywise deviation of sum_a (K^a)† K^a from the identity."""
@@ -78,11 +87,14 @@ class KrausSet:
         for key in ("d", "m", "operators"):
             if key not in data:
                 raise ValueError(f"Kraus set is missing required field {key!r}")
-        return cls(
-            d=json_value(data["d"], int, "d"),
-            m=json_value(data["m"], int, "m"),
-            operators=matrices_from_pairs(data["operators"]),
-        )
+        d = json_value(data["d"], int, "d")
+        m = json_value(data["m"], int, "m")
+        kraus = cls(matrices_from_pairs(data["operators"]))
+        if kraus.operators.shape != (m, d, d):
+            raise ValueError(
+                f"operators have shape {kraus.operators.shape}, expected {(m, d, d)}"
+            )
+        return kraus
 
 
 def matrices_to_pairs(matrices) -> list[list[list[float]]]:
@@ -125,19 +137,27 @@ def json_value(value, kind: type, name: str):
 
 @dataclass
 class KrausFrame:
-    """d unit vectors on the Kraus sphere, stored as rows of ``vectors``."""
+    """d unit vectors on the Kraus sphere, stored as the rows of the real
+    (d, 2*m*d) array ``vectors``; ``d`` and ``m`` are read off its shape.
+    Any other shape raises ValueError naming it."""
 
-    d: int
-    m: int
-    vectors: np.ndarray  # shape (d, 2*m*d), real
+    vectors: np.ndarray
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=float)
-        expected = (self.d, 2 * self.m * self.d)
-        if self.vectors.shape != expected:
+        shape = self.vectors.shape
+        if len(shape) != 2 or 0 in shape or shape[1] % (2 * shape[0]):
             raise ValueError(
-                f"vectors shape {self.vectors.shape}, expected {expected}"
+                f"vectors have shape {shape}, expected (d, 2*m*d) with m, d >= 1"
             )
+
+    @property
+    def d(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.vectors.shape[1] // (2 * self.d)
 
     def deviation(self) -> float:
         """Max entrywise deviation of the frame Gram matrix from identity."""
@@ -187,9 +207,7 @@ def kraus_to_frame(kraus: KrausSet) -> KrausFrame:
         raise ValueError(
             f"Kraus set violates completeness: max deviation {deviation:.3e}"
         )
-    return KrausFrame(
-        d=kraus.d, m=kraus.m, vectors=operator_stack_to_vectors(kraus.operators)
-    )
+    return KrausFrame(operator_stack_to_vectors(kraus.operators))
 
 
 def frame_to_kraus(frame: KrausFrame) -> KrausSet:
@@ -205,15 +223,14 @@ def frame_to_kraus(frame: KrausFrame) -> KrausSet:
             f"frame violates unit/orthogonality constraints: "
             f"max Gram deviation {deviation:.3e}"
         )
-    stack = vectors_to_operator_stack(frame.vectors, frame.d, frame.m)
-    return KrausSet(d=frame.d, m=frame.m, operators=stack)
+    return KrausSet(vectors_to_operator_stack(frame.vectors))
 
 
 def identity_frame(d: int, m: int) -> KrausFrame:
     """Frame of the identity channel {I, 0, ..., 0} with m operators."""
     ops = np.zeros((m, d, d), dtype=complex)
     ops[0] = np.eye(d)
-    return kraus_to_frame(KrausSet(d=d, m=m, operators=ops))
+    return kraus_to_frame(KrausSet(ops))
 
 
 def operator_stack_to_vectors(stack: np.ndarray) -> np.ndarray:
@@ -227,13 +244,13 @@ def operator_stack_to_vectors(stack: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def vectors_to_operator_stack(vectors: np.ndarray, d: int, m: int) -> np.ndarray:
+def vectors_to_operator_stack(vectors: np.ndarray) -> np.ndarray:
     """Frame rows (..., d, 2*m*d) -> operator stack (..., m, d, d).
 
     Exact inverse of the relabeling; leading batch axes pass through.
     """
-    columns = np.empty(vectors.shape[:-1] + (m * d,), dtype=complex)
+    columns = np.empty(vectors.shape[:-1] + (vectors.shape[-1] // 2,), dtype=complex)
     columns.real = vectors[..., 0::2]
     columns.imag = vectors[..., 1::2]
-    shaped = columns.reshape(vectors.shape[:-1] + (m, d))
+    shaped = columns.reshape(vectors.shape[:-1] + (-1, vectors.shape[-2]))
     return np.moveaxis(shaped, -3, -1)

@@ -162,14 +162,14 @@ class QuasiInverseResult:
 class LossContext:
     """Precomputed state for repeated loss and gradient evaluations.
 
-    Holds the corrupted/original ensembles, the generator basis of the
-    ansatz with its pairing offset table, the fidelity machinery and the
-    fixed maps of both ensemble contractions.  Its one mutable state is
-    the point of the last :meth:`loss`, kept until the next
-    :meth:`gradient`, and the counts of both kinds of evaluation
-    (``loss_evaluations``: forward sweep and fidelity passes;
-    ``gradient_evaluations``: reverse sweeps), so a context is not meant
-    to be shared across threads.
+    Holds the corrupted/original ensembles, both (N, d, d), which fix
+    d, the generator basis of the ``m``-operator ansatz with its pairing
+    offset table, the fidelity machinery and the fixed maps of both
+    ensemble contractions.  Its one mutable state is the point of the
+    last :meth:`loss`, kept until the next :meth:`gradient`, and the
+    counts of both kinds of evaluation (``loss_evaluations``: forward
+    sweep and fidelity passes; ``gradient_evaluations``: reverse
+    sweeps), so a context is not meant to be shared across threads.
     Every per-context constant is made here, so a step is one forward
     sweep, a short fixed list of 2-D products and one reverse sweep.
     Both contractions go through the d^2 x d^2 frame Gram matrix
@@ -181,8 +181,7 @@ class LossContext:
     p R, and no per-state matrix is made.
     """
 
-    def __init__(self, corrupted, originals, d: int, m: int):
-        self.d, self.m = d, m
+    def __init__(self, corrupted, originals, m: int):
         if len(corrupted) == 0 or len(originals) == 0:
             raise ValueError("state ensemble is empty")
         self.corrupted = np.asarray(corrupted, dtype=complex)
@@ -192,10 +191,11 @@ class LossContext:
                 f"corrupted/original shapes differ: "
                 f"{self.corrupted.shape} vs {self.originals.shape}"
             )
-        if self.corrupted.ndim != 3 or self.corrupted.shape[1:] != (d, d):
-            raise ValueError(
-                f"expected states of shape (N, {d}, {d}), got {self.corrupted.shape}"
-            )
+        shape = self.corrupted.shape
+        if len(shape) != 3 or shape[1] != shape[2]:
+            raise ValueError(f"expected states of shape (N, d, d), got {shape}")
+        d = shape[1]
+        self.d, self.m = d, m
         self.basis = generator_basis(2 * m * d)
         self._pairings = pairing_offsets(self.basis)
         self.n_angles = angle_count(d, m)
@@ -374,7 +374,7 @@ def learn_quasi_inverse(
         )
     validate_density_matrix(originals)
     corrupted = apply_channel_batch(channel.operators, originals)
-    ctx = LossContext(corrupted, originals, d, m)
+    ctx = LossContext(corrupted, originals, m)
 
     zeros = np.zeros(ctx.n_angles)
     identity_loss = ctx.loss(zeros)

@@ -254,19 +254,18 @@ def reverse_sweep(
     return grad
 
 
-def apply_angles(
-    basis: GeneratorBasis, angles: np.ndarray, frame: KrausFrame
-) -> KrausFrame:
+def apply_angles(angles: np.ndarray, frame: KrausFrame) -> KrausFrame:
     """Transform every frame vector by the composed rotation.
 
-    With all angles zero the frame is returned bit-identical.
+    The angles are those of generator_basis(2 * m * d) for the frame's
+    d and m, built here.  With all angles zero the frame is returned
+    bit-identical.
     """
-    angles = checked_angles(angles, len(basis))
     d, m = frame.d, frame.m
-    rows = vectors_to_operator_stack(frame.vectors, d, m).reshape(m * d, d)
-    forward_sweep(basis, angles, rows)
-    vectors = operator_stack_to_vectors(rows.reshape(m, d, d))
-    return KrausFrame(d=d, m=m, vectors=vectors)
+    angles = checked_angles(angles, angle_count(d, m))
+    rows = vectors_to_operator_stack(frame.vectors).reshape(m * d, d)
+    forward_sweep(generator_basis(2 * m * d), angles, rows)
+    return KrausFrame(operator_stack_to_vectors(rows.reshape(m, d, d)))
 
 
 def angle_count(d: int, m: int) -> int:
@@ -301,7 +300,7 @@ def channel_from_angles(d: int, m: int, angles: np.ndarray) -> KrausSet:
     angles = checked_angles(angles, angle_count(d, m))
     rows = np.eye(m * d, d, dtype=complex)
     forward_sweep(generator_basis(2 * m * d), angles, rows)
-    channel = KrausSet(d=d, m=m, operators=rows.reshape(m, d, d))
+    channel = KrausSet(rows.reshape(m, d, d))
     deviation = channel.completeness_deviation()
     if deviation > FRAME_TOL_LOOSE:
         raise ValueError(f"swept channel violates completeness: {deviation:.3e}")

@@ -113,7 +113,7 @@ class TestTensorFlipChannel:
 class TestApplyChannel:
     def test_identity_channel(self):
         rho = random_density(np.random.default_rng(31), 2)
-        channel = KrausSet(d=2, m=1, operators=[np.eye(2, dtype=complex)])
+        channel = KrausSet([np.eye(2, dtype=complex)])
         assert np.array_equal(apply_channel(channel, rho), rho)
 
     def test_bit_flip_on_ground_state(self):

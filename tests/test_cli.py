@@ -19,6 +19,7 @@ from kraussphere.cli import (
 )
 from kraussphere.channels import flip_channel
 from kraussphere.geometry import KrausSet, matrices_from_pairs
+from kraussphere.linalg import PAULIS
 from kraussphere.optimizer import LossContext
 
 
@@ -77,6 +78,13 @@ MANIFEST = """{
   ]
 }
 """
+
+
+def five_operator_channel():
+    """A complete qubit channel with m = 5 > d^2 Kraus operators."""
+    weights = np.array([0.3, 0.2, 0.2, 0.2, 0.1])
+    paulis = np.concatenate([PAULIS, PAULIS[:1]])
+    return KrausSet(np.sqrt(weights)[:, None, None] * paulis)
 
 
 def write_config(tmp_path, data):
@@ -435,12 +443,27 @@ class TestRunCurve:
         with pytest.raises(ConfigError, match="p_grid"):
             run_curve(config)
 
+    def test_refuses_a_custom_channel(self, tmp_path, capsys):
+        # a custom channel ignores p: every row was the same channel
+        channel = {
+            "kind": "custom",
+            "n_qubits": 1,
+            "custom_kraus": flip_channel("bit_flip", 0.8).to_dict(),
+        }
+        data = base_config(tmp_path / "curve", channel=channel, p_grid=[0.1, 0.9])
+        with pytest.raises(ConfigError, match="channel.kind 'custom'"):
+            run_curve(config_from_dict(data))
+        path = write_config(tmp_path, data)
+        assert main(["curve", "--config", str(path)]) == EXIT_CONFIG
+        assert "channel.kind 'custom'" in capsys.readouterr().err
+        assert not (tmp_path / "curve").exists()
+
 
 class TestValidateChannelFile:
     def test_identity_channel(self, tmp_path):
         path = tmp_path / "identity.json"
         ops = [np.eye(2, dtype=complex)] + [np.zeros((2, 2), dtype=complex)] * 3
-        path.write_text(json.dumps(KrausSet(d=2, m=4, operators=ops).to_dict()))
+        path.write_text(json.dumps(KrausSet(ops).to_dict()))
         report = validate_channel_file(path, quiet=True)
         assert report["complete"]
         assert report["completeness_deviation"] <= 1e-12
@@ -507,6 +530,15 @@ class TestValidateChannelFile:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error") and captured.out == ""
 
+    def test_more_operators_than_d_squared(self, tmp_path, capsys):
+        # m <= d^2 bounds the learner's ansatz, not a channel
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps(five_operator_channel().to_dict()))
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("d=2 m=5\n")
+        report = validate_channel_file(path, quiet=True)
+        assert report["complete"] is True
+
     def test_non_object_file(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -546,6 +578,17 @@ class TestMainExitCodes:
         assert "numerical failure: non-finite gradient" in err
         assert "at iteration 0" in err
 
+    def test_learn_with_more_noise_operators_than_d_squared(self, tmp_path):
+        channel = {
+            "kind": "custom",
+            "n_qubits": 1,
+            "custom_kraus": five_operator_channel().to_dict(),
+        }
+        path = write_config(tmp_path, base_config(tmp_path / "run", channel=channel))
+        assert main(["learn", "--config", str(path), "--quiet"]) == EXIT_OK
+        saved = json.loads((tmp_path / "run" / "result.json").read_text())
+        assert saved["channel"]["m"] == 2  # the ansatz's m, within d^2
+
     def test_config_error_exit(self, tmp_path, capsys):
         data = base_config(tmp_path / "run")
         data["typo_field"] = 1
@@ -561,7 +604,7 @@ class TestMainExitCodes:
 
     def test_validate_incomplete_channel_exit(self, tmp_path, capsys):
         path = tmp_path / "half.json"
-        half = KrausSet(d=2, m=1, operators=[0.5 * np.eye(2, dtype=complex)])
+        half = KrausSet([0.5 * np.eye(2, dtype=complex)])
         path.write_text(json.dumps(half.to_dict()))
         assert main(["validate", str(path), "--quiet"]) == EXIT_NUMERIC
         assert main(["validate", str(path)]) == EXIT_NUMERIC

@@ -22,7 +22,7 @@ from conftest import random_channel
 def identity_kraus(d, m):
     ops = [np.eye(d, dtype=complex)]
     ops += [np.zeros((d, d), dtype=complex) for _ in range(m - 1)]
-    return KrausSet(d=d, m=m, operators=ops)
+    return KrausSet(ops)
 
 
 class TestSymplecticForm:
@@ -87,7 +87,7 @@ class TestKrausToFrame:
             assert np.max(np.abs(symplectic_products(frame))) <= 1e-8
 
     def test_rejects_incomplete_with_deviation(self):
-        bad = KrausSet(d=2, m=1, operators=[0.9 * np.eye(2)])
+        bad = KrausSet([0.9 * np.eye(2)])
         with pytest.raises(ValueError, match="deviation 1.9"):
             kraus_to_frame(bad)
 
@@ -102,7 +102,7 @@ class TestFrameToKraus:
     def test_single_unitary(self):
         # m=1: frame rows are the interleaved columns of one unitary
         u = np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2)
-        frame = kraus_to_frame(KrausSet(d=2, m=1, operators=[u]))
+        frame = kraus_to_frame(KrausSet([u]))
         back = frame_to_kraus(frame)
         assert back.m == 1
         assert np.array_equal(back.operators[0], u)
@@ -117,7 +117,7 @@ class TestFrameToKraus:
         vectors = identity_frame(2, 2).vectors.copy()
         vectors[1] = vectors[0]  # duplicated vector
         with pytest.raises(ValueError, match="frame violates"):
-            frame_to_kraus(KrausFrame(d=2, m=2, vectors=vectors))
+            frame_to_kraus(KrausFrame(vectors))
 
 
 class TestCompletenessGram:
@@ -128,7 +128,7 @@ class TestCompletenessGram:
     def test_detects_duplicate(self):
         vectors = identity_frame(2, 2).vectors.copy()
         vectors[1] = vectors[0]
-        gram = completeness_gram(KrausFrame(d=2, m=2, vectors=vectors))
+        gram = completeness_gram(KrausFrame(vectors))
         assert gram[0, 1] == pytest.approx(1.0)
 
     def test_gram_equals_kraus_completeness(self):
@@ -146,7 +146,7 @@ class TestCompletenessGram:
     def test_deviation_matches_on_invalid_frame(self):
         vectors = identity_frame(2, 2).vectors.copy()
         vectors[0] = vectors[0] * (1.0 + 3e-7)  # norm off by ~6e-7
-        frame = KrausFrame(d=2, m=2, vectors=vectors)
+        frame = KrausFrame(vectors)
         gram_dev = float(np.max(np.abs(completeness_gram(frame) - np.eye(2))))
         kraus_dev = frame_to_kraus(frame).completeness_deviation()
         assert gram_dev > 1e-8
@@ -187,9 +187,10 @@ class TestKrausSet:
     @pytest.mark.parametrize("as_array", [False, True])
     def test_stores_one_complex_array(self, as_array):
         ops = [np.eye(2), np.zeros((2, 2)), np.diag([0.0, 1j])]
-        kraus = KrausSet(d=2, m=3, operators=np.array(ops) if as_array else ops)
+        kraus = KrausSet(np.array(ops) if as_array else ops)
         assert isinstance(kraus.operators, np.ndarray)
         assert kraus.operators.shape == (3, 2, 2)
+        assert (kraus.d, kraus.m) == (2, 3)
         assert kraus.operators.dtype == complex
         assert np.array_equal(kraus.operators, ops)
 
@@ -208,7 +209,7 @@ class TestKrausSet:
         ops = np.stack([np.eye(2), np.zeros((2, 2)), np.eye(2)]).astype(complex)
         ops[0, 1, 0] = ops[2, 0, 1] = value
         with pytest.raises(ValueError, match=r"operators \[0, 2\] have non-finite"):
-            KrausSet(d=2, m=3, operators=ops)
+            KrausSet(ops)
         data = {"d": 2, "m": 3, "operators": matrices_to_pairs(ops)}
         with pytest.raises(ValueError, match="non-finite"):
             KrausSet.from_dict(data)
@@ -227,13 +228,11 @@ class TestSerialization:
             assert back.operators.tobytes() == kraus.operators.tobytes()
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            KrausSet(d=2, m=2, operators=[np.eye(2)])
-        with pytest.raises(ValueError):
-            KrausFrame(d=2, m=2, vectors=np.zeros((2, 6)))
-        with pytest.raises(ValueError):
-            KrausSet(d=2, m=5, operators=[np.eye(2)] * 5)
         with pytest.raises(ValueError, match="shape"):
-            KrausSet(d=2, m=2, operators=[np.eye(2), np.eye(3)])
+            KrausSet([np.eye(2), np.eye(3)])  # ragged
         with pytest.raises(ValueError, match="shape"):
-            KrausSet(d=2, m=1, operators=[np.eye(4)])
+            KrausSet([np.ones((2, 3))])  # not square
+        with pytest.raises(ValueError, match="shape"):
+            KrausSet(np.zeros((0, 2, 2)))  # empty stack
+        with pytest.raises(ValueError, match="shape"):
+            KrausFrame(np.zeros((2, 6)))  # width not a multiple of 2d

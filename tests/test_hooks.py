@@ -56,12 +56,12 @@ def ensemble():
 
 def test_context_builds_the_basis_once_through_the_optimizer(monkeypatch, ensemble):
     calls = counting(monkeypatch, optimizer, "generator_basis")
-    optimizer.LossContext(*ensemble, 2, 2)
+    optimizer.LossContext(*ensemble, 2)
     assert len(calls) == 1
 
 
 def test_gradient_transforms_through_the_module(monkeypatch, ensemble):
-    ctx = optimizer.LossContext(*ensemble, 2, 2)
+    ctx = optimizer.LossContext(*ensemble, 2)
     calls = counting(monkeypatch, transforms, "finite_transform")
     angles = np.zeros(ctx.n_angles)
     angles[4] = 0.3

@@ -39,7 +39,7 @@ ONE = np.diag([0.0, 1.0]).astype(complex)
 def identity_kraus(d, m):
     ops = [np.eye(d, dtype=complex)]
     ops += [np.zeros((d, d), dtype=complex) for _ in range(m - 1)]
-    return KrausSet(d=d, m=m, operators=ops)
+    return KrausSet(ops)
 
 
 class TestAverageFidelity:
@@ -135,7 +135,7 @@ class TestLoss:
     def test_zero_angles_clean_states(self):
         rng = np.random.default_rng(43)
         states = [random_density(rng, 2) for _ in range(10)]
-        ctx = LossContext(states, states, 2, 4)
+        ctx = LossContext(states, states, 4)
         assert ctx.loss(np.zeros(63)) == pytest.approx(0.0, abs=1e-12)
 
     def test_bit_flip_identity_loss_in_band(self):
@@ -143,14 +143,14 @@ class TestLoss:
         corrupted = apply_channel_batch(
             flip_channel("bit_flip", 0.8).operators, np.stack(states)
         )
-        value = LossContext(corrupted, states, 2, 4).loss(np.zeros(63))
+        value = LossContext(corrupted, states, 4).loss(np.zeros(63))
         assert 0.3011 - 0.05 <= value <= 0.3011 + 0.05
 
     def test_loss_bounded(self):
         rng = np.random.default_rng(44)
         states = [random_density(rng, 2) for _ in range(8)]
         corrupted = [random_density(rng, 2) for _ in range(8)]
-        ctx = LossContext(corrupted, states, 2, 2)
+        ctx = LossContext(corrupted, states, 2)
         for _ in range(10):
             value = ctx.loss(rng.normal(0, 2, ctx.n_angles))
             assert 0.0 <= value <= 1.0
@@ -160,7 +160,7 @@ class TestLoss:
         rng = np.random.default_rng(45)
         states = [random_density(rng, 2) for _ in range(12)]
         corrupted = [random_density(rng, 2) for _ in range(12)]
-        ctx = LossContext(corrupted, states, 2, 4)
+        ctx = LossContext(corrupted, states, 4)
         for _ in range(5):
             angles = rng.normal(0, 1, 63)
             channel = channel_from_angles(2, 4, angles)
@@ -176,11 +176,11 @@ class TestLoss:
         rng = np.random.default_rng(46)
         states = [random_density(rng, 2) for _ in range(3)]
         with pytest.raises(ValueError, match="expected 63 angles"):
-            LossContext(states, states, 2, 4).loss(np.zeros(5))
+            LossContext(states, states, 4).loss(np.zeros(5))
         with pytest.raises(ValueError, match="empty"):
-            LossContext([], [], 2, 4)
+            LossContext([], [], 4)
         with pytest.raises(ValueError, match="shapes differ"):
-            LossContext(states, states[:2], 2, 4)
+            LossContext(states, states[:2], 4)
 
 
 class TestCentralDifference:
@@ -205,7 +205,7 @@ class TestGradient:
         rng = np.random.default_rng(seed)
         states = [random_density(rng, d) for _ in range(count)]
         corrupted = [random_density(rng, d) for _ in range(count)]
-        return LossContext(corrupted, states, d, m), rng
+        return LossContext(corrupted, states, m), rng
 
     def _oracle_gap(self, ctx, angles):
         loss, exact = ctx.gradient(angles)
@@ -258,7 +258,7 @@ class TestGradient:
     def test_stationary_at_clean_identity(self):
         rng = np.random.default_rng(49)
         states = [random_density(rng, 2) for _ in range(20)]
-        ctx = LossContext(states, states, 2, 4)
+        ctx = LossContext(states, states, 4)
         _, grad = ctx.gradient(np.zeros(63))
         assert np.linalg.norm(grad) <= 1e-4
 
@@ -283,7 +283,7 @@ class TestGradient:
         mixed = [random_density(rng, d) for _ in range(8)]
         corrupted = mixed if case == "pure_originals" else pure
         originals = mixed if case == "pure_recovered" else pure
-        ctx = LossContext(corrupted, originals, d, m)
+        ctx = LossContext(corrupted, originals, m)
         assert self._oracle_gap(ctx, np.zeros(ctx.n_angles)) <= 1e-7
         for draw in range(50):
             angles = rng.normal(0, 0.5, ctx.n_angles)
@@ -297,7 +297,7 @@ class TestGradient:
         rng = np.random.default_rng(64)
         originals = [pure_density(rng, 2) for _ in range(6)]
         corrupted = [pure_density(rng, 2)] + [random_density(rng, 2) for _ in range(5)]
-        ctx = LossContext(corrupted, originals, 2, m)
+        ctx = LossContext(corrupted, originals, m)
         assert self._oracle_gap(ctx, np.zeros(ctx.n_angles)) <= 1e-7
         for _ in range(10):
             angles = rng.normal(0, 0.5, ctx.n_angles)
@@ -329,7 +329,7 @@ class TestFixedProducts:
         count = 7
         originals = np.stack([random_density(rng, d) for _ in range(count)])
         corrupted = np.stack([random_density(rng, d) for _ in range(count)])
-        ctx = LossContext(corrupted, originals, d, m)
+        ctx = LossContext(corrupted, originals, m)
         angles = np.zeros(ctx.n_angles)
         if pattern != "zero":
             angles = rng.normal(0.0, 0.7, ctx.n_angles)
@@ -363,7 +363,7 @@ class TestEvaluationReuse:
         rng = np.random.default_rng(81 + d)
         originals = np.stack([random_density(rng, d) for _ in range(6)])
         corrupted = np.stack([random_density(rng, d) for _ in range(6)])
-        return LossContext(corrupted, originals, d, m)
+        return LossContext(corrupted, originals, m)
 
     @staticmethod
     def _angles(ctx, pattern, seed=0):
@@ -658,7 +658,7 @@ class TestLearnQuasiInverse:
             learn_quasi_inverse(flip_channel("bit_flip", 0.2), states, cfg)
 
     def test_rejects_incomplete_channel(self):
-        broken = KrausSet(d=2, m=1, operators=[0.5 * np.eye(2)])
+        broken = KrausSet([0.5 * np.eye(2)])
         states = sample_bloch_ball(seed=57, count=5)
         with pytest.raises(ValueError, match="completeness"):
             learn_quasi_inverse(broken, states, OptimizerConfig(max_iters=5, m=1))
@@ -693,7 +693,7 @@ class TestDominantKrausReport:
 
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError, match="completeness"):
-            dominant_kraus_report(KrausSet(d=2, m=1, operators=[0.3 * np.eye(2)]))
+            dominant_kraus_report(KrausSet([0.3 * np.eye(2)]))
 
 
 class TestOptimizerConfig:

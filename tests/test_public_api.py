@@ -1,10 +1,13 @@
-"""The package's exported names: each resolves, none repeats, and the
-removed ones stay removed."""
+"""The package's exported names: each resolves, none repeats, the
+removed ones stay removed, and the sizes that arrays fix are not
+arguments."""
+
+import inspect
 
 import pytest
 
 import kraussphere
-from kraussphere import cli, geometry, linalg, sampling, transforms
+from kraussphere import cli, geometry, linalg, optimizer, sampling, transforms
 
 
 @pytest.mark.parametrize("name", kraussphere.__all__)
@@ -27,6 +30,7 @@ def test_no_duplicate_exports():
         (linalg, "qubit_dets"),
         (linalg.UhlmannFidelity, "qubit"),
         (cli, "load_states"),
+        (cli.ExperimentConfig, "format_version"),
         (geometry.KrausSet, "stack"),
         (geometry.KrausFrame, "to_dict"),
         (geometry.KrausFrame, "from_dict"),
@@ -40,3 +44,16 @@ def test_no_duplicate_exports():
 )
 def test_removed_names_stay_gone(module, name):
     assert not hasattr(module, name)
+
+
+@pytest.mark.parametrize(
+    "function,parameters",
+    [
+        (geometry.KrausSet, ["operators"]),
+        (geometry.KrausFrame, ["vectors"]),
+        (optimizer.LossContext.__init__, ["self", "corrupted", "originals", "m"]),
+        (transforms.apply_angles, ["angles", "frame"]),
+    ],
+)
+def test_sizes_come_from_the_arrays(function, parameters):
+    assert list(inspect.signature(function).parameters) == parameters
