@@ -109,6 +109,11 @@ class ChannelSpec:
         if self.kind == "custom":
             if self.custom_kraus is None:
                 raise ValueError("custom channel requires custom_kraus")
+            if self.p != 0.0:
+                raise ValueError(
+                    f"channel.p={self.p} is ignored by kind 'custom', whose "
+                    f"noise is custom_kraus; leave p out"
+                )
             deviation = self.custom_kraus.completeness_deviation()
             if deviation > COMPLETENESS_TOL:
                 raise ValueError(

@@ -33,14 +33,15 @@ COMPLETENESS_TOL = 1e-8
 FRAME_TOL_LOOSE = 1e-6
 
 
-@dataclass
+@dataclass(eq=False)
 class KrausSet:
     """Ordered set of ``m`` Kraus operators, each ``d x d`` complex, held
     as one (m, d, d) array; a list of matrices converts on construction.
     ``d`` and ``m`` are read off the array.  A stack that is not a
     non-empty run of square matrices raises ValueError naming its shape,
     and operators with NaN or infinite entries raise ValueError naming
-    them."""
+    them.  ``==`` is identity; compare the ``operators`` arrays for
+    equal channels."""
 
     operators: np.ndarray
 
@@ -135,11 +136,12 @@ def json_value(value, kind: type, name: str):
     return float(value) if number else value
 
 
-@dataclass
+@dataclass(eq=False)
 class KrausFrame:
     """d unit vectors on the Kraus sphere, stored as the rows of the real
     (d, 2*m*d) array ``vectors``; ``d`` and ``m`` are read off its shape.
-    Any other shape raises ValueError naming it."""
+    Any other shape raises ValueError naming it.  ``==`` is identity, as
+    for KrausSet."""
 
     vectors: np.ndarray
 

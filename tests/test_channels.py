@@ -189,6 +189,12 @@ class TestChannelSpec:
         spec = ChannelSpec(kind="custom", p=0.0, custom_kraus=kraus)
         assert spec.build() is kraus
 
+    @pytest.mark.parametrize("p", [0.3, 1.0])
+    def test_custom_rejects_a_noise_strength(self, p):
+        # the custom operators are the noise; a p would only be recorded
+        with pytest.raises(ValueError, match="ignored by kind 'custom'"):
+            ChannelSpec(kind="custom", p=p, custom_kraus=flip_channel("bit_flip", 0.5))
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown channel kind"):
             ChannelSpec(kind="amplitude_damping", p=0.1)

@@ -165,6 +165,22 @@ class TestConfigParsing:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_custom_channel_with_a_noise_strength(self, tmp_path, capsys):
+        # the run ignored p, and the manifest recorded it as the noise strength
+        channel = {
+            "kind": "custom",
+            "p": 0.3,
+            "n_qubits": 1,
+            "custom_kraus": flip_channel("bit_flip", 0.8).to_dict(),
+        }
+        data = base_config(tmp_path / "run", channel=channel)
+        with pytest.raises(ConfigError, match="channel.p=0.3 is ignored by kind 'custom'"):
+            config_from_dict(data)
+        path = write_config(tmp_path, data)
+        assert main(["learn", "--config", str(path)]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "channel,match",
         [

@@ -215,6 +215,17 @@ class TestKrausSet:
             KrausSet.from_dict(data)
 
 
+    def test_equality_is_identity_not_an_array_error(self):
+        # a field-wise == over the ndarray raised "truth value of an array
+        # is ambiguous"; equal channels are compared through their arrays
+        first, second = flip_channel("bit_flip", 0.2), flip_channel("bit_flip", 0.2)
+        assert first == first and first != second
+        assert np.array_equal(first.operators, second.operators)
+        frames = kraus_to_frame(first), kraus_to_frame(second)
+        assert frames[0] == frames[0] and frames[0] != frames[1]
+        assert len({first, second, *frames}) == 4  # hashable by identity
+
+
 class TestSerialization:
     def test_kraus_round_trip(self):
         # bit-exact, through the one [re, im] codec

@@ -5,6 +5,7 @@ from kraussphere.channels import (
     PAULI_X,
     apply_channel,
     apply_channel_batch,
+    depolarizing_channel,
     flip_channel,
     tensor_flip_channel,
 )
@@ -19,16 +20,25 @@ from kraussphere.optimizer import (
     learn_quasi_inverse,
 )
 from kraussphere.sampling import sample_bloch_ball, sample_bures
-from kraussphere.transforms import channel_from_angles
+from kraussphere.transforms import (
+    channel_from_angles,
+    pairing_offsets,
+    reverse_plan,
+    reverse_sweep,
+)
 
 from conftest import pure_density, random_density, random_hermitian
 from oracles import (
     average_fidelity,
     central_difference,
+    dense_basis,
+    dense_product,
     einsum_cotangent,
     einsum_transfer,
     pauli_contraction,
     pauli_sandwich,
+    prefix_pairings,
+    real_vectors,
     reference_fidelity,
 )
 
@@ -353,6 +363,101 @@ class TestFixedProducts:
         assert np.max(np.abs(cotangent - reference.reshape(m, d * d))) <= 1e-14
 
 
+def plan_pattern(basis, d, name):
+    """Nonzero angles: none, every generator inside K^1's rows, those plus
+    the diagonal phase on rows (d - 1, d) that straddles K^1 and K^2, or
+    all of them."""
+    j, k = basis.pairs.T
+    inside = np.flatnonzero(k < d)
+    if name == "zeros":
+        return []
+    if name == "first_operator":
+        return inside
+    if name == "straddler":
+        return sorted([*inside, *np.flatnonzero((basis.kinds == 2) & (j == d - 1))])
+    return np.arange(len(basis))
+
+
+PLAN_CASES = [
+    (d, m, name)
+    for d, m in [(2, 4), (4, 1), (4, 4)]
+    for name in ["zeros", "first_operator", "straddler", "dense"]
+    if m > 1 or name != "straddler"  # m = 1 has no row d
+]
+
+
+class TestReversePlan:
+    """The context reads only the zero angles' pairings that can be nonzero."""
+
+    @pytest.mark.parametrize("d,m,name", PLAN_CASES)
+    def test_context_gradient_matches_dense_prefix_pairings(self, d, m, name):
+        rng = np.random.default_rng(91 + d + m)
+        originals = np.stack([random_density(rng, d) for _ in range(5)])
+        corrupted = np.stack([random_density(rng, d) for _ in range(5)])
+        ctx = LossContext(corrupted, originals, m)
+        angles = np.zeros(ctx.n_angles)
+        chosen = plan_pattern(ctx.basis, d, name)
+        angles[chosen] = rng.uniform(0.1, 1.5, len(chosen)) * rng.choice([-1, 1], len(chosen))
+        _, grad = ctx.gradient(angles)
+        # C_n from the same evaluation, pulled back to C_0 in the dense chart
+        _, rows, swept, recovered, aux = ctx._evaluated(angles)
+        cotangent = ctx._cotangent(rows, recovered, aux).reshape(m * d, d)
+        dense = dense_basis(2 * m * d)
+        left = real_vectors(cotangent) @ dense_product(dense, angles)
+        right = real_vectors(ctx.base_rows)
+        expected = prefix_pairings(dense, angles, left, right)
+        assert np.max(np.abs(grad - expected)) <= 1e-12
+        # and bit for bit what reading every zero run gives
+        stack = np.concatenate([cotangent, rows], axis=1)
+        every_row = np.ones(m * d, dtype=bool)
+        plan = reverse_plan(ctx.basis, pairing_offsets(ctx.basis), swept[0], every_row)
+        assert np.array_equal(grad, reverse_sweep(plan, swept, stack))
+
+    def test_steady_qubit_step_forms_no_pairing_product(self, monkeypatch):
+        # bitflip_1q's steady pattern [0, 28, 56, 57] moves only K^1's rows
+        # 0 and 1 and the phase of row 2, so no zero angle can pair to
+        # anything but 0 and the reverse sweep forms no 8 x 8 Z = C W^†
+        states = np.stack(sample_bloch_ball(seed=7, count=50))
+        channel = flip_channel("bit_flip", 0.8)
+        corrupted = apply_channel_batch(channel.operators, states)
+        theta = np.zeros(63)
+        ctx = LossContext(corrupted, states, 4)
+        for _ in range(3):
+            theta = theta - 0.1 * ctx.gradient(theta)[1]
+        assert np.flatnonzero(theta).tolist() == [0, 28, 56, 57]
+        expected = ctx.gradient(theta)[1]
+
+        products, builds = [], []
+
+        class Counted(np.ndarray):
+            """A view of the stack that records the products it starts."""
+
+            def __matmul__(self, other):
+                product = np.asarray(self) @ other
+                products.append(product.shape)
+                return product
+
+        sweep, build = optimizer.reverse_sweep, optimizer.reverse_plan
+
+        def counted_sweep(plan, swept, stack):
+            return sweep(plan, swept, stack.view(Counted))
+
+        def counted_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(optimizer, "reverse_sweep", counted_sweep)
+        monkeypatch.setattr(optimizer, "reverse_plan", counted_build)
+        fresh = LossContext(corrupted, states, 4)
+        fresh.gradient(np.zeros(63))  # the zeros start reads its one run
+        assert (products, len(builds)) == ([(8, 8)], 1)
+        products.clear()
+        assert np.array_equal(fresh.gradient(theta)[1], expected)  # a new plan
+        assert (products, len(builds)) == ([], 2)
+        assert np.array_equal(fresh.gradient(theta)[1], expected)  # the kept one
+        assert (products, len(builds)) == ([], 2)
+
+
 class TestEvaluationReuse:
     """A gradient at the angles of the last loss starts from its evaluation."""
 
@@ -474,6 +579,29 @@ class TestLearnQuasiInverse:
         assert np.array_equal(result.channel.operators[0], np.eye(2))
         for op in result.channel.operators[1:]:
             assert np.max(np.abs(op)) <= 1e-3
+
+    @pytest.mark.parametrize(
+        "channel,nonzero",
+        [(flip_channel("phase_flip", 0.8), [0, 28, 56, 57]), (depolarizing_channel(0.8), [])],
+        ids=["phase_flip", "depolarizing"],
+    )
+    def test_zeros_start_learns_one_operator(self, monkeypatch, channel, nonzero):
+        # from the identity the rows of K^2..K^4 are zero, the cotangent
+        # S M is zero on them, and only phases touch them: every iterate
+        # moves inside angles 0, 28, 56, 57 and the result is one unitary
+        visited = set()
+        gradient = LossContext.gradient
+
+        def recording(self, angles):
+            visited.update(np.flatnonzero(angles).tolist())
+            return gradient(self, angles)
+
+        monkeypatch.setattr(LossContext, "gradient", recording)
+        states = np.stack(sample_bloch_ball(seed=7, count=300))
+        result = learn_quasi_inverse(channel, states, OptimizerConfig(max_iters=200, m=4))
+        assert visited <= {0, 28, 56, 57}
+        assert np.flatnonzero(result.angles).tolist() == nonzero
+        assert not result.channel.operators[1:].any()
 
     def test_bit_flip_recovery_small(self):
         states = sample_bloch_ball(seed=52, count=60)

@@ -22,6 +22,7 @@ from kraussphere.transforms import (
     forward_sweep,
     generator_basis,
     pairing_offsets,
+    reverse_plan,
     reverse_sweep,
 )
 
@@ -357,12 +358,50 @@ class TestReverseSweep:
         start = rng.normal(size=(m * d, 2 * d)) + 1j * rng.normal(size=(m * d, 2 * d))
         stack = start.copy()
         swept = forward_sweep(basis, angles, stack)
-        grad = reverse_sweep(pairing_offsets(basis), swept, stack)
+        every_row = np.ones(m * d, dtype=bool)  # a random stack has no zero row
+        plan = reverse_plan(basis, pairing_offsets(basis), swept[0], every_row)
+        grad = reverse_sweep(plan, swept, stack)
         cotangent, frame = real_vectors(start[:, :d]), real_vectors(start[:, d:])
         expected = prefix_pairings(dense_basis(2 * m * d), angles, cotangent, frame)
         assert grad.shape == angles.shape
         assert np.max(np.abs(grad - expected)) <= 1e-12
         assert np.max(np.abs(stack - start)) <= 1e-12
+
+
+    @pytest.mark.parametrize("mix", ["sym", "anti", "phase_only"])
+    @pytest.mark.parametrize("d,m", [(2, 4), (4, 4)])
+    def test_plan_of_a_stack_with_zero_rows(self, d, m, mix):
+        # the sweep starts from [C_n | W_n] with rows d.. zero; a sym or
+        # anti angle on rows (1, d + 1) pulls row d + 1 in, so zero angles
+        # below it on that row pair to nonzero values, while a diagonal
+        # phase on rows (d, d + 1) leaves every zero angle there at 0
+        rng = np.random.default_rng(29)
+        basis = generator_basis(2 * m * d)
+        j, k = basis.pairs.T
+        kind = {"sym": 0, "anti": 1, "phase_only": 2}[mix]
+        couple = (1, d + 1) if kind < 2 else (d, d + 1)
+        chosen = [
+            *np.flatnonzero(k < d)[::2],  # some rotations inside the first d rows
+            np.flatnonzero((basis.kinds == kind) & (j == couple[0]) & (k == couple[1]))[0],
+        ]
+        angles = np.zeros(len(basis))
+        angles[chosen] = rng.uniform(0.3, 1.5, len(chosen))
+        swept = forward_sweep(basis, angles, np.zeros((m * d, 2 * d), dtype=complex))
+        end = np.zeros((m * d, 2 * d), dtype=complex)
+        end[:d] = rng.normal(size=(d, 2 * d)) + 1j * rng.normal(size=(d, 2 * d))
+        offsets = pairing_offsets(basis)
+        plan = reverse_plan(basis, offsets, swept[0], end.any(axis=1))
+        every_row = reverse_plan(basis, offsets, swept[0], np.ones(m * d, dtype=bool))
+        grad = reverse_sweep(plan, swept, end.copy())
+        assert np.array_equal(grad, reverse_sweep(every_row, swept, end.copy()))
+        dense = dense_basis(2 * m * d)
+        total = dense_product(dense, angles)  # [C_n | W_n] = [C_0 | W_0] moved by it
+        cotangent = real_vectors(end[:, :d]) @ total
+        frame = real_vectors(end[:, d:]) @ total
+        expected = prefix_pairings(dense, angles, cotangent, frame)
+        assert np.max(np.abs(grad - expected)) <= 1e-12
+        on_row = ((j == d + 1) | (k == d + 1)) & (angles == 0)
+        assert np.any(grad[on_row] != 0.0) == (kind < 2)
 
 
 class TestChannelFromAngles:
