@@ -225,12 +225,7 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     a = np.where(finite[:, None, None], a, np.eye(d) / d)
     herm = np.max(np.abs(a - a.conj().swapaxes(1, 2)), axis=(1, 2))
     trace = np.trace(a, axis1=1, axis2=2)
-    if d == 2:  # closed form; spares qubit runs their only LAPACK call
-        half = trace.real / 2.0
-        det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]).real
-        smallest = half - np.sqrt(np.clip(half**2 - det, 0.0, None))
-    else:
-        smallest = np.linalg.eigvalsh(a)[:, 0]
+    smallest = np.linalg.eigvalsh(a)[:, 0]
     checks = [
         (~finite, lambda i: "has non-finite entries"),
         (

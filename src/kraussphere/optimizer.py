@@ -7,10 +7,8 @@ one-angle rotations over the md x d complex frame rows, the analytic
 fidelity cotangent, and one reverse sweep (the adjoint method); both
 sweeps live in :mod:`transforms`, the one module that knows the chart's
 layout.  The same forward sweep gives the loss, so each descent step
-costs one ``(loss, grad)`` call.  Every constant of a step, the reverse
-sweep's pairing offset table included, is made once per LossContext,
-and the reverse sweep's plan once per pattern of nonzero angles and
-live rows.
+costs one ``(loss, grad)`` call.  Every constant of a step is made once
+per LossContext.
 The swept rows S (row a is vec(K_a)) enter both ensemble contractions
 through their d^2 x d^2 Gram matrix G = S^T conj(S): the channel's
 transfer matrix is a fixed permutation of G, and the cotangent rows are
@@ -61,8 +59,6 @@ from .transforms import (
     finite_transform,  # noqa: F401  bench/spans.py hooks the sweep's transforms here
     forward_sweep,
     generator_basis,
-    pairing_offsets,
-    reverse_plan,
     reverse_sweep,
 )
 
@@ -166,14 +162,14 @@ class LossContext:
     """Precomputed state for repeated loss and gradient evaluations.
 
     Holds the corrupted/original ensembles, both (N, d, d), which fix
-    d, the generator basis of the ``m``-operator ansatz with its pairing
-    offset table, the fidelity machinery and the fixed maps of both
-    ensemble contractions.  Its mutable state is the point of the last
-    :meth:`loss`, kept until the next :meth:`gradient`, the reverse
-    plan of the last gradient, and the counts of both kinds of
-    evaluation (``loss_evaluations``: forward sweep and fidelity passes;
-    ``gradient_evaluations``: reverse sweeps), so a context is not meant
-    to be shared across threads.
+    d, the generator basis of the ``m``-operator ansatz, the fidelity
+    machinery and the fixed maps of both ensemble contractions.  Its
+    mutable state is the point of the last :meth:`loss`, kept until the
+    next :meth:`gradient`, and the counts of both kinds of evaluation
+    (``loss_evaluations``: forward sweep and fidelity passes;
+    ``gradient_evaluations``: reverse sweeps); the basis keeps the
+    reverse sweep's plan (:func:`transforms.reverse_sweep`), so a
+    context is not meant to be shared across threads.
     Every per-context constant is made here, so a step is one forward
     sweep, a short fixed list of 2-D products and one reverse sweep.
     Both contractions go through the d^2 x d^2 frame Gram matrix
@@ -201,11 +197,9 @@ class LossContext:
         d = shape[1]
         self.d, self.m = d, m
         self.basis = generator_basis(2 * m * d)
-        self._pairings = pairing_offsets(self.basis)
         self.n_angles = angle_count(d, m)
         self.base_rows = np.eye(m * d, d, dtype=complex)  # [I; 0; ...; 0]
         self._point = None  # (angles, evaluation) of the last loss call
-        self._plan = None  # (key, reverse_plan) of the last gradient
         self.loss_evaluations = 0  # forward sweep + fidelity passes
         self.gradient_evaluations = 0  # reverse sweeps
         scale = -2.0 / len(self.corrupted)  # dL/dF_n
@@ -264,11 +258,10 @@ class LossContext:
         C_n = dL/dW_n comes from the fidelity cotangent Q of each state:
         dL/dK_a = -(2/N) sum_n Q_n K_a sigma_n, sigma_n the corrupted
         states, stacked like the frame rows; that is C = S M for one
-        d^2 x d^2 matrix M (:meth:`_cotangent`).  The stack [C | W] goes
-        through :func:`transforms.reverse_sweep` with the plan of its
-        nonzero angles and live rows (:func:`transforms.reverse_plan`),
-        kept until either changes.  The loss is the one :meth:`loss`
-        returns, from the same forward sweep and the same fidelities.
+        d^2 x d^2 matrix M (:meth:`_cotangent`), and the stack [C | W]
+        goes through :func:`transforms.reverse_sweep`.  The loss is the
+        one :meth:`loss` returns, from the same forward sweep and the same
+        fidelities.
         Called at the angles of the last :meth:`loss`, it starts from
         that evaluation instead of repeating the forward sweep and the
         fidelities; either way it drops the point :meth:`loss` kept.
@@ -285,11 +278,7 @@ class LossContext:
         stack = np.empty((len(rows), 2 * d), dtype=complex)  # [C | W]
         stack[:, d:] = rows
         stack[:, :d] = self._cotangent(rows, recovered, aux).reshape(-1, d)
-        nonzero, live = swept[0], stack.any(axis=1)
-        key = nonzero.tobytes(), live.tobytes()
-        if self._plan is None or self._plan[0] != key:
-            self._plan = key, reverse_plan(self.basis, self._pairings, nonzero, live)
-        return loss, reverse_sweep(self._plan[1], swept, stack)
+        return loss, reverse_sweep(self.basis, swept, stack)
 
     def _evaluated(self, angles: np.ndarray) -> tuple:
         """The forward-and-fidelity half of a step at checked ``angles``:

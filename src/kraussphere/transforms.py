@@ -23,17 +23,18 @@ a basic slice, so no row is copied.  forward_sweep composes the
 rotations; reverse_sweep pulls a cotangent and the frame back through
 them and returns the exact gradient.  Every generator's pairing
 Re Tr(L^† J R) with two frame-shaped arrays is a signed sum of two
-entries of L R^†; their offsets, made once per basis (pairing_offsets),
-let the reverse sweep read a run of zero angles' pairings off one
-product by two takes.  It reads only those that can be nonzero: a row
-of the stack [C | W] is live if it is nonzero when the sweep starts or
-a nonzero sym or anti rotation touches it (diagonal rotations are
-phases and keep a zero row zero); a zero sym or anti angle needs both
-of its rows live, a zero diagonal one either.  reverse_plan lists those
-angles run by run, from the live rows alone (its cost grows with their
-square, not with the basis), once per pattern of nonzero angles and
-live rows; a run with none of them forms no product.  From the
-identity K^2..K^m stay zero, and a steady qubit step forms none.
+entries of L R^† (pairing_offsets gives their offsets), so the reverse
+sweep reads a run of zero angles' pairings off one product by two takes.
+It reads only those that can be nonzero: a row of the stack [C | W] is
+live if it is nonzero when the sweep starts or a nonzero sym or anti
+rotation touches it (diagonal rotations are phases and keep a zero row
+zero); a zero sym or anti angle needs both of its rows live, a zero
+diagonal one either.  reverse_plan lists those angles run by run, from
+the live rows alone (its cost grows with their square, not with the
+basis); reverse_sweep reads the live rows off its stack and keeps the
+plan of the last pattern of nonzero angles and live rows on the basis.
+A run with none of them forms no product.  From the identity K^2..K^m
+stay zero, and a steady qubit step forms none.
 Embedded in the interleaved real layout, each block is a dense
 2md x 2md real generator commuting with the symplectic form; that dense
 chart is the reference the tests check this one against.  Composing one
@@ -103,13 +104,16 @@ class GeneratorBasis:
     Generator ``a`` acts on the frame rows ``pairs[a] = (j, k)`` with the
     block ``blocks[kinds[a]]``; the three blocks are shared by the whole
     basis.  The sweeps and the tests read these arrays; iterating makes
-    Generator items, for the traced benchmark only.
+    Generator items, for the traced benchmark only.  ``plan`` is
+    reverse_sweep's one mutable entry: the key and reverse_plan of its
+    last pattern, so a basis is not meant to be shared across threads.
     """
 
     blocks = _BLOCKS
 
     def __init__(self, dim: int, pairs: np.ndarray, kinds: np.ndarray):
         self.dim, self.pairs, self.kinds = dim, pairs, kinds
+        self.plan = None, None
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -147,20 +151,23 @@ def generator_basis(dim: int) -> GeneratorBasis:
     return GeneratorBasis(dim, pairs, kinds)
 
 
-def pairing_offsets(basis: GeneratorBasis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The table that reads every generator's pairing off one product.
+def pairing_offsets(
+    basis: GeneratorBasis, angles
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where the pairings of the generators ``angles`` sit in one product.
 
     Re Tr(L^† J_a R) for md x rows complex L and R, in the dense real
     chart <J_a, L^T R>, is a sum of two entries of Z = L R^†:
     Im(Z_jk + Z_kj), then Re(Z_jk - Z_kj) for j < k, then
-    Im(Z_jj - Z_{j+1,j+1}).  Returns, per generator of ``basis``, the
-    offsets of those two entries into the interleaved real and imaginary
-    parts of Z (Z.view(float).ravel()) and the sign of the second, so a
-    slice of the pairings is ``parts.take(first) + sign * parts.take(second)``.
+    Im(Z_jj - Z_{j+1,j+1}).  Returns, per generator that ``angles`` (an
+    index array or a slice) picks out of ``basis``, the offsets of those
+    two entries into the interleaved real and imaginary parts of Z
+    (Z.view(float).ravel()) and the sign of the second, so their
+    pairings are ``parts.take(first) + sign * parts.take(second)``.
     """
     n = basis.dim // 2
-    j, k = basis.pairs.T
-    kinds = basis.kinds
+    j, k = basis.pairs[angles].T
+    kinds = basis.kinds[angles]
     diagonal = kinds == 2
     imaginary = kinds != 1  # the symmetric and diagonal pairings
     first = 2 * np.where(diagonal, j * n + j, j * n + k) + imaginary
@@ -210,43 +217,27 @@ def forward_sweep(
     return nonzero, pairs, blocks, unitaries
 
 
-@dataclass(frozen=True)
-class ReversePlan:
+def reverse_plan(basis: GeneratorBasis, nonzero: np.ndarray, live: np.ndarray) -> dict:
     """The zero angles whose pairing a reverse sweep must read, run by run.
 
-    ``runs`` maps b, the number of nonzero angles below a run of zero
-    angles, to that run's candidate angles and their pairing_offsets
-    entries (first, second, sign); a run with no candidate is absent, and
-    every angle the plan does not list pairs to exactly 0.  ``size`` is
-    the number of angles.
-    """
-
-    size: int
-    runs: dict
-
-
-def reverse_plan(
-    basis: GeneratorBasis,
-    offsets: tuple[np.ndarray, np.ndarray, np.ndarray],
-    nonzero: np.ndarray,
-    live: np.ndarray,
-) -> ReversePlan:
-    """The ReversePlan of the nonzero angles ``nonzero`` (ascending).
-
-    ``live`` marks the rows that are nonzero in the stack [C | W] when
-    the reverse sweep starts.  The rows a nonzero sym or anti rotation
-    touches are live too; a diagonal rotation only multiplies its two
-    rows by phases, so every other row stays zero through the sweep.  A
-    zero angle's pairing reads Z_jk and Z_kj of Z = C W^† (both rows must
-    be live) for a sym or anti generator, Z_jj and Z_kk (either row) for
-    a diagonal one; no other zero angle can pair to anything but 0.  The
-    candidates come from the live rows by the closed-form rank of (j, k)
-    in generator_basis order, so the cost grows with the nonzero angles
-    and the square of the live rows, not with the size of the basis.
-    The sets are small and a learn builds a plan only when its pattern
-    changes, so they are Python lists: on the general two-qubit ansatz
-    a build from a few dozen numpy calls on arrays this size took ~1.5x
-    as long in a fresh process and 0.25 MB more peak memory.
+    ``nonzero`` holds the nonzero angles (ascending) and ``live`` marks
+    the rows that are nonzero in the stack [C | W] when the reverse sweep
+    starts.  The rows a nonzero sym or anti rotation touches are live
+    too; a diagonal rotation only multiplies its two rows by phases, so
+    every other row stays zero through the sweep.  A zero angle's pairing
+    reads Z_jk and Z_kj of Z = C W^† (both rows must be live) for a sym
+    or anti generator, Z_jj and Z_kk (either row) for a diagonal one; no
+    other zero angle can pair to anything but 0.  Returns a dict that
+    maps b, the number of nonzero angles below a run of zero angles, to
+    that run's candidate angles and their pairing_offsets (first, second,
+    sign); a run with no candidate is absent.  The candidates come from
+    the live rows by the closed-form rank of (j, k) in generator_basis
+    order, so the cost grows with the nonzero angles and the square of
+    the live rows, not with the size of the basis.  The sets are small
+    and a learn builds a plan only when its pattern changes, so they are
+    Python lists: on the general two-qubit ansatz a build from a few
+    dozen numpy calls on arrays this size took ~1.5x as long in a fresh
+    process and 0.25 MB more peak memory.
     """
     n = basis.dim // 2
     count = n * (n - 1) // 2  # pairs j < k: the size of the sym and of the anti group
@@ -264,24 +255,22 @@ def reverse_plan(
     for a in [*rank, *(r + count for r in rank), *(i + 2 * count for i in diagonal)]:
         if a not in skip:  # keyed by the number of nonzero angles below a
             runs.setdefault(bisect_left(ordered, a), []).append(a)
-    first, second, sign = offsets
     for below, angles in runs.items():
         angles = np.array(angles)
-        runs[below] = angles, first[angles], second[angles], sign[angles]
-    return ReversePlan(len(first), runs)
+        runs[below] = angles, *pairing_offsets(basis, angles)
+    return runs
 
 
 def reverse_sweep(
-    plan: ReversePlan,
+    basis: GeneratorBasis,
     swept: tuple[np.ndarray, list, np.ndarray, np.ndarray],
     stack: np.ndarray,
 ) -> np.ndarray:
     """The gradient Re Tr(C_a^† J_a W_a) of every angle a, by the adjoint method.
 
     ``stack`` is the (md, 2d) complex [C | W] of a cotangent C_n = dL/dW_n
-    and the rows W_n that forward_sweep left, ``swept`` that sweep's
-    outputs and ``plan`` the reverse_plan of its nonzero angles and of
-    the stack's live rows.  With W_a = U_a W_{a-1}, both move back by
+    and the rows W_n that forward_sweep left, and ``swept`` that sweep's
+    outputs on ``basis``.  With W_a = U_a W_{a-1}, both move back by
     U_a^†: C_{a-1} = U_a^† C_a, W_{a-1} = U_a^† W_a.  The pull-back is
     exact, so no intermediate frame is stored: at each nonzero angle,
     highest first, its two rows of the stack are pulled back in place
@@ -289,19 +278,26 @@ def reverse_sweep(
     U_a commutes with J_a and is unitary, so the pairing is the same
     after the pull-back, and all nonzero angles are paired by one batched
     product after the sweep.  Zero angles are identity factors, so the
-    candidates of each run of them that the plan lists are read off one
-    md x md product Z = C W^† by two takes; every other zero angle is 0.
-    The stack is left as [C_0 | W_0].
+    candidates of each run of them that reverse_plan lists, for the
+    nonzero angles and the stack's live rows, are read off one md x md
+    product Z = C W^† by two takes; every other zero angle is 0.  The
+    plan is kept on ``basis`` until the pattern changes.  The stack is
+    left as [C_0 | W_0].
     """
     nonzero, pairs, blocks, unitaries = swept
+    live = stack.any(axis=1)
+    key = nonzero.tobytes(), live.tobytes()
+    if basis.plan[0] != key:
+        basis.plan = key, reverse_plan(basis, nonzero, live)
+    runs = basis.plan[1]
     d = stack.shape[1] // 2
     cotangent, frame = stack[:, :d], stack[:, d:]  # views of the stack
-    grad = np.zeros(plan.size)
+    grad = np.zeros(len(basis))
 
     def read_run(below: int) -> None:
-        if below in plan.runs:
-            angles, first, second, sign = plan.runs[below]
-            # two takes of the pairing table off Z = C W^† as floats
+        if below in runs:
+            angles, first, second, sign = runs[below]
+            # two takes off Z = C W^† as floats
             parts = (cotangent @ frame.conj().T).view(float).ravel()
             grad[angles] = parts.take(first) + sign * parts.take(second)
 

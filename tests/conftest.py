@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kraussphere import angle_count, channel_from_angles, generator_basis
+from kraussphere import angle_count, channel_from_angles, generator_basis, transforms
 
 
 def random_density(rng, dim):
@@ -28,6 +28,18 @@ def random_channel(rng, d, m, scale=0.7):
     """Random CPTP Kraus set reached by random angles from the identity."""
     angles = rng.normal(0.0, scale, angle_count(d, m))
     return channel_from_angles(d, m, angles)
+
+
+def read_every_row(monkeypatch):
+    """Make transforms.reverse_plan take every row of the stack as live,
+    so a reverse sweep on a basis with no kept plan reads the candidates
+    of every zero run."""
+    plan = transforms.reverse_plan
+
+    def every_row(basis, nonzero, live):
+        return plan(basis, nonzero, np.ones_like(live))
+
+    monkeypatch.setattr(transforms, "reverse_plan", every_row)
 
 
 @pytest.fixture(scope="session")

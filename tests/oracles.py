@@ -125,14 +125,14 @@ def generator_pairings(left, right, start: int = 0, stop: int | None = None):
     """Re Tr(left^† J_a right) for the J_a of generator_basis, a in [start, stop).
 
     ``left`` and ``right`` are (md, rows) complex arrays; the entries are
-    read off Z = left right^† through the package's pairing table, as
-    the gradient reads each zero run, so checking this against the dense
-    chart checks the table.
+    read off Z = left right^† at the package's pairing_offsets, as the
+    gradient reads each zero run, so checking this against the dense
+    chart checks the offsets.
     """
-    first, second, sign = pairing_offsets(generator_basis(2 * left.shape[0]))
+    basis = generator_basis(2 * left.shape[0])
+    first, second, sign = pairing_offsets(basis, slice(start, stop))
     parts = (left @ right.conj().T).astype(complex, copy=False).view(float).ravel()
-    part = slice(start, stop)
-    return parts.take(first[part]) + sign[part] * parts.take(second[part])
+    return parts.take(first) + sign * parts.take(second)
 
 
 def einsum_transfer(rows: np.ndarray, d: int, m: int) -> np.ndarray:

@@ -13,19 +13,20 @@ from kraussphere import cli, optimizer, sampling, transforms
 from kraussphere.channels import apply_channel_batch, flip_channel
 from kraussphere.sampling import sample_bloch_ball
 
-HOOKED = [
-    (cli, "run_single"),
-    (cli, "learn_quasi_inverse"),
-    (sampling.SampleConfig, "draw"),
-    (optimizer, "apply_channel_batch"),
-    (optimizer, "generator_basis"),
-    (optimizer, "finite_transform"),
-    (optimizer, "channel_from_angles"),
-    (optimizer.LossContext, "__init__"),
-    (optimizer.LossContext, "loss"),
-    (optimizer.LossContext, "gradient"),
-    (transforms, "finite_transform"),
+SPANS = [  # (owner, name, span) as bench/spans.py::Tracer.install wraps them
+    (cli, "run_single", "cli.run"),
+    (cli, "learn_quasi_inverse", "optimizer.learn"),
+    (sampling.SampleConfig, "draw", "sampling.draw"),
+    (optimizer, "apply_channel_batch", "channels.corrupt"),
+    (optimizer, "generator_basis", "transforms.basis"),
+    (optimizer, "finite_transform", "transforms.finite_transform"),
+    (optimizer, "channel_from_angles", "transforms.channel_from_angles"),
+    (optimizer.LossContext, "__init__", "optimizer.context"),
+    (optimizer.LossContext, "loss", "optimizer.loss"),
+    (optimizer.LossContext, "gradient", "optimizer.grad"),
+    (transforms, "finite_transform", "transforms.finite_transform"),
 ]
+HOOKED = [(owner, name) for owner, name, _ in SPANS]
 
 
 @pytest.mark.parametrize(
@@ -33,6 +34,35 @@ HOOKED = [
 )
 def test_hooked_name_exists(owner, name):
     assert callable(getattr(owner, name))
+
+
+def test_a_learn_calls_every_traced_layer(monkeypatch, tmp_path):
+    # bench/child.py::layer_metrics reads at least one call of every span,
+    # and of transforms.finite_transform directly under optimizer.grad; a
+    # layer with none fails the traced benchmark with a KeyError
+    calls, stack = set(), []
+    for owner, name, span in SPANS:
+
+        def traced(*args, _inner=getattr(owner, name), _span=span, **kwargs):
+            calls.add((_span, stack[-1] if stack else None))
+            stack.append(_span)
+            try:
+                return _inner(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        monkeypatch.setattr(owner, name, traced)
+    config = cli.config_from_dict(
+        {
+            "channel": {"kind": "bit_flip", "p": 0.8},
+            "sample": {"n_qubits": 1, "count": 20, "seed": 3, "measure": "bloch_ball_uniform"},
+            "optimizer": {"m": 2, "max_iters": 3, "loss_tol": 0.0},
+            "output_dir": str(tmp_path),
+        }
+    )
+    cli.run_single(config)
+    assert {span for span, _ in calls} == {span for _, _, span in SPANS}
+    assert ("transforms.finite_transform", "optimizer.grad") in calls
 
 
 def counting(monkeypatch, owner, name):

@@ -10,7 +10,7 @@ from kraussphere.channels import (
     tensor_flip_channel,
 )
 from kraussphere.geometry import KrausSet
-from kraussphere import optimizer
+from kraussphere import optimizer, transforms
 from kraussphere.linalg import UhlmannFidelity, pauli_coordinates, uhlmann_fidelity
 from kraussphere.optimizer import (
     LossContext,
@@ -20,14 +20,9 @@ from kraussphere.optimizer import (
     learn_quasi_inverse,
 )
 from kraussphere.sampling import sample_bloch_ball, sample_bures
-from kraussphere.transforms import (
-    channel_from_angles,
-    pairing_offsets,
-    reverse_plan,
-    reverse_sweep,
-)
+from kraussphere.transforms import channel_from_angles, generator_basis, reverse_sweep
 
-from conftest import pure_density, random_density, random_hermitian
+from conftest import pure_density, random_density, random_hermitian, read_every_row
 from oracles import (
     average_fidelity,
     central_difference,
@@ -331,7 +326,7 @@ class TestFixedProducts:
     """The context's fixed 2-D products against the einsum references."""
 
     @pytest.mark.parametrize(
-        "d,m", [(2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (4, 2), (4, 16)]
+        "d,m", [(2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (4, 2), (4, 16), (8, 1)]
     )
     @pytest.mark.parametrize("pattern", ["zero", "sparse", "dense"])
     def test_transfer_and_cotangent_match_einsum(self, d, m, pattern):
@@ -380,7 +375,7 @@ def plan_pattern(basis, d, name):
 
 PLAN_CASES = [
     (d, m, name)
-    for d, m in [(2, 4), (4, 1), (4, 4)]
+    for d, m in [(2, 4), (4, 1), (4, 4), (8, 1)]
     for name in ["zeros", "first_operator", "straddler", "dense"]
     if m > 1 or name != "straddler"  # m = 1 has no row d
 ]
@@ -390,7 +385,7 @@ class TestReversePlan:
     """The context reads only the zero angles' pairings that can be nonzero."""
 
     @pytest.mark.parametrize("d,m,name", PLAN_CASES)
-    def test_context_gradient_matches_dense_prefix_pairings(self, d, m, name):
+    def test_context_gradient_matches_dense_prefix_pairings(self, monkeypatch, d, m, name):
         rng = np.random.default_rng(91 + d + m)
         originals = np.stack([random_density(rng, d) for _ in range(5)])
         corrupted = np.stack([random_density(rng, d) for _ in range(5)])
@@ -409,9 +404,8 @@ class TestReversePlan:
         assert np.max(np.abs(grad - expected)) <= 1e-12
         # and bit for bit what reading every zero run gives
         stack = np.concatenate([cotangent, rows], axis=1)
-        every_row = np.ones(m * d, dtype=bool)
-        plan = reverse_plan(ctx.basis, pairing_offsets(ctx.basis), swept[0], every_row)
-        assert np.array_equal(grad, reverse_sweep(plan, swept, stack))
+        read_every_row(monkeypatch)
+        assert np.array_equal(grad, reverse_sweep(generator_basis(2 * m * d), swept, stack))
 
     def test_steady_qubit_step_forms_no_pairing_product(self, monkeypatch):
         # bitflip_1q's steady pattern [0, 28, 56, 57] moves only K^1's rows
@@ -437,17 +431,17 @@ class TestReversePlan:
                 products.append(product.shape)
                 return product
 
-        sweep, build = optimizer.reverse_sweep, optimizer.reverse_plan
+        sweep, build = optimizer.reverse_sweep, transforms.reverse_plan
 
-        def counted_sweep(plan, swept, stack):
-            return sweep(plan, swept, stack.view(Counted))
+        def counted_sweep(basis, swept, stack):
+            return sweep(basis, swept, stack.view(Counted))
 
         def counted_build(*args):
             builds.append(args)
             return build(*args)
 
         monkeypatch.setattr(optimizer, "reverse_sweep", counted_sweep)
-        monkeypatch.setattr(optimizer, "reverse_plan", counted_build)
+        monkeypatch.setattr(transforms, "reverse_plan", counted_build)
         fresh = LossContext(corrupted, states, 4)
         fresh.gradient(np.zeros(63))  # the zeros start reads its one run
         assert (products, len(builds)) == ([(8, 8)], 1)

@@ -1,6 +1,6 @@
 """The package's exported names: each resolves, none repeats, the
-removed ones stay removed, and the sizes that arrays fix are not
-arguments."""
+removed ones stay removed, the sizes that arrays fix are not
+arguments, and the sweeps take the basis first."""
 
 import inspect
 
@@ -40,6 +40,9 @@ def test_no_duplicate_exports():
         (sampling, "haar_unitary"),
         (transforms, "generator_pairings"),
         (transforms.GeneratorBasis, "__getitem__"),
+        (transforms, "ReversePlan"),
+        (optimizer, "pairing_offsets"),
+        (optimizer, "reverse_plan"),
     ],
 )
 def test_removed_names_stay_gone(module, name):
@@ -56,4 +59,17 @@ def test_removed_names_stay_gone(module, name):
     ],
 )
 def test_sizes_come_from_the_arrays(function, parameters):
+    assert list(inspect.signature(function).parameters) == parameters
+
+
+@pytest.mark.parametrize(
+    "function,parameters",
+    [
+        (transforms.forward_sweep, ["basis", "angles", "rows"]),
+        (transforms.reverse_sweep, ["basis", "swept", "stack"]),
+        (transforms.reverse_plan, ["basis", "nonzero", "live"]),
+        (transforms.pairing_offsets, ["basis", "angles"]),
+    ],
+)
+def test_the_sweeps_take_the_basis_first(function, parameters):
     assert list(inspect.signature(function).parameters) == parameters

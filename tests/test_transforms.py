@@ -21,12 +21,10 @@ from kraussphere.transforms import (
     finite_transform,
     forward_sweep,
     generator_basis,
-    pairing_offsets,
-    reverse_plan,
     reverse_sweep,
 )
 
-from conftest import random_density
+from conftest import random_density, read_every_row
 from oracles import (
     complex_rows,
     dense_basis,
@@ -345,7 +343,7 @@ NONZERO_PATTERNS = {  # indices of the nonzero angles among n
 
 class TestReverseSweep:
     @pytest.mark.parametrize("pattern", list(NONZERO_PATTERNS))
-    @pytest.mark.parametrize("d,m", [(2, 1), (2, 4), (4, 1)])
+    @pytest.mark.parametrize("d,m", [(2, 1), (2, 4), (4, 1), (8, 1)])
     def test_matches_dense_prefix_pairings(self, d, m, pattern):
         # a random [C_0 | W_0], not from a loss: sweeping it forward gives
         # [C_n | W_n], and the reverse sweep must return every angle's
@@ -358,9 +356,7 @@ class TestReverseSweep:
         start = rng.normal(size=(m * d, 2 * d)) + 1j * rng.normal(size=(m * d, 2 * d))
         stack = start.copy()
         swept = forward_sweep(basis, angles, stack)
-        every_row = np.ones(m * d, dtype=bool)  # a random stack has no zero row
-        plan = reverse_plan(basis, pairing_offsets(basis), swept[0], every_row)
-        grad = reverse_sweep(plan, swept, stack)
+        grad = reverse_sweep(basis, swept, stack)  # a random stack has no zero row
         cotangent, frame = real_vectors(start[:, :d]), real_vectors(start[:, d:])
         expected = prefix_pairings(dense_basis(2 * m * d), angles, cotangent, frame)
         assert grad.shape == angles.shape
@@ -370,7 +366,7 @@ class TestReverseSweep:
 
     @pytest.mark.parametrize("mix", ["sym", "anti", "phase_only"])
     @pytest.mark.parametrize("d,m", [(2, 4), (4, 4)])
-    def test_plan_of_a_stack_with_zero_rows(self, d, m, mix):
+    def test_plan_of_a_stack_with_zero_rows(self, monkeypatch, d, m, mix):
         # the sweep starts from [C_n | W_n] with rows d.. zero; a sym or
         # anti angle on rows (1, d + 1) pulls row d + 1 in, so zero angles
         # below it on that row pair to nonzero values, while a diagonal
@@ -389,11 +385,10 @@ class TestReverseSweep:
         swept = forward_sweep(basis, angles, np.zeros((m * d, 2 * d), dtype=complex))
         end = np.zeros((m * d, 2 * d), dtype=complex)
         end[:d] = rng.normal(size=(d, 2 * d)) + 1j * rng.normal(size=(d, 2 * d))
-        offsets = pairing_offsets(basis)
-        plan = reverse_plan(basis, offsets, swept[0], end.any(axis=1))
-        every_row = reverse_plan(basis, offsets, swept[0], np.ones(m * d, dtype=bool))
-        grad = reverse_sweep(plan, swept, end.copy())
-        assert np.array_equal(grad, reverse_sweep(every_row, swept, end.copy()))
+        grad = reverse_sweep(basis, swept, end.copy())
+        read_every_row(monkeypatch)
+        fresh = generator_basis(2 * m * d)  # keeps no plan yet
+        assert np.array_equal(grad, reverse_sweep(fresh, swept, end.copy()))
         dense = dense_basis(2 * m * d)
         total = dense_product(dense, angles)  # [C_n | W_n] = [C_0 | W_0] moved by it
         cotangent = real_vectors(end[:, :d]) @ total
