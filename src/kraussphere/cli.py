@@ -8,7 +8,8 @@ channel, learn the quasi-inverse, and persist results.  Subcommands:
     validate  report completeness/unitarity of a saved channel file
     sample    emit a state ensemble -> states.json
 
-Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
+Exit codes: 0 success, 1 usage/config error (also a config whose arrays
+do not fit in memory: one "out of memory" line), 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -397,6 +398,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except OSError as exc:
         print(f"cannot write outputs: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NonFiniteLossError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -22,19 +22,20 @@ each in place to the strided view W[j : k + 1 : k - j] of its two rows,
 a basic slice, so no row is copied.  forward_sweep composes the
 rotations; reverse_sweep pulls a cotangent and the frame back through
 them and returns the exact gradient.  Every generator's pairing
-Re Tr(L^† J R) with two frame-shaped arrays is a signed sum of two
-entries of L R^† (pairing_offsets gives their offsets), so the reverse
-sweep reads a run of zero angles' pairings off one product by two takes.
-It reads only those that can be nonzero: a row of the stack [C | W] is
-live if it is nonzero when the sweep starts or a nonzero sym or anti
-rotation touches it (diagonal rotations are phases and keep a zero row
-zero); a zero sym or anti angle needs both of its rows live, a zero
-diagonal one either.  reverse_plan lists those angles run by run, from
-the live rows alone (its cost grows with their square, not with the
-basis); reverse_sweep reads the live rows off its stack and keeps the
-plan of the last pattern of nonzero angles and live rows on the basis.
-A run with none of them forms no product.  From the identity K^2..K^m
-stay zero, and a steady qubit step forms none.
+Re Tr(C^† J W) reads only its two rows of the stack [C | W], so the
+reverse sweep pairs every angle it reads from its two rows, gathered
+as the sweep passes it.
+It reads only the zero angles whose pairing can be nonzero: a row of
+the stack is live if it is nonzero when the sweep starts or a nonzero
+sym or anti rotation touches it (diagonal rotations are phases and keep
+a zero row zero); a zero sym or anti angle needs both of its rows live,
+a zero diagonal one either.  reverse_plan lists those angles run by
+run, from the live rows alone (its cost grows with their square, not
+with the basis); reverse_sweep reads the live rows off its stack and
+keeps the plan of the last pattern of nonzero angles and live rows on
+the basis.
+From the identity K^2..K^m stay zero, and a steady qubit step reads
+no zero angle.
 Embedded in the interleaved real layout, each block is a dense
 2md x 2md real generator commuting with the symplectic form; that dense
 chart is the reference the tests check this one against.  Composing one
@@ -151,31 +152,6 @@ def generator_basis(dim: int) -> GeneratorBasis:
     return GeneratorBasis(dim, pairs, kinds)
 
 
-def pairing_offsets(
-    basis: GeneratorBasis, angles
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where the pairings of the generators ``angles`` sit in one product.
-
-    Re Tr(L^† J_a R) for md x rows complex L and R, in the dense real
-    chart <J_a, L^T R>, is a sum of two entries of Z = L R^†:
-    Im(Z_jk + Z_kj), then Re(Z_jk - Z_kj) for j < k, then
-    Im(Z_jj - Z_{j+1,j+1}).  Returns, per generator that ``angles`` (an
-    index array or a slice) picks out of ``basis``, the offsets of those
-    two entries into the interleaved real and imaginary parts of Z
-    (Z.view(float).ravel()) and the sign of the second, so their
-    pairings are ``parts.take(first) + sign * parts.take(second)``.
-    """
-    n = basis.dim // 2
-    j, k = basis.pairs[angles].T
-    kinds = basis.kinds[angles]
-    diagonal = kinds == 2
-    imaginary = kinds != 1  # the symmetric and diagonal pairings
-    first = 2 * np.where(diagonal, j * n + j, j * n + k) + imaginary
-    second = 2 * np.where(diagonal, k * n + k, k * n + j) + imaginary
-    sign = np.where(kinds == 0, 1.0, -1.0)
-    return first, second, sign
-
-
 def finite_transform(block: np.ndarray, theta) -> np.ndarray:
     """The 2 x 2 unitaries cos(theta) I + sin(theta) J.
 
@@ -193,7 +169,7 @@ def finite_transform(block: np.ndarray, theta) -> np.ndarray:
 
 def forward_sweep(
     basis: GeneratorBasis, angles: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, list, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list, np.ndarray]:
     """Apply the transforms of the nonzero angles to ``rows``, lowest first.
 
     ``rows`` is an (md, d) complex frame, updated in place two rows at a
@@ -202,42 +178,47 @@ def forward_sweep(
     rotation reads them without a fancy-index copy and writes them back
     from one two-row buffer.  Returns, in the order they were applied,
     the indices of the nonzero angles, their row pairs as a list of
-    [j, k], their (K, 2, 2) generator blocks and their (K, 2, 2)
-    unitaries, made in one finite_transform call, so a reverse sweep
-    gathers none of them again.
+    [j, k] and their (K, 2, 2) unitaries, made in one finite_transform
+    call, so a reverse sweep gathers none of them again.
     """
     nonzero = np.flatnonzero(angles)
     pairs = basis.pairs[nonzero].tolist()
-    blocks = basis.blocks[basis.kinds[nonzero]]
-    unitaries = finite_transform(blocks, angles[nonzero])
+    unitaries = finite_transform(basis.blocks[basis.kinds[nonzero]], angles[nonzero])
     moved = np.empty((2, rows.shape[1]), dtype=complex)
     for (j, k), u in zip(pairs, unitaries):
         view = rows[j : k + 1 : k - j]
         view[...] = u.dot(view, out=moved)
-    return nonzero, pairs, blocks, unitaries
+    return nonzero, pairs, unitaries
 
 
-def reverse_plan(basis: GeneratorBasis, nonzero: np.ndarray, live: np.ndarray) -> dict:
-    """The zero angles whose pairing a reverse sweep must read, run by run.
+def reverse_plan(
+    basis: GeneratorBasis, nonzero: np.ndarray, live: np.ndarray
+) -> tuple[dict, np.ndarray, np.ndarray]:
+    """The angles a reverse sweep pairs, and the stack rows it gathers.
 
     ``nonzero`` holds the nonzero angles (ascending) and ``live`` marks
     the rows that are nonzero in the stack [C | W] when the reverse sweep
     starts.  The rows a nonzero sym or anti rotation touches are live
     too; a diagonal rotation only multiplies its two rows by phases, so
     every other row stays zero through the sweep.  A zero angle's pairing
-    reads Z_jk and Z_kj of Z = C W^† (both rows must be live) for a sym
-    or anti generator, Z_jj and Z_kk (either row) for a diagonal one; no
-    other zero angle can pair to anything but 0.  Returns a dict that
-    maps b, the number of nonzero angles below a run of zero angles, to
-    that run's candidate angles and their pairing_offsets (first, second,
-    sign); a run with no candidate is absent.  The candidates come from
-    the live rows by the closed-form rank of (j, k) in generator_basis
-    order, so the cost grows with the nonzero angles and the square of
-    the live rows, not with the size of the basis.  The sets are small
-    and a learn builds a plan only when its pattern changes, so they are
-    Python lists: on the general two-qubit ansatz a build from a few
-    dozen numpy calls on arrays this size took ~1.5x as long in a fresh
-    process and 0.25 MB more peak memory.
+    Re Tr(C^† J W) pairs row j of C with row k of W and row k of C with
+    row j of W for a sym or anti generator (both rows must be live), and
+    each row with itself for a diagonal one (either row); no other zero
+    angle can pair to anything but 0.  The candidates come from the live
+    rows by the closed-form rank of (j, k) in generator_basis order, so
+    the cost grows with the nonzero angles and the square of the live
+    rows, not with the size of the basis.
+    Returns (runs, angles, blocks): ``angles`` lists the angles the sweep
+    pairs, the nonzero ones first and then the candidates in the order
+    the sweep reaches them (highest run first), and ``blocks`` their
+    (P, 2, 2) generator blocks; ``runs`` maps b, the number of nonzero
+    angles below a run of zero angles, to the slice of ``angles`` that
+    its candidates take and their flat row pairs [j, k, j, k, ...]; a run
+    with no candidate is absent.  The sets are small and a learn builds
+    a plan only when its pattern changes, so they are Python lists: on
+    the general two-qubit ansatz a build from a few dozen numpy calls on
+    arrays this size took ~1.5x as long in a fresh process and 0.25 MB
+    more peak memory.
     """
     n = basis.dim // 2
     count = n * (n - 1) // 2  # pairs j < k: the size of the sym and of the anti group
@@ -251,19 +232,22 @@ def reverse_plan(basis: GeneratorBasis, nonzero: np.ndarray, live: np.ndarray) -
     diagonal = sorted({r - 1 for r in rows if r > 0} | {r for r in rows if r < n - 1})
     ordered = nonzero.tolist()
     skip = set(ordered)
-    runs = {}
+    candidates = {}
     for a in [*rank, *(r + count for r in rank), *(i + 2 * count for i in diagonal)]:
         if a not in skip:  # keyed by the number of nonzero angles below a
-            runs.setdefault(bisect_left(ordered, a), []).append(a)
-    for below, angles in runs.items():
-        angles = np.array(angles)
-        runs[below] = angles, *pairing_offsets(basis, angles)
-    return runs
+            candidates.setdefault(bisect_left(ordered, a), []).append(a)
+    angles, runs = list(ordered), {}
+    for below in sorted(candidates, reverse=True):
+        run = candidates[below]
+        runs[below] = slice(len(angles), len(angles) + len(run)), basis.pairs[run].ravel()
+        angles += run
+    angles = np.array(angles, dtype=np.intp)
+    return runs, angles, basis.blocks[basis.kinds[angles]]
 
 
 def reverse_sweep(
     basis: GeneratorBasis,
-    swept: tuple[np.ndarray, list, np.ndarray, np.ndarray],
+    swept: tuple[np.ndarray, list, np.ndarray],
     stack: np.ndarray,
 ) -> np.ndarray:
     """The gradient Re Tr(C_a^† J_a W_a) of every angle a, by the adjoint method.
@@ -276,44 +260,41 @@ def reverse_sweep(
     highest first, its two rows of the stack are pulled back in place
     through the strided view stack[j : k + 1 : k - j] into one buffer.
     U_a commutes with J_a and is unitary, so the pairing is the same
-    after the pull-back, and all nonzero angles are paired by one batched
-    product after the sweep.  Zero angles are identity factors, so the
-    candidates of each run of them that reverse_plan lists, for the
-    nonzero angles and the stack's live rows, are read off one md x md
-    product Z = C W^† by two takes; every other zero angle is 0.  The
-    plan is kept on ``basis`` until the pattern changes.  The stack is
-    left as [C_0 | W_0].
+    after the pull-back.  Zero angles are identity factors, so the two
+    rows of each candidate of a run of them that reverse_plan lists, for
+    the nonzero angles and the stack's live rows, are gathered into the
+    same buffer by one take as the sweep passes the run; every other
+    zero angle is 0.  One batched product after the sweep pairs every
+    angle in the buffer.  The plan is kept on ``basis`` until the
+    pattern changes.  The stack is left as [C_0 | W_0].
     """
-    nonzero, pairs, blocks, unitaries = swept
+    nonzero, pairs, unitaries = swept
     live = stack.any(axis=1)
     key = nonzero.tobytes(), live.tobytes()
     if basis.plan[0] != key:
         basis.plan = key, reverse_plan(basis, nonzero, live)
-    runs = basis.plan[1]
+    runs, angles, blocks = basis.plan[1]
     d = stack.shape[1] // 2
-    cotangent, frame = stack[:, :d], stack[:, d:]  # views of the stack
-    grad = np.zeros(len(basis))
+    pulled = np.empty((len(angles), 2, 2 * d), dtype=complex)  # rows j, k
 
-    def read_run(below: int) -> None:
+    def gather(below: int) -> None:
         if below in runs:
-            angles, first, second, sign = runs[below]
-            # two takes off Z = C W^† as floats
-            parts = (cotangent @ frame.conj().T).view(float).ravel()
-            grad[angles] = parts.take(first) + sign * parts.take(second)
+            place, rows = runs[below]
+            stack.take(rows, axis=0, out=pulled[place].reshape(-1, 2 * d))
 
-    pulled = np.empty((len(pairs), 2, 2 * d), dtype=complex)  # rows j, k
     adjoints = unitaries.conj().swapaxes(-1, -2)
     reverse = enumerate(zip(pairs, adjoints, pulled))
     for below, ((j, k), u_adj, out) in reversed(list(reverse)):
-        read_run(below + 1)  # the zero angles above this one
+        gather(below + 1)  # the zero angles above this one
         touched = stack[j : k + 1 : k - j]  # rows j and k, a view
         touched[...] = u_adj.dot(touched, out=out)
-    read_run(0)
-    # Re Tr(C^† J W) on the two pulled-back rows, for all of them at once
+    gather(0)
+    # Re Tr(C^† J W) on the two rows of every listed angle at once
     moved = blocks @ pulled[..., d:]  # J W
     # Re sum conj(c) x sums Re c Re x + Im c Im x over the float views
     paired = pulled[..., :d].view(float) * moved.view(float)
-    grad[nonzero] = paired.reshape(len(pairs), 4 * d).sum(axis=1)
+    grad = np.zeros(len(basis))
+    grad[angles] = paired.reshape(len(angles), 4 * d).sum(axis=1)
     return grad
 
 

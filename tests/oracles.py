@@ -17,9 +17,7 @@ entries (the reference of the package's Pauli-coordinate form), the
 batched fidelity and cotangent by complex stacked products (the
 reference of the package's real-form d > 2 path),
 the transfer matrix, Pauli sandwich and loss cotangent of the learner's
-contractions by einsum (the references of its fixed 2-D products),
-generator pairings read off one product through the package's pairing
-table (checked against the dense chart), and
+contractions by einsum (the references of its fixed 2-D products), and
 the three samplers drawn one state at a time, which the batched samplers
 must reproduce bit for bit, with the Haar-unitary draw of the Bures
 sampler.
@@ -28,7 +26,6 @@ sampler.
 import numpy as np
 
 from kraussphere.linalg import PAULI_SIGNS, PAULIS
-from kraussphere.transforms import generator_basis, pairing_offsets
 
 
 def embed_real(h: np.ndarray) -> np.ndarray:
@@ -119,20 +116,6 @@ def fancy_index_rotations(pairs, unitaries, rows: np.ndarray) -> np.ndarray:
     for pair, u in zip(pairs, unitaries):
         rows[pair] = u @ rows[pair]
     return rows
-
-
-def generator_pairings(left, right, start: int = 0, stop: int | None = None):
-    """Re Tr(left^† J_a right) for the J_a of generator_basis, a in [start, stop).
-
-    ``left`` and ``right`` are (md, rows) complex arrays; the entries are
-    read off Z = left right^† at the package's pairing_offsets, as the
-    gradient reads each zero run, so checking this against the dense
-    chart checks the offsets.
-    """
-    basis = generator_basis(2 * left.shape[0])
-    first, second, sign = pairing_offsets(basis, slice(start, stop))
-    parts = (left @ right.conj().T).astype(complex, copy=False).view(float).ravel()
-    return parts.take(first) + sign * parts.take(second)
 
 
 def einsum_transfer(rows: np.ndarray, d: int, m: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from kraussphere.channels import flip_channel
 from kraussphere.geometry import KrausSet, matrices_from_pairs
 from kraussphere.linalg import PAULIS
 from kraussphere.optimizer import LossContext
+from kraussphere.sampling import SampleConfig
 
 
 def base_config(out_dir, **overrides):
@@ -686,6 +687,23 @@ class TestMainExitCodes:
         assert main(["sample", "--config", str(path), "--quiet"]) == EXIT_OK
         expected = MANIFEST.replace("OUT", str(tmp_path / "out"))
         assert (tmp_path / "out" / "manifest.json").read_text() == expected
+
+    def test_out_of_memory_exit(self, tmp_path, capsys, monkeypatch):
+        # a 10^12-state ensemble cannot be allocated; the draw is replaced
+        # so the test allocates nothing
+        def unable(config, seed=None):
+            raise MemoryError(f"Unable to allocate an array of {config.count} states")
+
+        monkeypatch.setattr(SampleConfig, "draw", unable)
+        config = base_config(tmp_path / "samples")
+        config["sample"]["count"] = 10**12
+        path = write_config(tmp_path, config)
+        assert main(["sample", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "out of memory: Unable to allocate an array of 1000000000000 states\n"
+        )
+        assert captured.out == ""
 
     def test_sample_outputs_states(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path / "samples"))

@@ -381,8 +381,34 @@ PLAN_CASES = [
 ]
 
 
+def count_stack_products(monkeypatch) -> list:
+    """Run the context's reverse sweeps on a view of their stack that
+    records the shape of every product it starts; returns the record."""
+    products = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            product = np.asarray(self) @ other
+            products.append(product.shape)
+            return product
+
+        def __rmatmul__(self, other):
+            product = other @ np.asarray(self)
+            products.append(product.shape)
+            return product
+
+    sweep = optimizer.reverse_sweep
+
+    def counted_sweep(basis, swept, stack):
+        return sweep(basis, swept, stack.view(Counted))
+
+    monkeypatch.setattr(optimizer, "reverse_sweep", counted_sweep)
+    return products
+
+
 class TestReversePlan:
-    """The context reads only the zero angles' pairings that can be nonzero."""
+    """The context reads only the zero angles' pairings that can be nonzero,
+    each from its own two rows of the stack."""
 
     @pytest.mark.parametrize("d,m,name", PLAN_CASES)
     def test_context_gradient_matches_dense_prefix_pairings(self, monkeypatch, d, m, name):
@@ -393,7 +419,9 @@ class TestReversePlan:
         angles = np.zeros(ctx.n_angles)
         chosen = plan_pattern(ctx.basis, d, name)
         angles[chosen] = rng.uniform(0.1, 1.5, len(chosen)) * rng.choice([-1, 1], len(chosen))
+        products = count_stack_products(monkeypatch)
         _, grad = ctx.gradient(angles)
+        assert products == []  # every angle paired from its own two rows
         # C_n from the same evaluation, pulled back to C_0 in the dense chart
         _, rows, swept, recovered, aux = ctx._evaluated(angles)
         cotangent = ctx._cotangent(rows, recovered, aux).reshape(m * d, d)
@@ -408,9 +436,11 @@ class TestReversePlan:
         assert np.array_equal(grad, reverse_sweep(generator_basis(2 * m * d), swept, stack))
 
     def test_steady_qubit_step_forms_no_pairing_product(self, monkeypatch):
-        # bitflip_1q's steady pattern [0, 28, 56, 57] moves only K^1's rows
-        # 0 and 1 and the phase of row 2, so no zero angle can pair to
-        # anything but 0 and the reverse sweep forms no 8 x 8 Z = C W^†
+        # no reverse sweep starts a product on its stack: the zeros start
+        # gathers its one run of candidates [0, 28, 56, 57] by one take,
+        # and bitflip_1q's steady pattern [0, 28, 56, 57] moves only K^1's
+        # rows 0 and 1 and the phase of row 2, so no zero angle can pair
+        # to anything but 0 and the sweep reads none
         states = np.stack(sample_bloch_ball(seed=7, count=50))
         channel = flip_channel("bit_flip", 0.8)
         corrupted = apply_channel_batch(channel.operators, states)
@@ -421,33 +451,23 @@ class TestReversePlan:
         assert np.flatnonzero(theta).tolist() == [0, 28, 56, 57]
         expected = ctx.gradient(theta)[1]
 
-        products, builds = [], []
-
-        class Counted(np.ndarray):
-            """A view of the stack that records the products it starts."""
-
-            def __matmul__(self, other):
-                product = np.asarray(self) @ other
-                products.append(product.shape)
-                return product
-
-        sweep, build = optimizer.reverse_sweep, transforms.reverse_plan
-
-        def counted_sweep(basis, swept, stack):
-            return sweep(basis, swept, stack.view(Counted))
+        products, builds = count_stack_products(monkeypatch), []
+        build = transforms.reverse_plan
 
         def counted_build(*args):
             builds.append(args)
             return build(*args)
 
-        monkeypatch.setattr(optimizer, "reverse_sweep", counted_sweep)
         monkeypatch.setattr(transforms, "reverse_plan", counted_build)
         fresh = LossContext(corrupted, states, 4)
-        fresh.gradient(np.zeros(63))  # the zeros start reads its one run
-        assert (products, len(builds)) == ([(8, 8)], 1)
-        products.clear()
+        fresh.gradient(np.zeros(63))  # the zeros start gathers its one run
+        assert (products, len(builds)) == ([], 1)
+        runs, angles, _ = fresh.basis.plan[1]
+        assert list(runs) == [0] and angles.tolist() == [0, 28, 56, 57]
         assert np.array_equal(fresh.gradient(theta)[1], expected)  # a new plan
         assert (products, len(builds)) == ([], 2)
+        runs, angles, _ = fresh.basis.plan[1]
+        assert runs == {} and angles.tolist() == [0, 28, 56, 57]
         assert np.array_equal(fresh.gradient(theta)[1], expected)  # the kept one
         assert (products, len(builds)) == ([], 2)
 

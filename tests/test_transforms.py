@@ -32,7 +32,6 @@ from oracles import (
     dense_product,
     embed_transform,
     fancy_index_rotations,
-    generator_pairings,
     matrix_exp_series,
     prefix_pairings,
     real_vectors,
@@ -135,30 +134,17 @@ class TestGeneratorPairings:
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
     @pytest.mark.parametrize("rows", [1, 2, 4])
     def test_matches_dense_pairings_in_basis_order(self, n, rows):
+        # at zero angles the reverse sweep's gradient is every generator's
+        # pairing Re Tr(C^† J_a W), each read from its own two stack rows
         rng = np.random.default_rng(70 + n)
         left = rng.normal(size=(rows, 2 * n))
         right = rng.normal(size=(rows, 2 * n))
         dense = [np.sum(j * (left.T @ right)) for j in dense_basis(2 * n)]
-        compact = generator_pairings(complex_rows(left), complex_rows(right))
+        basis = generator_basis(2 * n)
+        stack = np.concatenate([complex_rows(left), complex_rows(right)], axis=1)
+        swept = forward_sweep(basis, np.zeros(len(basis)), stack)
+        compact = reverse_sweep(basis, swept, stack)  # every row is live
         assert np.max(np.abs(compact - dense)) <= 1e-12
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 8])
-    def test_slices_match_dense_pairings(self, n):
-        # ranges inside each group and across the symmetric ->
-        # antisymmetric -> diagonal boundaries
-        rng = np.random.default_rng(80 + n)
-        left = rng.normal(size=(2, 2 * n))
-        right = rng.normal(size=(2, 2 * n))
-        dense = np.array([np.sum(j * (left.T @ right)) for j in dense_basis(2 * n)])
-        count, group = n * n - 1, n * (n - 1) // 2
-        ranges = [(0, count), (group - 1, group + 1), (2 * group - 1, count)]
-        ranges += [tuple(sorted(rng.integers(0, count + 1, 2))) for _ in range(20)]
-        for start, stop in ranges:
-            compact = generator_pairings(
-                complex_rows(left), complex_rows(right), start, stop
-            )
-            assert compact.shape == (stop - start,)
-            assert np.max(np.abs(compact - dense[start:stop]), initial=0.0) <= 1e-12
 
 
 class TestFiniteTransform:
@@ -276,17 +262,17 @@ class TestApplyAngles:
 
     def test_forward_sweep_skips_zero_angles(self, basis_16):
         rows = np.eye(8, 2, dtype=complex)
-        nonzero, pairs, blocks, unitaries = forward_sweep(basis_16, np.zeros(63), rows)
+        nonzero, pairs, unitaries = forward_sweep(basis_16, np.zeros(63), rows)
         assert nonzero.size == 0 and pairs == []
-        assert blocks.shape == unitaries.shape == (0, 2, 2)
+        assert unitaries.shape == (0, 2, 2)
         assert np.array_equal(rows, np.eye(8, 2))
         angles = np.zeros(63)
         angles[[3, 40]] = 0.5, -1.2
-        nonzero, pairs, blocks, unitaries = forward_sweep(basis_16, angles, rows)
+        nonzero, pairs, unitaries = forward_sweep(basis_16, angles, rows)
         assert nonzero.tolist() == [3, 40]
         assert pairs == basis_16.pairs[[3, 40]].tolist()
-        for a, block, u in zip(nonzero, blocks, unitaries):
-            assert np.array_equal(block, basis_16.blocks[basis_16.kinds[a]])
+        for a, u in zip(nonzero, unitaries):
+            block = basis_16.blocks[basis_16.kinds[a]]
             assert np.array_equal(u, finite_transform(block, angles[a]))
 
     @pytest.mark.parametrize("d", [2, 4, 8])
@@ -323,7 +309,7 @@ class TestApplyAngles:
                     angles[rng.choice(group)] = rng.uniform(0.1, 2.0)
             rows = rng.normal(size=(m * d, d)) + 1j * rng.normal(size=(m * d, d))
             expected = rows.copy()
-            nonzero, _, _, unitaries = forward_sweep(basis, angles, rows)
+            nonzero, _, unitaries = forward_sweep(basis, angles, rows)
             fancy_index_rotations(basis.pairs[nonzero], unitaries, expected)
             assert np.array_equal(rows, expected)
             identity = np.eye(m * d, d, dtype=complex)
@@ -343,7 +329,7 @@ NONZERO_PATTERNS = {  # indices of the nonzero angles among n
 
 class TestReverseSweep:
     @pytest.mark.parametrize("pattern", list(NONZERO_PATTERNS))
-    @pytest.mark.parametrize("d,m", [(2, 1), (2, 4), (4, 1), (8, 1)])
+    @pytest.mark.parametrize("d,m", [(2, 1), (2, 4), (3, 1), (4, 1), (8, 1)])
     def test_matches_dense_prefix_pairings(self, d, m, pattern):
         # a random [C_0 | W_0], not from a loss: sweeping it forward gives
         # [C_n | W_n], and the reverse sweep must return every angle's
