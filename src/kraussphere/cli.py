@@ -8,6 +8,9 @@ channel, learn the quasi-inverse, and persist results.  Subcommands:
     validate  report completeness/unitarity of a saved channel file
     sample    emit a state ensemble -> states.json
 
+learn, curve and sample also write manifest.json: the format version and
+the config the run used (``{"format_version", "config"}``).
+
 Exit codes: 0 success, 1 usage/config error (also a config whose arrays
 do not fit in memory: one "out of memory" line), 2 numerical failure.
 """
@@ -18,7 +21,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,13 +43,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
-CSV_HEADER = "p,fidelity_before,fidelity_after,iterations_used,wall_time_seconds"
-
-# optimizer fields of older configs that no longer mean anything (the
-# central-difference step and its thread count): read, dropped, and
-# listed in the manifest as ignored
-RETIRED_OPTIMIZER_FIELDS = ("epsilon", "threads")
-
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
@@ -61,19 +57,23 @@ class CurveRow:
     wall_time_seconds: float
 
     def to_csv_line(self) -> str:
+        """The fields in order, floats at 6 significant digits."""
         return ",".join(
-            [
-                _sig6(self.p),
-                _sig6(self.fidelity_before),
-                _sig6(self.fidelity_after),
-                str(self.iterations_used),
-                _sig6(self.wall_time_seconds),
-            ]
+            _sig6(value) if isinstance(value, float) else str(value)
+            for value in _fields(self).values()
         )
+
+
+CSV_HEADER = ",".join(f.name for f in fields(CurveRow))
 
 
 def _sig6(x: float) -> str:
     return f"{x:.6g}"
+
+
+def _fields(record) -> dict:
+    """A dataclass's fields by name, in declaration order (shallow)."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
 @dataclass
@@ -83,7 +83,6 @@ class ExperimentConfig:
     optimizer: OptimizerConfig
     output_dir: str
     p_grid: list[float] | None = None
-    ignored_fields: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if self.channel.n_qubits != self.sample.n_qubits:
@@ -105,22 +104,16 @@ class ExperimentConfig:
                     raise ConfigError(f"p_grid value {p} outside [0, 1]")
 
     def to_dict(self) -> dict:
-        channel = {
-            "kind": self.channel.kind,
-            "p": self.channel.p,
-            "n_qubits": self.channel.n_qubits,
-        }
-        if self.channel.custom_kraus is not None:
-            channel["custom_kraus"] = self.channel.custom_kraus.to_dict()
-        data = {
-            "format_version": FORMAT_VERSION,
-            "channel": channel,
-            "sample": asdict(self.sample),
-            "optimizer": asdict(self.optimizer),
-            "output_dir": self.output_dir,
-        }
-        if self.p_grid is not None:
-            data["p_grid"] = list(self.p_grid)
+        """The config as JSON, each section by its own fields in order; an
+        unset optional field (``p_grid``, ``channel.custom_kraus``) is
+        left out."""
+        data = {"format_version": FORMAT_VERSION}
+        for name, value in _fields(self).items():
+            if value is not None:
+                data[name] = _fields(value) if is_dataclass(value) else value
+        kraus = data["channel"].pop("custom_kraus")
+        if kraus is not None:
+            data["channel"]["custom_kraus"] = kraus.to_dict()
         return data
 
 
@@ -175,15 +168,11 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             {"n_qubits": int, "count": int, "seed": int, "measure": str},
             "sample",
         )
-        section = top.get("optimizer", {})
-        ignored = [
-            f"optimizer.{key}" for key in RETIRED_OPTIMIZER_FIELDS if key in section
-        ]
-        kept = {k: v for k, v in section.items() if k not in RETIRED_OPTIMIZER_FIELDS}
-        if kept.get("m", 0) is None:
-            del kept["m"]  # null m is the default, d**2
+        section = dict(top.get("optimizer", {}))
+        if section.get("m", 0) is None:
+            del section["m"]  # null m is the default, d**2
         optimizer_fields = _take_fields(
-            kept,
+            section,
             {
                 "eta0": float,
                 "max_iters": int,
@@ -207,7 +196,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             optimizer=OptimizerConfig(**optimizer_fields),
             output_dir=top["output_dir"],
             p_grid=p_grid,
-            ignored_fields=ignored,
         )
     except (KeyError, TypeError, ValueError) as exc:  # ConfigError too
         raise ConfigError(str(exc)) from exc
@@ -237,16 +225,8 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_manifest(out_dir: Path, config: ExperimentConfig) -> None:
-    _write_json(
-        out_dir / "manifest.json",
-        {
-            "format_version": FORMAT_VERSION,
-            "config": config.to_dict(),
-            "sample_seed": config.sample.seed,
-            "optimizer_seed": config.optimizer.seed,
-            "ignored_fields": config.ignored_fields,
-        },
-    )
+    manifest = {"format_version": FORMAT_VERSION, "config": config.to_dict()}
+    _write_json(out_dir / "manifest.json", manifest)
 
 
 def run_single(config: ExperimentConfig) -> QuasiInverseResult:
@@ -316,14 +296,16 @@ def validate_channel_file(path, quiet: bool = False) -> dict:
         "complete": complete,
     }
     if complete:
-        weights, unitary = dominant_kraus_report(kraus)
-        report["weights"] = [float(w) for w in weights]
+        weights, spectrum, unitary = dominant_kraus_report(kraus)
+        report["weights"] = weights.tolist()
+        report["spectrum"] = spectrum.tolist()
         report["effectively_unitary"] = unitary
     if not quiet:
         print(f"d={kraus.d} m={kraus.m}")
         print(f"completeness deviation: {deviation:.3e}")
         if complete:
             print("weights: " + " ".join(_sig6(w) for w in report["weights"]))
+            print("spectrum: " + " ".join(_sig6(w) for w in report["spectrum"]))
             print(f"effectively unitary: {report['effectively_unitary']}")
         else:
             tol = np.format_float_scientific(FRAME_TOL_LOOSE, trim="-", exp_digits=1)

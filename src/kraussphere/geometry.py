@@ -1,11 +1,10 @@
 """Kraus-sphere geometry.
 
 A channel with Kraus operators ``{K^a}`` (each d x d, a = 1..m) is
-re-expressed as d real unit vectors of length ``2*m*d``: for column i,
-vector ``v_i`` lists the pairs ``(Re K^a[k, i], Im K^a[k, i])`` with the
-operator index a outermost and the row index k innermost.  The
-symplectic form below relies on the (x, y) adjacency this layout
-produces.
+re-expressed as d real unit vectors of length ``2*m*d``: ``v_i`` is
+column i of the stacked operators ``W = [K^1; ...; K^m]`` (md x d) read
+as interleaved (Re, Im) floats.  The symplectic form below relies on the
+(x, y) adjacency this layout produces.
 
 Collecting the vectors of all d columns gives a frame.  Unit norm,
 mutual Euclidean orthogonality, and mutual symplectic orthogonality of
@@ -236,23 +235,14 @@ def identity_frame(d: int, m: int) -> KrausFrame:
 
 
 def operator_stack_to_vectors(stack: np.ndarray) -> np.ndarray:
-    """(m, d, d) operator stack -> (d, 2*m*d) frame rows."""
+    """Complex (m, d, d) operator stack -> (d, 2*m*d) frame rows: the
+    float view of a copy of the columns of W = stack.reshape(m*d, d)."""
     m, d, _ = stack.shape
-    # columns[i, a, k] = K^a[k, i]; flatten a-major, k-minor per row
-    columns = stack.transpose(2, 0, 1).reshape(d, m * d)
-    vectors = np.empty((d, 2 * m * d))
-    vectors[:, 0::2] = columns.real
-    vectors[:, 1::2] = columns.imag
-    return vectors
+    return stack.reshape(m * d, d).T.copy().view(float)
 
 
 def vectors_to_operator_stack(vectors: np.ndarray) -> np.ndarray:
-    """Frame rows (..., d, 2*m*d) -> operator stack (..., m, d, d).
-
-    Exact inverse of the relabeling; leading batch axes pass through.
-    """
-    columns = np.empty(vectors.shape[:-1] + (vectors.shape[-1] // 2,), dtype=complex)
-    columns.real = vectors[..., 0::2]
-    columns.imag = vectors[..., 1::2]
-    shaped = columns.reshape(vectors.shape[:-1] + (-1, vectors.shape[-2]))
-    return np.moveaxis(shaped, -3, -1)
+    """(d, 2*m*d) frame rows -> (m, d, d) operator stack, a new array:
+    the exact inverse of :func:`operator_stack_to_vectors`."""
+    d = len(vectors)
+    return np.ascontiguousarray(vectors).view(complex).T.copy().reshape(-1, d, d)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,14 +117,6 @@ class TrainingRecord:
     avg_fidelity: float
     grad_norm: float
 
-    def to_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "loss": self.loss,
-            "avg_fidelity": self.avg_fidelity,
-            "grad_norm": self.grad_norm,
-        }
-
 
 @dataclass
 class QuasiInverseResult:
@@ -145,17 +137,16 @@ class QuasiInverseResult:
         return len(self.history)
 
     def to_dict(self) -> dict:
-        return {
-            "channel": self.channel.to_dict(),
-            "angles": [float(t) for t in self.angles],
-            "history": [rec.to_dict() for rec in self.history],
-            "fidelity_before": self.fidelity_before,
-            "fidelity_after": self.fidelity_after,
-            "stop_reason": self.stop_reason,
-            "best_iteration": self.best_iteration,
-            "loss_evaluations": self.loss_evaluations,
-            "gradient_evaluations": self.gradient_evaluations,
-        }
+        """The fields in declaration order, shallow: only the channel, the
+        angles and the history are converted (a record's ``vars`` are its
+        fields in order)."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(
+            channel=self.channel.to_dict(),
+            angles=[float(t) for t in self.angles],
+            history=[vars(record).copy() for record in self.history],
+        )
+        return data
 
 
 class LossContext:
@@ -436,15 +427,23 @@ def learn_quasi_inverse(
     )
 
 
-def dominant_kraus_report(kraus: KrausSet) -> tuple[np.ndarray, bool]:
-    """Per-operator weights Tr[(K^a)† K^a] / d and a unitarity verdict.
+def dominant_kraus_report(kraus: KrausSet) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Per-operator weights Tr[(K^a)† K^a] / d, the Kraus-Gram spectrum and
+    a unitarity verdict.
 
-    A channel is reported effectively unitary when a single operator
-    carries at least 99% of the weight.
+    The spectrum lists the eigenvalues of the m x m Kraus-Gram matrix
+    Tr[(K^a)† K^b] / d, largest first; its diagonal holds the weights.
+    They are the Choi matrix's nonzero eigenvalues over d, so they sum to
+    1 and do not change under the unitary freedom K'^a = sum_b u_ab K^b
+    of the Kraus set, while the weights do: a unitary U written as
+    K^a = c_a U has weights |c_a|^2 and spectrum [1, 0, ..., 0].  A
+    channel is reported effectively unitary when its largest eigenvalue
+    is at least 0.99.
     """
     deviation = kraus.completeness_deviation()
     if deviation > FRAME_TOL_LOOSE:
         raise ValueError(f"channel violates completeness: {deviation:.3e}")
-    ops = kraus.operators
-    weights = np.trace(ops.conj().swapaxes(1, 2) @ ops, axis1=1, axis2=2).real / kraus.d
-    return weights, bool(weights.max() >= 0.99)
+    flat = kraus.operators.reshape(kraus.m, -1)
+    gram = flat.conj() @ flat.T / kraus.d
+    spectrum = np.linalg.eigvalsh(gram)[::-1]
+    return gram.diagonal().real.copy(), spectrum, bool(spectrum[0] >= 0.99)

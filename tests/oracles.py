@@ -20,11 +20,15 @@ the transfer matrix, Pauli sandwich and loss cotangent of the learner's
 contractions by einsum (the references of its fixed 2-D products), and
 the three samplers drawn one state at a time, which the batched samplers
 must reproduce bit for bit, with the Haar-unitary draw of the Bures
-sampler.
+sampler.  Last, the exact Pauli recovery of a noisy ensemble, the bar a
+learned quasi-inverse has to reach on the same states.
 """
+
+import functools
 
 import numpy as np
 
+from kraussphere.channels import apply_channel_batch
 from kraussphere.linalg import PAULI_SIGNS, PAULIS
 
 
@@ -300,6 +304,18 @@ def average_fidelity(pairs) -> float:
     if not pairs:
         raise ValueError("average_fidelity needs at least one pair")
     return float(np.mean([reference_fidelity(rec, orig) for rec, orig in pairs]))
+
+
+def pauli_recovery_fidelity(channel, pauli, states) -> float:
+    """Mean reference fidelity of n-qubit ``states`` recovered from
+    ``channel`` by the unitary P (x) ... (x) P, one single-qubit ``pauli``
+    (or the identity) on each of the n qubits, n read off the states."""
+    held = np.stack(states)
+    n_qubits = held.shape[-1].bit_length() - 1
+    unitary = functools.reduce(np.kron, [pauli] * n_qubits)
+    noisy = apply_channel_batch(channel.operators, held)
+    recovered = unitary @ noisy @ unitary.conj().T
+    return average_fidelity(zip(recovered, held))
 
 
 def sample_one_at_a_time(measure: str, seed: int, count: int, dim: int) -> list:

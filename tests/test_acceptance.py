@@ -59,6 +59,7 @@ from oracles import (
     dense_generator,
     embed_transform,
     matrix_exp_series,
+    pauli_recovery_fidelity,
     reference_fidelity,
 )
 
@@ -132,16 +133,6 @@ def bures_two_qubit_results(bures_two_qubit_states):
     return _learn_two_qubit(bures_two_qubit_states)
 
 
-def pauli_recovery_fidelity(kind, states):
-    """Mean fidelity of the exact P(x)P recovery after 2-qubit flip noise."""
-    held = np.stack(states)
-    noisy = apply_channel_batch(tensor_flip_channel(kind, 0.8, 2).operators, held)
-    pauli, _ = FLIP_CASES[kind]
-    pp = np.kron(pauli, pauli)
-    recovered = np.einsum("ij,njk,lk->nil", pp, noisy, pp.conj())
-    return mean_fidelity(recovered, held)
-
-
 @pytest.fixture(scope="session")
 def depolarizing_result(training_states):
     cfg = OptimizerConfig(init="zeros", m=4, max_iters=500)
@@ -184,8 +175,8 @@ def flip_curves(tmp_path_factory):
     return curves
 
 
-def _single_qubit_criterion(number, kind, result):
-    _, before_ref = FLIP_CASES[kind]
+def _single_qubit_criterion(number, kind, result, states):
+    pauli, before_ref = FLIP_CASES[kind]
     before_ok = abs(result.fidelity_before - before_ref) <= 0.05
     after_ok = result.fidelity_after >= 0.95
     ok = report(
@@ -196,19 +187,28 @@ def _single_qubit_criterion(number, kind, result):
         f"{result.iterations_used} iterations",
     )
     assert ok
+    # the learn must also reach the exact Pauli recovery on its own states
+    exact = pauli_recovery_fidelity(flip_channel(kind, 0.8), pauli, states)
+    assert result.fidelity_after >= exact - 1e-3, (
+        f"{kind}: after={result.fidelity_after:.6f} < exact {exact:.6f} - 1e-3"
+    )
 
 
-def test_criterion_01_bit_flip_recovery(single_qubit_results):
-    _single_qubit_criterion(1, "bit_flip", single_qubit_results["bit_flip"])
-
-
-def test_criterion_02_phase_flip_recovery(single_qubit_results):
-    _single_qubit_criterion(2, "phase_flip", single_qubit_results["phase_flip"])
-
-
-def test_criterion_03_bit_phase_flip_recovery(single_qubit_results):
+def test_criterion_01_bit_flip_recovery(single_qubit_results, training_states):
     _single_qubit_criterion(
-        3, "bit_phase_flip", single_qubit_results["bit_phase_flip"]
+        1, "bit_flip", single_qubit_results["bit_flip"], training_states
+    )
+
+
+def test_criterion_02_phase_flip_recovery(single_qubit_results, training_states):
+    _single_qubit_criterion(
+        2, "phase_flip", single_qubit_results["phase_flip"], training_states
+    )
+
+
+def test_criterion_03_bit_phase_flip_recovery(single_qubit_results, training_states):
+    _single_qubit_criterion(
+        3, "bit_phase_flip", single_qubit_results["bit_phase_flip"], training_states
     )
 
 
@@ -220,12 +220,13 @@ def test_criterion_04_learned_inverses_are_pauli_unitaries(
     held = np.stack(held_out_states)
     for kind, result in single_qubit_results.items():
         pauli, _ = FLIP_CASES[kind]
-        weights, unitary = dominant_kraus_report(result.channel)
+        # the Kraus-Gram spectrum's top value: the dominant weight in any gauge
+        _, spectrum, unitary = dominant_kraus_report(result.channel)
         recovered = apply_channel_batch(result.channel.operators, held)
         pauli_action = np.einsum("ij,njk,lk->nil", pauli, held, pauli.conj())
         match = mean_fidelity(recovered, pauli_action)
-        ok = ok and unitary and weights.max() >= 0.99 and match >= 0.99
-        details.append(f"{kind}: weight={weights.max():.4f} pauli_match={match:.4f}")
+        ok = ok and unitary and spectrum[0] >= 0.99 and match >= 0.99
+        details.append(f"{kind}: weight={spectrum[0]:.4f} pauli_match={match:.4f}")
     assert report(4, ok, "; ".join(details) + " (thresholds 0.99)")
 
 
@@ -252,7 +253,9 @@ def test_criterion_05_bures_learns_reach_pauli_recovery(
     details = []
     ok = True
     for kind, result in bures_two_qubit_results.items():
-        exact = pauli_recovery_fidelity(kind, bures_two_qubit_states)
+        channel = tensor_flip_channel(kind, 0.8, 2)
+        pauli, _ = FLIP_CASES[kind]
+        exact = pauli_recovery_fidelity(channel, pauli, bures_two_qubit_states)
         ok = ok and result.fidelity_after >= exact - 1e-3
         details.append(
             f"{kind}: before={result.fidelity_before:.4f} "
@@ -274,6 +277,20 @@ def test_criterion_06_depolarizing_no_recovery(depolarizing_result, held_out_sta
         f"depolarizing p=0.8 after-before={delta:.2e} (<=0.02), "
         f"identity action fidelity={identity_action:.4f} (>=0.99)",
     )
+
+
+def test_depolarizing_exact_x_recovery_beats_the_identity(training_states):
+    # depolarizing p=0.8 maps a Bloch vector r to -r/15: past p = 3/4 the
+    # state is inverted, and the pi rotation X undoes part of that.  On
+    # criterion 6's training states X beats doing nothing by more than
+    # its 0.02 bar; criterion 6 passes because its learn stops at the
+    # identity
+    channel = depolarizing_channel(0.8)
+    identity = pauli_recovery_fidelity(channel, np.eye(2), training_states)
+    flipped = pauli_recovery_fidelity(channel, PAULI_X, training_states)
+    assert identity == pytest.approx(0.773696, abs=1e-6)
+    assert flipped == pytest.approx(0.800613, abs=1e-6)
+    assert flipped - identity > 0.02
 
 
 def test_criterion_07_recovery_curves(flip_curves):

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kraussphere
 from kraussphere.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -71,12 +76,7 @@ MANIFEST = """{
       0.2,
       0.8
     ]
-  },
-  "sample_seed": 60,
-  "optimizer_seed": 5,
-  "ignored_fields": [
-    "optimizer.epsilon"
-  ]
+  }
 }
 """
 
@@ -395,17 +395,38 @@ class TestRunSingle:
             1.0 - saved["fidelity_after"], abs=1e-15
         )
 
-    def test_retired_optimizer_fields_load_and_are_listed(self, tmp_path):
-        # older configs carried the central-difference step and thread count
-        data = base_config(tmp_path / "run")
-        data["optimizer"].update({"epsilon": 1e-6, "threads": 2})
-        config = config_from_dict(data)
-        assert config.ignored_fields == ["optimizer.epsilon", "optimizer.threads"]
-        assert set(config.to_dict()["optimizer"]).isdisjoint({"epsilon", "threads"})
-        run_single(config)
-        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
-        assert manifest["ignored_fields"] == ["optimizer.epsilon", "optimizer.threads"]
-        assert "epsilon" not in manifest["config"]["optimizer"]
+    def test_result_file_layout(self, tmp_path):
+        # result.json lists the result's fields in declaration order, each
+        # history record its own
+        run_single(config_from_dict(base_config(tmp_path / "run")))
+        saved = json.loads((tmp_path / "run" / "result.json").read_text())
+        assert list(saved) == [
+            "channel",
+            "angles",
+            "history",
+            "fidelity_before",
+            "fidelity_after",
+            "stop_reason",
+            "best_iteration",
+            "loss_evaluations",
+            "gradient_evaluations",
+        ]
+        assert list(saved["channel"]) == ["d", "m", "operators"]
+        for record in saved["history"]:
+            assert list(record) == ["iteration", "loss", "avg_fidelity", "grad_norm"]
+
+    def test_retired_optimizer_fields_are_rejected(self, tmp_path, capsys):
+        # the central-difference step and its thread count mean nothing
+        # now, so they are unknown fields like any other
+        for key, value in (("epsilon", 1e-6), ("threads", 2)):
+            data = base_config(tmp_path / "run")
+            data["optimizer"][key] = value
+            path = write_config(tmp_path, data)
+            assert main(["learn", "--config", str(path), "--quiet"]) == EXIT_CONFIG
+            assert capsys.readouterr().err == (
+                f"config error: unknown field(s) in optimizer: ['{key}']\n"
+            )
+            assert not (tmp_path / "run").exists()
 
     def test_rerun_bit_identical(self, tmp_path):
         for name in ("a", "b"):
@@ -432,7 +453,9 @@ class TestRunCurve:
         assert len(rows) == 1
         assert abs(rows[0].fidelity_after - rows[0].fidelity_before) <= 1e-6
         content = (tmp_path / "curve" / "curve.csv").read_text().splitlines()
-        assert content[0] == CSV_HEADER
+        assert content[0] == CSV_HEADER == (
+            "p,fidelity_before,fidelity_after,iterations_used,wall_time_seconds"
+        )
         assert len(content) == 2
 
     def test_csv_round_trip_at_printed_precision(self, tmp_path):
@@ -491,6 +514,7 @@ class TestValidateChannelFile:
         path.write_text(json.dumps(flip_channel("bit_flip", 0.8).to_dict()))
         report = validate_channel_file(path, quiet=True)
         assert np.allclose(report["weights"], [0.2, 0.8])
+        assert np.allclose(report["spectrum"], [0.8, 0.2])
         assert not report["effectively_unitary"]
 
     def test_truncated_json(self, tmp_path):
@@ -651,7 +675,7 @@ class TestMainExitCodes:
             == EXIT_OK
         )
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["sample_seed"] == 61
+        assert manifest["config"]["sample"]["seed"] == 61
         assert (out / "states.json").exists()
 
     def test_curve_ok(self, tmp_path, capsys):
@@ -678,11 +702,10 @@ class TestMainExitCodes:
         assert code == EXIT_CONFIG
 
     def test_manifest_bytes(self, tmp_path):
-        # the manifest as written before the sections came from asdict
+        # the manifest is the format version and the config as read, each
+        # section with every field
         data = base_config(tmp_path / "out", p_grid=[0.2, 0.8])
-        data["optimizer"] = {
-            "max_iters": 20, "init": "small_random", "seed": 5, "epsilon": 1e-4
-        }
+        data["optimizer"] = {"max_iters": 20, "init": "small_random", "seed": 5}
         path = write_config(tmp_path, data)
         assert main(["sample", "--config", str(path), "--quiet"]) == EXIT_OK
         expected = MANIFEST.replace("OUT", str(tmp_path / "out"))
@@ -711,3 +734,30 @@ class TestMainExitCodes:
         saved = tmp_path / "samples" / "states.json"
         states = matrices_from_pairs(json.loads(saved.read_text()))
         assert len(states) == 25
+
+
+class TestBlasThreads:
+    def test_result_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # BLAS reads its thread count when numpy loads, so each count gets
+        # its own process: a small two-qubit learn must write the same bytes
+        data = base_config(tmp_path / "run")
+        data["channel"] = {"kind": "bit_flip", "p": 0.8, "n_qubits": 2}
+        data["sample"] = {"n_qubits": 2, "count": 40, "seed": 21, "measure": "bures"}
+        data["optimizer"] = {"max_iters": 100, "m": 2}
+        path = write_config(tmp_path, data)
+        paths = [str(Path(kraussphere.__file__).parents[1])]
+        paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads_{threads}"
+            env = {
+                **os.environ,
+                "OMP_NUM_THREADS": threads,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join(paths),
+            }
+            command = [sys.executable, "-m", "kraussphere.cli", "learn"]
+            command += ["--config", str(path), "--out", str(out), "--quiet"]
+            subprocess.run(command, env=env, check=True, timeout=300)
+            blobs.append((out / "result.json").read_bytes())
+        assert blobs[0] == blobs[1]

@@ -30,6 +30,7 @@ from oracles import (
     dense_product,
     einsum_cotangent,
     einsum_transfer,
+    haar_unitary,
     pauli_contraction,
     pauli_sandwich,
     prefix_pairings,
@@ -626,7 +627,7 @@ class TestLearnQuasiInverse:
         )
         assert result.fidelity_after >= 0.9
         assert result.fidelity_after > result.fidelity_before
-        weights, unitary = dominant_kraus_report(result.channel)
+        weights, _, unitary = dominant_kraus_report(result.channel)
         assert unitary and weights[0] >= 0.99
 
     def test_monotone_contract_random_init(self):
@@ -713,7 +714,7 @@ class TestLearnQuasiInverse:
             ]
         )
         assert result.fidelity_after >= pauli_fid - 0.005
-        _, unitary = dominant_kraus_report(result.channel)
+        *_, unitary = dominant_kraus_report(result.channel)
         assert unitary
 
     def test_pure_two_qubit_states_learn(self):
@@ -824,14 +825,33 @@ class TestLearnQuasiInverse:
 
 class TestDominantKrausReport:
     def test_identity_set(self):
-        weights, unitary = dominant_kraus_report(identity_kraus(2, 4))
+        weights, spectrum, unitary = dominant_kraus_report(identity_kraus(2, 4))
         assert np.array_equal(weights, [1.0, 0.0, 0.0, 0.0])
+        assert np.array_equal(spectrum, [1.0, 0.0, 0.0, 0.0])
         assert unitary
 
     def test_bit_flip_not_unitary(self):
-        weights, unitary = dominant_kraus_report(flip_channel("bit_flip", 0.8))
+        weights, spectrum, unitary = dominant_kraus_report(
+            flip_channel("bit_flip", 0.8)
+        )
         assert np.allclose(weights, [0.2, 0.8])
+        assert np.allclose(spectrum, [0.8, 0.2])
         assert not unitary
+
+    @pytest.mark.parametrize("d,m", [(2, 4), (4, 3)])
+    def test_unitary_in_a_spread_gauge(self, d, m):
+        # K^a = c_a U, c a column of a random m x m unitary, is the unitary
+        # channel U in another Kraus gauge: no operator dominates, but the
+        # Kraus-Gram matrix c c^+ has the single eigenvalue |c|^2 = 1
+        rng = np.random.default_rng(90)
+        unitary = haar_unitary(rng, d)
+        spread = haar_unitary(rng, m)[:, 0]
+        kraus = KrausSet(spread[:, None, None] * unitary)
+        weights, spectrum, verdict = dominant_kraus_report(kraus)
+        assert np.allclose(weights, np.abs(spread) ** 2) and weights.max() < 0.99
+        assert abs(spectrum[0] - 1.0) <= 1e-12
+        assert np.abs(spectrum[1:]).max() <= 1e-12
+        assert verdict
 
     def test_rejects_incomplete(self):
         with pytest.raises(ValueError, match="completeness"):

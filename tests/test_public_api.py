@@ -44,6 +44,8 @@ def test_no_duplicate_exports():
         (optimizer, "pairing_offsets"),
         (optimizer, "reverse_plan"),
         (transforms, "pairing_offsets"),
+        (optimizer.TrainingRecord, "to_dict"),
+        (cli, "RETIRED_OPTIMIZER_FIELDS"),
     ],
 )
 def test_removed_names_stay_gone(module, name):
