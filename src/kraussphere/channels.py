@@ -114,11 +114,7 @@ class ChannelSpec:
                     f"channel.p={self.p} is ignored by kind 'custom', whose "
                     f"noise is custom_kraus; leave p out"
                 )
-            deviation = self.custom_kraus.completeness_deviation()
-            if deviation > COMPLETENESS_TOL:
-                raise ValueError(
-                    f"custom Kraus set violates completeness: {deviation:.3e}"
-                )
+            self.custom_kraus.require_complete(COMPLETENESS_TOL, "custom Kraus set")
             if self.custom_kraus.d != 2**self.n_qubits:
                 raise ValueError(
                     f"custom_kraus acts on d={self.custom_kraus.d}, but "

@@ -21,8 +21,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -76,11 +77,11 @@ def _fields(record) -> dict:
     return {f.name: getattr(record, f.name) for f in fields(record)}
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
     channel: ChannelSpec
     sample: SampleConfig
-    optimizer: OptimizerConfig
+    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     output_dir: str
     p_grid: list[float] | None = None
 
@@ -117,86 +118,63 @@ class ExperimentConfig:
         return data
 
 
-def _take_fields(section, allowed: dict, where: str) -> dict:
-    """Pull known keys out of a config section, rejecting typos and values
-    of the wrong JSON type (:func:`geometry.json_value`)."""
-    json_value(section, dict, where)
-    unknown = set(section) - set(allowed)
+def _section(cls, data, where: str):
+    """A ``cls`` read from the JSON object ``data``, each field by its
+    annotation (:func:`_field_value`); a field without a default is
+    required, and a key that is not a field is rejected."""
+    json_value(data, dict, where)
+    declared = fields(cls)
+    unknown = set(data) - {f.name for f in declared}
     if unknown:
         raise ConfigError(f"unknown field(s) in {where}: {sorted(unknown)}")
     prefix = "" if where == "config" else f"{where}."
-    return {
-        key: json_value(section[key], kind, prefix + key)
-        for key, kind in allowed.items()
-        if key in section
-    }
+    hints = get_type_hints(cls)
+    values = {}
+    for f in declared:
+        name = prefix + f.name
+        if f.name in data:
+            values[f.name] = _field_value(data[f.name], hints[f.name], name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config is missing required field {name!r}")
+    return cls(**values)
+
+
+def _field_value(value, hint, name: str):
+    """``value`` read as the type ``hint``: an optional type takes null, a
+    KrausSet is a Kraus file's dict, another dataclass a section of its
+    own, a list is checked item by item (``name[i]``), and anything else
+    is one JSON value (:func:`geometry.json_value`)."""
+    options = get_args(hint)
+    if type(None) in options:
+        if value is None:
+            return None
+        (hint,) = set(options) - {type(None)}
+    if hint is KrausSet:
+        return KrausSet.from_dict(value)
+    if is_dataclass(hint):
+        return _section(hint, value, name)
+    if get_origin(hint) is list:
+        (item,) = get_args(hint)
+        items = json_value(value, list, name)
+        return [_field_value(x, item, f"{name}[{i}]") for i, x in enumerate(items)]
+    return json_value(value, hint, name)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Inverse of :meth:`ExperimentConfig.to_dict`, every section read from
+    its dataclass's fields (:func:`_section`)."""
     try:
-        top = _take_fields(
-            data,
-            {
-                "format_version": int,
-                "channel": dict,
-                "sample": dict,
-                "optimizer": dict,
-                "p_grid": list,
-                "output_dir": str,
-            },
-            "config",
+        json_value(data, dict, "config")
+        data = dict(data)
+        version = json_value(
+            data.pop("format_version", FORMAT_VERSION), int, "format_version"
         )
-        version = top.get("format_version", FORMAT_VERSION)
         if version != FORMAT_VERSION:
             raise ConfigError(
                 f"unsupported format_version {version}; "
                 f"this build reads version {FORMAT_VERSION}"
             )
-        for required in ("channel", "sample", "output_dir"):
-            if required not in top:
-                raise ConfigError(f"config is missing required field {required!r}")
-        channel_fields = _take_fields(
-            top["channel"],
-            {"kind": str, "p": float, "n_qubits": int, "custom_kraus": dict},
-            "channel",
-        )
-        if "custom_kraus" in channel_fields:
-            custom = KrausSet.from_dict(channel_fields["custom_kraus"])
-            channel_fields["custom_kraus"] = custom
-        sample_fields = _take_fields(
-            top["sample"],
-            {"n_qubits": int, "count": int, "seed": int, "measure": str},
-            "sample",
-        )
-        section = dict(top.get("optimizer", {}))
-        if section.get("m", 0) is None:
-            del section["m"]  # null m is the default, d**2
-        optimizer_fields = _take_fields(
-            section,
-            {
-                "eta0": float,
-                "max_iters": int,
-                "loss_tol": float,
-                "patience": int,
-                "init": str,
-                "init_scale": float,
-                "m": int,
-                "seed": int,
-            },
-            "optimizer",
-        )
-        p_grid = top.get("p_grid")
-        if p_grid is not None:
-            p_grid = [
-                json_value(p, float, f"p_grid[{i}]") for i, p in enumerate(p_grid)
-            ]
-        return ExperimentConfig(
-            channel=ChannelSpec(**channel_fields),
-            sample=SampleConfig(**sample_fields),
-            optimizer=OptimizerConfig(**optimizer_fields),
-            output_dir=top["output_dir"],
-            p_grid=p_grid,
-        )
+        return _section(ExperimentConfig, data, "config")
     except (KeyError, TypeError, ValueError) as exc:  # ConfigError too
         raise ConfigError(str(exc)) from exc
 
@@ -214,6 +192,8 @@ def _read_json(path, what: str):
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer over Python's digit limit, bad UTF-8
+        raise ConfigError(f"cannot parse {what} {path}: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:

@@ -71,6 +71,15 @@ class KrausSet:
         total = (ops.conj().swapaxes(1, 2) @ ops).sum(axis=0)
         return float(np.max(np.abs(total - np.eye(self.d))))
 
+    def require_complete(self, tol: float, name: str) -> None:
+        """ValueError naming ``name`` and the deviation when completeness
+        is violated beyond ``tol``."""
+        deviation = self.completeness_deviation()
+        if deviation > tol:
+            raise ValueError(
+                f"{name} violates completeness: max deviation {deviation:.3e}"
+            )
+
     def to_dict(self) -> dict:
         return {
             "d": self.d,
@@ -108,9 +117,14 @@ def matrices_from_pairs(data) -> np.ndarray:
     """Inverse of :func:`matrices_to_pairs`: a (count, n, n) complex array.
 
     Raises ValueError on ragged lists, entries that are not [re, im]
-    pairs, or an entry count that is not a square.
+    pairs, an entry count that is not a square, or an integer out of the
+    float range, naming its index.
     """
-    pairs = np.asarray(data, dtype=float)
+    try:
+        pairs = np.asarray(data, dtype=float)
+    except OverflowError:
+        index = "".join(f"[{i}]" for i in _float_overflow(data))
+        raise ValueError(f"entry {index} is out of the float range") from None
     if pairs.ndim != 3 or pairs.shape[2] != 2:
         raise ValueError(
             f"expected [count][n*n][re, im] entries, got shape {pairs.shape}"
@@ -121,18 +135,40 @@ def matrices_from_pairs(data) -> np.ndarray:
     return np.ascontiguousarray(pairs).view(complex).reshape(len(pairs), n, n)
 
 
+def _float_overflow(data, index=()) -> tuple | None:
+    """Index of the first integer in the nested lists ``data`` that is out
+    of the float range, or None."""
+    if isinstance(data, list):
+        for i, item in enumerate(data):
+            found = _float_overflow(item, (*index, i))
+            if found is not None:
+                return found
+    elif isinstance(data, int):
+        try:
+            float(data)
+        except OverflowError:
+            return index
+    return None
+
+
 def json_value(value, kind: type, name: str):
     """``value`` if it is a JSON ``kind``, else TypeError naming ``name``.
 
     Nothing is coerced and nothing takes a boolean: int takes integers
-    only (not 2.7, 2.0 or "2"); float takes any number, as a float.
+    only (not 2.7, 2.0 or "2"); float takes any number, as a float, and
+    an integer out of the float range raises ValueError naming ``name``.
     """
     number = kind is float
     accepted = (int, float) if number else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         what = "number" if number else kind.__name__
         raise TypeError(f"{name} must be a JSON {what}, got {value!r}")
-    return float(value) if number else value
+    if not number:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of the float range") from None
 
 
 @dataclass(eq=False)
@@ -203,11 +239,7 @@ def kraus_to_frame(kraus: KrausSet) -> KrausFrame:
     Raises ValueError when the completeness relation is violated beyond
     1e-8; the message carries the deviation.
     """
-    deviation = kraus.completeness_deviation()
-    if deviation > COMPLETENESS_TOL:
-        raise ValueError(
-            f"Kraus set violates completeness: max deviation {deviation:.3e}"
-        )
+    kraus.require_complete(COMPLETENESS_TOL, "Kraus set")
     return KrausFrame(operator_stack_to_vectors(kraus.operators))
 
 

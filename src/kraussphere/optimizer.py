@@ -350,9 +350,7 @@ def learn_quasi_inverse(
     originals = np.asarray(states)
     if len(originals) == 0:
         raise ValueError("state ensemble is empty")
-    deviation = channel.completeness_deviation()
-    if deviation > FRAME_TOL_LOOSE:
-        raise ValueError(f"channel violates completeness: {deviation:.3e}")
+    channel.require_complete(FRAME_TOL_LOOSE, "channel")
     d = channel.d
     m = cfg.m if cfg.m is not None else d * d
     if m > d * d:
@@ -440,9 +438,7 @@ def dominant_kraus_report(kraus: KrausSet) -> tuple[np.ndarray, np.ndarray, bool
     channel is reported effectively unitary when its largest eigenvalue
     is at least 0.99.
     """
-    deviation = kraus.completeness_deviation()
-    if deviation > FRAME_TOL_LOOSE:
-        raise ValueError(f"channel violates completeness: {deviation:.3e}")
+    kraus.require_complete(FRAME_TOL_LOOSE, "channel")
     flat = kraus.operators.reshape(kraus.m, -1)
     gram = flat.conj() @ flat.T / kraus.d
     spectrum = np.linalg.eigvalsh(gram)[::-1]

@@ -345,7 +345,5 @@ def channel_from_angles(d: int, m: int, angles: np.ndarray) -> KrausSet:
     rows = np.eye(m * d, d, dtype=complex)
     forward_sweep(generator_basis(2 * m * d), angles, rows)
     channel = KrausSet(rows.reshape(m, d, d))
-    deviation = channel.completeness_deviation()
-    if deviation > FRAME_TOL_LOOSE:
-        raise ValueError(f"swept channel violates completeness: {deviation:.3e}")
+    channel.require_complete(FRAME_TOL_LOOSE, "swept channel")
     return channel

@@ -25,7 +25,7 @@ from kraussphere.cli import (
 from kraussphere.channels import flip_channel
 from kraussphere.geometry import KrausSet, matrices_from_pairs
 from kraussphere.linalg import PAULIS
-from kraussphere.optimizer import LossContext
+from kraussphere.optimizer import LossContext, OptimizerConfig
 from kraussphere.sampling import SampleConfig
 
 
@@ -761,3 +761,132 @@ class TestBlasThreads:
             subprocess.run(command, env=env, check=True, timeout=300)
             blobs.append((out / "result.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+CUSTOM_CHANNEL = {
+    "kind": "custom",
+    "n_qubits": 1,
+    "custom_kraus": flip_channel("bit_flip", 0.8).to_dict(),
+}
+
+
+class TestSchemaReader:
+    """Each config section is read from its dataclass's own fields."""
+
+    @pytest.mark.parametrize("section,field", [("sample", "count"), ("channel", "kind")])
+    def test_missing_section_field_is_named(self, tmp_path, capsys, section, field):
+        # used to be "SampleConfig.__init__() missing 1 required positional
+        # argument: 'count'"
+        data = base_config(tmp_path / "run")
+        del data[section][field]
+        message = f"config is missing required field '{section}.{field}'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_dict(data)
+        path = write_config(tmp_path, data)
+        assert main(["learn", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_null_optional_fields_load_as_unset(self, tmp_path):
+        data = base_config(tmp_path / "run", p_grid=None)
+        data["channel"]["custom_kraus"] = None
+        config = config_from_dict(data)
+        assert config.p_grid is None and config.channel.custom_kraus is None
+        unset = config_from_dict(base_config(tmp_path / "run"))
+        assert config.to_dict() == unset.to_dict()
+
+    def test_optimizer_section_may_be_left_out(self, tmp_path):
+        data = base_config(tmp_path / "run")
+        del data["optimizer"]
+        assert config_from_dict(data).optimizer == OptimizerConfig()
+
+    @pytest.mark.parametrize(
+        "command,overrides,dropped",
+        [
+            ("learn", {}, "optimizer"),
+            ("curve", {"p_grid": [0.2, 0.8]}, None),
+            ("learn", {"channel": CUSTOM_CHANNEL}, None),
+        ],
+        ids=["learn-without-optimizer", "curve", "custom-channel"],
+    )
+    def test_manifest_config_round_trips(self, tmp_path, command, overrides, dropped):
+        data = base_config(tmp_path / "run", **overrides)
+        data.pop(dropped, None)
+        path = write_config(tmp_path, data)
+        assert main([command, "--config", str(path), "--quiet"]) == EXIT_OK
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert config_from_dict(manifest["config"]).to_dict() == manifest["config"]
+
+    def test_readme_config_example_loads(self):
+        # a config field renamed or dropped fails here instead of leaving
+        # the README's example stale
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        cli_section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+        (example,) = re.findall(r"```json\n(.*?)```", cli_section, re.DOTALL)
+        config_from_dict(json.loads(example))  # ConfigError names a stale field
+
+
+class TestHugeIntegers:
+    """Integers that JSON can hold but a float or Python's digit limit
+    cannot are config errors (exit 1) naming where they are; they used to
+    give a traceback or a "numerical failure" (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "path,value,field",
+        [
+            (("channel", "p"), 10**400, "channel.p"),
+            (("optimizer", "eta0"), -(10**400), "optimizer.eta0"),
+            (("p_grid",), [0.5, 10**400], "p_grid[1]"),
+        ],
+        ids=["channel.p", "optimizer.eta0", "p_grid"],
+    )
+    def test_real_field_beyond_the_float_range(
+        self, tmp_path, capsys, path, value, field
+    ):
+        data = base_config(tmp_path / "run")
+        *section, key = path
+        (data[section[0]] if section else data)[key] = value
+        config = write_config(tmp_path, data)
+        assert main(["learn", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {field} is out of the float range\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_operator_entry_beyond_the_float_range(self, tmp_path, capsys):
+        kraus = flip_channel("bit_flip", 0.8).to_dict()
+        kraus["operators"][1][2][0] = 10**400
+        channel = {"kind": "custom", "n_qubits": 1, "custom_kraus": kraus}
+        config = write_config(tmp_path, base_config(tmp_path / "run", channel=channel))
+        assert main(["learn", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "config error: entry [1][2][0] is out of the float range\n"
+        assert not (tmp_path / "run").exists()
+        channel_file = tmp_path / "channel.json"
+        channel_file.write_text(json.dumps(kraus))
+        assert main(["validate", str(channel_file)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: invalid channel structure in {channel_file}: "
+            f"entry [1][2][0] is out of the float range\n"
+        )
+        assert captured.out == ""
+
+    def test_integer_over_the_digit_limit(self, tmp_path, capsys):
+        # json.load refuses integers of more than 4300 digits with a plain
+        # ValueError
+        huge = "9" * 5000
+        data = base_config(tmp_path / "run")
+        data["sample"]["count"] = 123456789
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data).replace("123456789", huge))
+        assert main(["learn", "--config", str(config)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot parse config {config}: ")
+        assert "4300" in err and not (tmp_path / "run").exists()
+        channel_file = tmp_path / "channel.json"
+        text = json.dumps(flip_channel("bit_flip", 0.8).to_dict())
+        channel_file.write_text(text.replace('"d": 2', f'"d": {huge}'))
+        assert main(["validate", str(channel_file)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        prefix = f"config error: cannot parse channel file {channel_file}: "
+        assert err.startswith(prefix)
