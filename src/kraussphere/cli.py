@@ -150,7 +150,7 @@ def _field_value(value, hint, name: str):
             return None
         (hint,) = set(options) - {type(None)}
     if hint is KrausSet:
-        return KrausSet.from_dict(value)
+        return KrausSet.from_dict(value, name)
     if is_dataclass(hint):
         return _section(hint, value, name)
     if get_origin(hint) is list:

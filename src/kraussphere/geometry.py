@@ -88,20 +88,28 @@ class KrausSet:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "KrausSet":
+    def from_dict(cls, data: dict, where: str = "") -> "KrausSet":
         """Inverse of :meth:`to_dict`; ``d`` and ``m`` must be JSON integers
         that agree with the decoded operators.  A missing field raises
-        ValueError naming it."""
-        json_value(data, dict, "Kraus set")
+        ValueError naming it.  ``where`` is the set's place in a larger
+        document (``"channel.custom_kraus"``): errors then name the set
+        and its fields from there (``channel.custom_kraus.d``,
+        ``channel.custom_kraus.operators[1][2][0]``)."""
+        json_value(data, dict, where or "Kraus set")
         for key in ("d", "m", "operators"):
             if key not in data:
                 raise ValueError(f"Kraus set is missing required field {key!r}")
-        d = json_value(data["d"], int, "d")
-        m = json_value(data["m"], int, "m")
-        kraus = cls(matrices_from_pairs(data["operators"]))
+        prefix = f"{where}." if where else ""
+        d = json_value(data["d"], int, f"{prefix}d")
+        m = json_value(data["m"], int, f"{prefix}m")
+        operators = matrices_from_pairs(
+            data["operators"], f"{prefix}operators" if where else "entry "
+        )
+        kraus = cls(operators)
         if kraus.operators.shape != (m, d, d):
             raise ValueError(
-                f"operators have shape {kraus.operators.shape}, expected {(m, d, d)}"
+                f"{prefix}operators have shape {kraus.operators.shape}, "
+                f"expected {(m, d, d)}"
             )
         return kraus
 
@@ -113,18 +121,18 @@ def matrices_to_pairs(matrices) -> list[list[list[float]]]:
     return matrices.view(float).reshape(len(matrices), -1, 2).tolist()
 
 
-def matrices_from_pairs(data) -> np.ndarray:
+def matrices_from_pairs(data, where: str = "entry ") -> np.ndarray:
     """Inverse of :func:`matrices_to_pairs`: a (count, n, n) complex array.
 
     Raises ValueError on ragged lists, entries that are not [re, im]
     pairs, an entry count that is not a square, or an integer out of the
-    float range, naming its index.
+    float range, naming its index after ``where`` (``entry [1][2][0]``).
     """
     try:
         pairs = np.asarray(data, dtype=float)
     except OverflowError:
         index = "".join(f"[{i}]" for i in _float_overflow(data))
-        raise ValueError(f"entry {index} is out of the float range") from None
+        raise ValueError(f"{where}{index} is out of the float range") from None
     if pairs.ndim != 3 or pairs.shape[2] != 2:
         raise ValueError(
             f"expected [count][n*n][re, im] entries, got shape {pairs.shape}"

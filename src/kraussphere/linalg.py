@@ -175,14 +175,19 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
     return np.conjugate(m.swapaxes(-1, -2), order="C")
 
 
+def check_fidelity_band(low: float, high: float) -> None:
+    """ValueError unless fidelities from ``low`` to ``high`` all lie in
+    [-1e-8, 1 + 1e-8], the band that valid inputs round into."""
+    if low < -FIDELITY_BAND or high > 1.0 + FIDELITY_BAND:
+        raise ValueError(
+            f"fidelity outside [0, 1] beyond tolerance: range [{low}, {high}]"
+        )
+
+
 def _checked(fid: np.ndarray) -> np.ndarray:
     """Fidelities clamped to [0, 1]; any outside [-1e-8, 1 + 1e-8] raise."""
     if fid.size:  # an empty batch has no range to check
-        low, high = fid.min(), fid.max()
-        if low < -FIDELITY_BAND or high > 1.0 + FIDELITY_BAND:
-            raise ValueError(
-                f"fidelity outside [0, 1] beyond tolerance: range [{low}, {high}]"
-            )
+        check_fidelity_band(fid.min(), fid.max())
     return np.minimum(np.maximum(fid, 0.0), 1.0)
 
 

@@ -26,6 +26,18 @@ memory.  For d > 2 the recovered states are formed and
 one batched eigh per call; its products with the originals' square
 roots are float products against their real form
 (:func:`linalg.real_form`).
+A qubit channel whose frame rows below K^1 are all exactly zero (always
+at m = 1, and every iterate of a zeros start) is unitary, so
+det a_n = det sigma_n and the loss is linear in the Pauli transfer
+matrix: 1 - (Tr(R^T s^T p) / 2 + c) / N with c = 2 sum_n sqrt(det sigma_n
+det o_n), one dot product with G's float view, and the cotangent rows
+are S M0 for one fixed M0.  The per-state weighted cotangent term is
+dropped there exactly: every first-order change of the channel at a
+unitary point moves a_n by a commutator [X, a_n], so
+d det a_n = Tr(adj(a_n) [X, a_n]) = 0 in every direction.  Such a step
+does not scale with N.  Its fidelity band check is made once, when the
+context is built, over every unitary; all other points (``small_random``
+starts, arbitrary angles) take the per-state path.
 A gradient at the angles of the preceding loss call starts from that
 evaluation, so each iterate is evaluated once.
 Plain fixed-rate descent follows.  Every angle vector corresponds to a
@@ -46,6 +58,7 @@ from .linalg import (
     PAULI_SIGNS,
     PAULIS,
     UhlmannFidelity,
+    check_fidelity_band,
     pauli_coordinates,
     pauli_dets,
     qubit_fidelity,
@@ -170,6 +183,21 @@ class LossContext:
     as its (4, N) transpose) and s (originals): G maps straight to the
     real 4 x 4 Pauli transfer matrix R, the recovered coordinates are
     p R, and no per-state matrix is made.
+    Qubit points whose rows below K^1 are all exactly zero (unitary
+    channels: m = 1, or any iterate of a zeros start) take the linear
+    path: the mean fidelity is G's float view dotted with a fixed vector,
+    from the moment s^T p, plus c / N with c = 2 sum_n sqrt(det sigma_n)
+    sqrt(det o_n), clamped to [0, 1]; the cotangent is the fixed S M0,
+    M0 the map of eta s^T p.  No per-state array is formed, so the step
+    does not scale with N, and it is exact because a unitary point moves
+    no det a_n to first order (a commutator has no trace against
+    adj(a_n)).  Since no iterate's fidelities are formed there, the
+    context checks at build time that every state's fidelity range over
+    all unitaries, (p0 s0 -+ |p_r| |s_r|) / 2 + c_n, lies inside the
+    band, and raises the "outside" error of
+    :func:`linalg.check_fidelity_band` if not.  Every other point
+    (``small_random`` starts, a spread Kraus gauge, arbitrary angles)
+    takes the per-state path unchanged; d > 2 has no linear path.
     """
 
     def __init__(self, corrupted, originals, m: int):
@@ -193,16 +221,16 @@ class LossContext:
         self._point = None  # (angles, evaluation) of the last loss call
         self.loss_evaluations = 0  # forward sweep + fidelity passes
         self.gradient_evaluations = 0  # reverse sweeps
-        scale = -2.0 / len(self.corrupted)  # dL/dF_n
+        n_states = len(self.corrupted)
+        scale = -2.0 / n_states  # dL/dF_n
         if d == 2:
             # p^T, held (4, N) so that per-state work runs along rows, and
             # s column-major like the recovered coordinates q = (R^T p^T)^T
             self._states = pauli_coordinates(self.corrupted).T.copy()
             coordinates = np.asfortranarray(pauli_coordinates(self.originals))
+            sqrt_det_o = np.sqrt(pauli_dets(coordinates))
             self._evaluate = functools.partial(
-                qubit_fidelity,
-                s=coordinates,
-                sqrt_det_o=np.sqrt(pauli_dets(coordinates)),
+                qubit_fidelity, s=coordinates, sqrt_det_o=sqrt_det_o
             )
             # R^T[b, a] = Re sum Pi[a, (j, k)] T[(j, k), (i, l)] conj(Pi[b, (i, l)])
             # / 2 with Pi[a] = vec(sigma_a) is real-linear in G[(i, j), (l, k)];
@@ -219,7 +247,27 @@ class LossContext:
             cotangent = np.einsum("a,aij,bkl->abjkil", PAULI_SIGNS, PAULIS, PAULIS)
             cotangent = cotangent.reshape(16, 16) * (scale / 4.0)
             self._cotangent_map = cotangent.view(float)
-            self._overlap = PAULI_SIGNS[:, None] * (coordinates.T @ self._states.T)
+            moment = coordinates.T @ self._states.T  # s^T p
+            self._overlap = PAULI_SIGNS[:, None] * moment
+            # the unitary path: with det a_n = det sigma_n, F_n = q_n.s_n / 2
+            # + c_n, c_n = 2 sqrt(det sigma_n det o_n), so the mean F is G's
+            # float view dotted with one fixed vector plus sum(c) / N, and the
+            # cotangent is C = S M0 with M0 the map of eta s^T p alone
+            offsets = 2.0 * np.sqrt(pauli_dets(self._states.T)) * sqrt_det_o
+            self._unitary_fidelity = self._transfer_map @ moment.ravel()
+            self._unitary_fidelity /= 2 * n_states
+            self._unitary_offset = offsets.sum() / n_states
+            entries = self._overlap.ravel() @ self._cotangent_map  # M0 as floats
+            self._unitary_cotangent = entries.view(complex).reshape(4, 4)
+            # over every unitary q_n.s_n spans p0 s0 -+ |p_r| |s_r|, so no
+            # unitary iterate can leave the band if these bounds do not
+            centre = self._states[0] * coordinates[:, 0] / 2.0 + offsets
+            spread = (
+                np.linalg.norm(self._states[1:], axis=0)
+                * np.linalg.norm(coordinates[:, 1:], axis=1)
+                / 2.0
+            )
+            check_fidelity_band((centre - spread).min(), (centre + spread).max())
         else:
             self._states = self.corrupted.reshape(len(self.corrupted), d * d)
             self._scaled_states = self._states * scale
@@ -274,10 +322,15 @@ class LossContext:
     def _evaluated(self, angles: np.ndarray) -> tuple:
         """The forward-and-fidelity half of a step at checked ``angles``:
         the loss, the final frame rows W_n, forward_sweep's outputs, the
-        recovered states and their fidelity cotangent."""
+        recovered states and their fidelity cotangent; the last two are
+        None at a unitary qubit point, whose loss is linear in G."""
         self.loss_evaluations += 1
         rows = self.base_rows.copy()
         swept = forward_sweep(self.basis, angles, rows)
+        if self.d == 2 and not rows[self.d :].any():  # a unitary qubit channel
+            gram = self._gram(rows).view(float).ravel()
+            mean = gram @ self._unitary_fidelity + self._unitary_offset
+            return 1.0 - min(max(float(mean), 0.0), 1.0), rows, swept, None, None
         recovered = self._recover(rows)
         fid, aux = self._evaluate(recovered)
         return float(1.0 - fid.sum() / fid.size), rows, swept, recovered, aux
@@ -293,13 +346,17 @@ class LossContext:
         made from G's float view by one fixed real map; q is returned as
         the (N, 4) transpose of R^T p^T.
         """
-        stack = rows.reshape(self.m, self.d**2)  # S
-        gram = stack.T @ stack.conj()
+        gram = self._gram(rows)
         if self.d == 2:
             transfer = gram.view(float).ravel() @ self._transfer_map
             return (transfer.reshape(4, 4) @ self._states).T
         transfer = gram.ravel().take(self._transfer_order).reshape(gram.shape)
         return (self._states @ transfer).reshape(self.corrupted.shape)
+
+    def _gram(self, rows: np.ndarray) -> np.ndarray:
+        """The d^2 x d^2 frame Gram matrix G = S^T conj(S)."""
+        stack = rows.reshape(self.m, self.d**2)  # S
+        return stack.T @ stack.conj()
 
     def _cotangent(
         self, rows: np.ndarray, recovered: np.ndarray, aux: np.ndarray
@@ -310,12 +367,16 @@ class LossContext:
         X = sum_n vec(Q_n)^T vec(sigma_n).  Qubits: Q_n = g_n . sigma with
         g_n = s_n / 2 + (w_n / 2) eta q_n and vec(sigma_n) = p_n Pi / 2, so
         X is a fixed linear map of the real 4 x 4 matrix
-        eta s^T p + (w q)^T p, whose first term is built once.  General
+        eta s^T p + (w q)^T p, whose first term is built once; at a
+        unitary point (``recovered`` None) M is M0, the map of that first
+        term alone, as the second pairs to 0 there.  General
         d: X is one product over the states, prescaled by -2/N, and M
         a fixed permutation of it.
         """
         stack = rows.reshape(self.m, self.d**2)  # S
         if self.d == 2:
+            if recovered is None:  # a unitary point: the weighted term pairs to 0
+                return stack @ self._unitary_cotangent
             weighted = (recovered.T * aux) @ self._states.T + self._overlap
             entries = weighted.ravel() @ self._cotangent_map  # M as floats
             return stack @ entries.view(complex).reshape(4, 4)

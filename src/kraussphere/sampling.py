@@ -123,6 +123,13 @@ class SampleConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        # count * 4^n complex entries of 16 bytes, checked without forming 4^n
+        largest = np.iinfo(np.intp).max
+        if self.count * 16 > largest >> (2 * self.n_qubits):
+            raise ValueError(
+                f"sample.count {self.count} of {self.n_qubits}-qubit states "
+                f"needs more than the {largest} bytes any array can hold"
+            )
 
     @property
     def dim(self) -> int:

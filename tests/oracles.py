@@ -17,7 +17,9 @@ entries (the reference of the package's Pauli-coordinate form), the
 batched fidelity and cotangent by complex stacked products (the
 reference of the package's real-form d > 2 path),
 the transfer matrix, Pauli sandwich and loss cotangent of the learner's
-contractions by einsum (the references of its fixed 2-D products), and
+contractions by einsum (the references of its fixed 2-D products), the
+per-state qubit loss and gradient built from them (the reference of the
+learner's unitary path), and
 the three samplers drawn one state at a time, which the batched samplers
 must reproduce bit for bit, with the Haar-unitary draw of the Bures
 sampler.  Last, the exact Pauli recovery of a noisy ensemble, the bar a
@@ -29,7 +31,14 @@ import functools
 import numpy as np
 
 from kraussphere.channels import apply_channel_batch
-from kraussphere.linalg import PAULI_SIGNS, PAULIS
+from kraussphere.linalg import (
+    PAULI_SIGNS,
+    PAULIS,
+    pauli_coordinates,
+    pauli_dets,
+    qubit_fidelity,
+)
+from kraussphere.transforms import forward_sweep, generator_basis, reverse_sweep
 
 
 def embed_real(h: np.ndarray) -> np.ndarray:
@@ -160,6 +169,24 @@ def einsum_cotangent(
         contraction.reshape(d, d, d, d) * (-2.0 / n_states),
         rows.reshape(m, d, d),
     )
+
+
+def per_state_qubit_step(corrupted, originals, m: int, angles) -> tuple:
+    """Loss and gradient of a qubit ensemble by the per-state path at any
+    angles: the swept rows' Pauli transfer matrix by the einsum references
+    above, every state's fidelity and weight by
+    :func:`linalg.qubit_fidelity`, the full cotangent contraction (the
+    weighted term included) and the package's reverse sweep."""
+    basis = generator_basis(4 * m)
+    rows = np.eye(2 * m, 2, dtype=complex)
+    swept = forward_sweep(basis, angles, rows)
+    states, targets = pauli_coordinates(corrupted), pauli_coordinates(originals)
+    recovered = states @ pauli_sandwich(einsum_transfer(rows, 2, m))
+    fid, weights = qubit_fidelity(recovered, targets, np.sqrt(pauli_dets(targets)))
+    contraction = pauli_contraction(targets, states, recovered, weights)
+    cotangent = einsum_cotangent(contraction, rows, 2, m, len(states))
+    stack = np.concatenate([cotangent.reshape(2 * m, 2), rows], axis=1)
+    return 1.0 - fid.mean(), reverse_sweep(basis, swept, stack)
 
 
 def complex_rows(vectors: np.ndarray) -> np.ndarray:

@@ -330,7 +330,8 @@ class TestFieldTypes:
         kraus[field] = value
         channel = {"kind": "custom", "n_qubits": 1, "custom_kraus": kraus}
         data = base_config(tmp_path / "run", channel=channel)
-        with pytest.raises(ConfigError, match=f"{field} must be a JSON int"):
+        expected = rf"channel\.custom_kraus\.{field} must be a JSON int"
+        with pytest.raises(ConfigError, match=expected):
             config_from_dict(data)
 
     @pytest.mark.parametrize("field", ["d", "m", "operators"])
@@ -728,6 +729,25 @@ class TestMainExitCodes:
         )
         assert captured.out == ""
 
+    def test_count_beyond_any_array_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # used to exit 2 with numpy's "Maximum allowed dimension exceeded"
+        # and leave an empty output directory; the draw is replaced so the
+        # test allocates nothing
+        def refuse(config, seed=None):
+            raise AssertionError("an ensemble too large for any array was drawn")
+
+        monkeypatch.setattr(SampleConfig, "draw", refuse)
+        config = base_config(tmp_path / "run")
+        config["sample"]["count"] = 10**30
+        path = write_config(tmp_path, config)
+        for command in ("learn", "sample"):
+            assert main([command, "--config", str(path)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: sample.count 10000000000")
+            assert not (tmp_path / "run").exists()
+
     def test_sample_outputs_states(self, tmp_path, capsys):
         path = write_config(tmp_path, base_config(tmp_path / "samples"))
         assert main(["sample", "--config", str(path)]) == EXIT_OK
@@ -859,7 +879,10 @@ class TestHugeIntegers:
         config = write_config(tmp_path, base_config(tmp_path / "run", channel=channel))
         assert main(["learn", "--config", str(config)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err == "config error: entry [1][2][0] is out of the float range\n"
+        assert err == (
+            "config error: channel.custom_kraus.operators[1][2][0] "
+            "is out of the float range\n"
+        )
         assert not (tmp_path / "run").exists()
         channel_file = tmp_path / "channel.json"
         channel_file.write_text(json.dumps(kraus))

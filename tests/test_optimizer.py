@@ -33,6 +33,7 @@ from oracles import (
     haar_unitary,
     pauli_contraction,
     pauli_sandwich,
+    per_state_qubit_step,
     prefix_pairings,
     real_vectors,
     reference_fidelity,
@@ -346,14 +347,22 @@ class TestFixedProducts:
         if d == 2:
             states = pauli_coordinates(corrupted)
             expected = states @ pauli_sandwich(transfer)
+            # at a unitary point (m = 1 or zero angles) the context forms no
+            # per-state array, and its cotangent is the overlap term alone
+            unitary = recovered is None
+            assert unitary == (m == 1 or pattern == "zero")
             contraction = pauli_contraction(
-                pauli_coordinates(originals), states, recovered, aux
+                pauli_coordinates(originals),
+                states,
+                expected if unitary else recovered,
+                np.zeros(count) if unitary else aux,
             )
         else:
             flat = corrupted.reshape(count, d * d)
             expected = (flat @ transfer).reshape(count, d, d)
             contraction = aux.reshape(count, d * d).T @ flat
-        assert np.max(np.abs(recovered - expected)) <= 1e-14
+        if recovered is not None:
+            assert np.max(np.abs(recovered - expected)) <= 1e-14
         cotangent = ctx._cotangent(rows, recovered, aux)
         reference = einsum_cotangent(contraction, rows, d, m, count)
         assert np.max(np.abs(cotangent - reference.reshape(m, d * d))) <= 1e-14
@@ -556,23 +565,22 @@ class TestEvaluationReuse:
     @pytest.mark.parametrize("d,m", [(2, 4), (4, 1)])
     @pytest.mark.parametrize("init", ["zeros", "small_random"])
     def test_learn_evaluates_each_iterate_once(self, monkeypatch, d, m, init):
-        # count the fidelity passes through the evaluator the context binds
+        # count the context's evaluations (forward sweep and loss), whichever
+        # path each takes: a zeros-start qubit learn forms no fidelities
         calls = []
         if d == 2:
-            owner, name = optimizer, "qubit_fidelity"
             states = sample_bloch_ball(seed=59, count=20)
             channel = flip_channel("bit_flip", 0.8)
         else:
-            owner, name = UhlmannFidelity, "evaluate"
             states = sample_bures(seed=59, count=10, dim=4)
             channel = tensor_flip_channel("bit_flip", 0.8, 2)
-        inner = getattr(owner, name)
+        inner = LossContext._evaluated
 
         def counted(*args, **kwargs):
             calls.append(None)
             return inner(*args, **kwargs)
 
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(LossContext, "_evaluated", counted)
         cfg = OptimizerConfig(
             max_iters=7, m=m, loss_tol=0.0, patience=7, init=init, init_scale=0.1
         )
@@ -582,6 +590,133 @@ class TestEvaluationReuse:
         expected = used if init == "zeros" else used + 1
         assert len(calls) == result.loss_evaluations == expected
         assert result.gradient_evaluations == used
+
+
+def unitary_angles(ctx, rng) -> np.ndarray:
+    """Random angles that keep the channel unitary: every generator inside
+    K^1's rows, plus (m > 1) the diagonal phase on rows (1, 2) that
+    straddles K^1 and K^2 and keeps K^2's zero rows zero."""
+    angles = np.zeros(ctx.n_angles)
+    chosen = plan_pattern(ctx.basis, 2, "straddler" if ctx.m > 1 else "first_operator")
+    angles[chosen] = rng.normal(0.0, 1.0, len(chosen))
+    return angles
+
+
+def count_qubit_fidelity(monkeypatch) -> list:
+    """Record every call of the per-state qubit fidelity a context binds."""
+    calls = []
+    inner = optimizer.qubit_fidelity
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "qubit_fidelity", counted)
+    return calls
+
+
+class TestUnitaryPath:
+    """At a unitary qubit point the loss is linear in the Pauli transfer
+    matrix and the context forms no per-state fidelity."""
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    def test_matches_the_per_state_path(self, monkeypatch, m):
+        rng = np.random.default_rng(95 + m)
+        calls = count_qubit_fidelity(monkeypatch)
+        for draw in range(20):
+            # pure originals or corrupted states in some draws: det = 0
+            pick = pure_density if draw % 3 == 0 else random_density
+            originals = np.stack([pick(rng, 2) for _ in range(9)])
+            pick = pure_density if draw % 4 == 1 else random_density
+            corrupted = np.stack([pick(rng, 2) for _ in range(9)])
+            ctx = LossContext(corrupted, originals, m)
+            for angles in (np.zeros(ctx.n_angles), unitary_angles(ctx, rng)):
+                loss, grad = ctx.gradient(angles)
+                assert not calls
+                expected_loss, expected_grad = per_state_qubit_step(
+                    corrupted, originals, m, angles
+                )
+                assert abs(loss - expected_loss) <= 1e-12
+                assert np.max(np.abs(grad - expected_grad)) <= 1e-12
+                assert ctx.loss(angles) == loss
+
+    def test_zeros_start_learn_forms_no_fidelity(self, monkeypatch):
+        calls = count_qubit_fidelity(monkeypatch)
+        states = sample_bloch_ball(seed=59, count=50)
+        cfg = OptimizerConfig(max_iters=30, m=4, loss_tol=0.0, patience=30)
+        result = learn_quasi_inverse(flip_channel("bit_flip", 0.8), states, cfg)
+        assert result.iterations_used == 30 and result.loss_evaluations == 30
+        assert calls == []
+
+    def test_small_random_learn_takes_the_per_state_path(self, monkeypatch):
+        calls = count_qubit_fidelity(monkeypatch)
+        states = sample_bloch_ball(seed=59, count=50)
+        cfg = OptimizerConfig(
+            max_iters=5, m=4, loss_tol=0.0, patience=5, init="small_random"
+        )
+        result = learn_quasi_inverse(flip_channel("bit_flip", 0.8), states, cfg)
+        # the identity's loss is a unitary point; every iterate is not
+        assert len(calls) == result.loss_evaluations - 1 == 5
+
+    def test_spread_gauge_unitary_takes_the_per_state_path(self, monkeypatch):
+        # a unitary W inside K^1 (its sym and anti rotations on rows 0, 1),
+        # then E_02 - E_20 and E_13 - E_31 by one angle t, give
+        # K^1 = cos(t) W, K^2 = -sin(t) W: the channel W in another Kraus
+        # gauge, whose K^2 rows are not zero
+        rng = np.random.default_rng(97)
+        originals = np.stack([random_density(rng, 2) for _ in range(9)])
+        corrupted = np.stack([random_density(rng, 2) for _ in range(9)])
+        calls = count_qubit_fidelity(monkeypatch)
+        ctx = LossContext(corrupted, originals, 4)
+        pairs, kinds = ctx.basis.pairs.tolist(), ctx.basis.kinds.tolist()
+        index = {(kind, *pair): a for a, (pair, kind) in enumerate(zip(pairs, kinds))}
+        angles = np.zeros(ctx.n_angles)
+        angles[[index[0, 0, 1], index[1, 0, 1]]] = rng.normal(0.0, 1.0, 2)
+        spread = angles.copy()
+        spread[[index[1, 0, 2], index[1, 1, 3]]] = 0.6
+        channel = channel_from_angles(2, 4, spread).operators
+        assert np.allclose(channel[1], -np.tan(0.6) * channel[0])
+        unitary_loss = ctx.loss(angles)
+        assert calls == []
+        spread_loss, grad = ctx.gradient(spread)
+        assert len(calls) == 1
+        assert abs(spread_loss - unitary_loss) <= 1e-12
+        expected_loss, expected_grad = per_state_qubit_step(
+            corrupted, originals, 4, spread
+        )
+        assert abs(spread_loss - expected_loss) <= 1e-12
+        assert np.max(np.abs(grad - expected_grad)) <= 1e-12
+
+    def test_any_nonzero_row_below_k1_takes_the_per_state_path(self, monkeypatch):
+        # one rotation of row 0 into row 2 leaves rows 1 and 3 alone: only
+        # the first row of K^2 is nonzero, and the channel is not unitary
+        rng = np.random.default_rng(98)
+        originals = np.stack([random_density(rng, 2) for _ in range(9)])
+        corrupted = np.stack([random_density(rng, 2) for _ in range(9)])
+        calls = count_qubit_fidelity(monkeypatch)
+        ctx = LossContext(corrupted, originals, 2)
+        pairs, kinds = ctx.basis.pairs.tolist(), ctx.basis.kinds.tolist()
+        angles = unitary_angles(ctx, rng)
+        angles[[a for a, k in enumerate(kinds) if k == 1 and pairs[a] == [0, 2]]] = 0.6
+        loss, grad = ctx.gradient(angles)
+        assert len(calls) == 1
+        expected_loss, expected_grad = per_state_qubit_step(
+            corrupted, originals, 2, angles
+        )
+        assert abs(loss - expected_loss) <= 1e-12
+        assert np.max(np.abs(grad - expected_grad)) <= 1e-12
+
+    def test_band_is_checked_over_every_unitary_at_build(self):
+        # sigma has |p_r| = 1.4 > 1 (not PSD): against |+><+| the identity
+        # gives F = 0.5, in the band, but the unitary taking z to x gives
+        # F = (1 + 1.4) / 2 = 1.2, so no learn on this pair may start
+        plus = np.full((2, 2), 0.5, dtype=complex)
+        bad = np.diag([1.2, -0.2]).astype(complex)
+        originals, corrupted = np.stack([plus, plus]), np.stack([plus, bad])
+        with pytest.raises(ValueError, match=r"outside .* range \[.*, 1\.2"):
+            LossContext(corrupted, originals, 1)
+        fid, _ = UhlmannFidelity(originals[:1]).evaluate(bad[None])
+        assert fid == pytest.approx([0.5], abs=1e-12)  # the identity alone passes
 
 
 class TestLearnQuasiInverse:

@@ -165,6 +165,15 @@ class TestSampleConfig:
         with pytest.raises(ValueError, match="unknown measure"):
             SampleConfig(n_qubits=1, count=1, seed=0, measure="not_a_measure")
 
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_count_beyond_any_array(self, n_qubits):
+        # count * 4^n * 16 bytes at the largest array numpy can index; one
+        # more state is refused before any draw
+        most = np.iinfo(np.intp).max // (16 * 4**n_qubits)
+        SampleConfig(n_qubits=n_qubits, count=most, seed=0, measure="bures")
+        with pytest.raises(ValueError, match=f"sample.count {most + 1} "):
+            SampleConfig(n_qubits=n_qubits, count=most + 1, seed=0, measure="bures")
+
 
 class TestBatchedDraws:
     @pytest.mark.parametrize("measure", SAMPLE_MEASURES)
