@@ -8,8 +8,10 @@ channel, learn the quasi-inverse, and persist results.  Subcommands:
     validate  report completeness/unitarity of a saved channel file
     sample    emit a state ensemble -> states.json
 
-learn, curve and sample also write manifest.json: the format version and
-the config the run used (``{"format_version", "config"}``).
+learn, curve and sample also write manifest.json: the format version, the
+config the run used and the environment it ran in (``{"format_version",
+"config", "environment"}``).  Configs and Kraus files are read by one
+typed reader (:func:`geometry.json_section`).
 
 Exit codes: 0 success, 1 usage/config error (also a config whose arrays
 do not fit in memory: one "out of memory" line), 2 numerical failure.
@@ -19,16 +21,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
+from . import __version__
 from .channels import ChannelSpec
-from .geometry import FRAME_TOL_LOOSE, KrausSet, json_value, matrices_to_pairs
+from .geometry import (
+    FRAME_TOL_LOOSE,
+    KrausSet,
+    json_section,
+    json_value,
+    matrices_to_pairs,
+)
 from .optimizer import (
     NonFiniteLossError,
     OptimizerConfig,
@@ -39,6 +49,8 @@ from .optimizer import (
 from .sampling import SampleConfig
 
 FORMAT_VERSION = 1
+
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -118,51 +130,9 @@ class ExperimentConfig:
         return data
 
 
-def _section(cls, data, where: str):
-    """A ``cls`` read from the JSON object ``data``, each field by its
-    annotation (:func:`_field_value`); a field without a default is
-    required, and a key that is not a field is rejected."""
-    json_value(data, dict, where)
-    declared = fields(cls)
-    unknown = set(data) - {f.name for f in declared}
-    if unknown:
-        raise ConfigError(f"unknown field(s) in {where}: {sorted(unknown)}")
-    prefix = "" if where == "config" else f"{where}."
-    hints = get_type_hints(cls)
-    values = {}
-    for f in declared:
-        name = prefix + f.name
-        if f.name in data:
-            values[f.name] = _field_value(data[f.name], hints[f.name], name)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"config is missing required field {name!r}")
-    return cls(**values)
-
-
-def _field_value(value, hint, name: str):
-    """``value`` read as the type ``hint``: an optional type takes null, a
-    KrausSet is a Kraus file's dict, another dataclass a section of its
-    own, a list is checked item by item (``name[i]``), and anything else
-    is one JSON value (:func:`geometry.json_value`)."""
-    options = get_args(hint)
-    if type(None) in options:
-        if value is None:
-            return None
-        (hint,) = set(options) - {type(None)}
-    if hint is KrausSet:
-        return KrausSet.from_dict(value, name)
-    if is_dataclass(hint):
-        return _section(hint, value, name)
-    if get_origin(hint) is list:
-        (item,) = get_args(hint)
-        items = json_value(value, list, name)
-        return [_field_value(x, item, f"{name}[{i}]") for i, x in enumerate(items)]
-    return json_value(value, hint, name)
-
-
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Inverse of :meth:`ExperimentConfig.to_dict`, every section read from
-    its dataclass's fields (:func:`_section`)."""
+    its dataclass's fields (:func:`geometry.json_section`)."""
     try:
         json_value(data, dict, "config")
         data = dict(data)
@@ -174,7 +144,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
                 f"unsupported format_version {version}; "
                 f"this build reads version {FORMAT_VERSION}"
             )
-        return _section(ExperimentConfig, data, "config")
+        return json_section(ExperimentConfig, data, "")
     except (KeyError, TypeError, ValueError) as exc:  # ConfigError too
         raise ConfigError(str(exc)) from exc
 
@@ -205,7 +175,18 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _write_manifest(out_dir: Path, config: ExperimentConfig) -> None:
+    """The format version, the config, and the environment a rerun needs
+    to reproduce the run's bytes, since Philox streams repeat only on the
+    same platform.  (``platform.platform()`` is left out: its first call
+    scans the interpreter binary for its libc.)"""
     manifest = {"format_version": FORMAT_VERSION, "config": config.to_dict()}
+    manifest["environment"] = {
+        "kraussphere": __version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        **{key: getattr(platform, key)() for key in ("system", "release", "machine")},
+        **{name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
+    }
     _write_json(out_dir / "manifest.json", manifest)
 
 

@@ -20,11 +20,21 @@ the bound m <= d^2 belongs to the learner's ansatz, not to the channel.
 On disk, Kraus sets and state ensembles share one encoding
 (:func:`matrices_to_pairs` / :func:`matrices_from_pairs`): each matrix
 is a flat row-major list of ``[re, im]`` pairs.
+
+Every JSON input, a config and a Kraus file alike, is read by one typed
+reader: :func:`json_section` reads a dataclass's fields from an object
+and rejects unknown keys, :func:`json_field` reads one field by its
+annotation, and :func:`json_value` holds the rule for a single value
+(nothing coerced, no booleans as numbers).  Errors name the field from
+the document's root (``channel.custom_kraus.operators[1][2][0]`` in a
+config, ``operators[1][2][0]`` in a Kraus file).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from itertools import chain
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -89,29 +99,39 @@ class KrausSet:
 
     @classmethod
     def from_dict(cls, data: dict, where: str = "") -> "KrausSet":
-        """Inverse of :meth:`to_dict`; ``d`` and ``m`` must be JSON integers
-        that agree with the decoded operators.  A missing field raises
-        ValueError naming it.  ``where`` is the set's place in a larger
-        document (``"channel.custom_kraus"``): errors then name the set
-        and its fields from there (``channel.custom_kraus.d``,
-        ``channel.custom_kraus.operators[1][2][0]``)."""
-        json_value(data, dict, where or "Kraus set")
-        for key in ("d", "m", "operators"):
-            if key not in data:
-                raise ValueError(f"Kraus set is missing required field {key!r}")
-        prefix = f"{where}." if where else ""
-        d = json_value(data["d"], int, f"{prefix}d")
-        m = json_value(data["m"], int, f"{prefix}m")
-        operators = matrices_from_pairs(
-            data["operators"], f"{prefix}operators" if where else "entry "
-        )
-        kraus = cls(operators)
-        if kraus.operators.shape != (m, d, d):
+        """Inverse of :meth:`to_dict`, the file's fields (:class:`_KrausFile`)
+        read by :func:`json_section`.  Beyond their types, each operator
+        must hold as many entries as the first, each entry must be an
+        ``[re, im]`` pair, and the decoded operators must have the shape
+        ``(m, d, d)``.  ``where`` is the set's place inside a config
+        (``"channel.custom_kraus"``), from which its fields are named
+        (``channel.custom_kraus.operators[1][2][0]``); a channel file's
+        own fields are named from its root (``operators[1][2][0]``)."""
+        document = "config" if where else "Kraus set"
+        file = json_section(_KrausFile, data, where, document)
+        name = f"{where}.operators" if where else "operators"
+        for i, operator in enumerate(file.operators):
+            if len(operator) != len(file.operators[0]):
+                raise ValueError(f"{name}[{i}] and {name}[0] differ in length")
+            for j, pair in enumerate(operator):
+                if len(pair) != 2:
+                    raise ValueError(f"{name}[{i}][{j}] is not an [re, im] pair")
+        kraus = cls(matrices_from_pairs(file.operators))
+        shape = (file.m, file.d, file.d)
+        if kraus.operators.shape != shape:
             raise ValueError(
-                f"{prefix}operators have shape {kraus.operators.shape}, "
-                f"expected {(m, d, d)}"
+                f"{name} have shape {kraus.operators.shape}, expected {shape}"
             )
         return kraus
+
+
+@dataclass
+class _KrausFile:
+    """The fields of a Kraus file, as :meth:`KrausSet.to_dict` writes them."""
+
+    d: int
+    m: int
+    operators: list[list[list[float]]]
 
 
 def matrices_to_pairs(matrices) -> list[list[list[float]]]:
@@ -121,18 +141,14 @@ def matrices_to_pairs(matrices) -> list[list[list[float]]]:
     return matrices.view(float).reshape(len(matrices), -1, 2).tolist()
 
 
-def matrices_from_pairs(data, where: str = "entry ") -> np.ndarray:
+def matrices_from_pairs(data) -> np.ndarray:
     """Inverse of :func:`matrices_to_pairs`: a (count, n, n) complex array.
 
     Raises ValueError on ragged lists, entries that are not [re, im]
-    pairs, an entry count that is not a square, or an integer out of the
-    float range, naming its index after ``where`` (``entry [1][2][0]``).
+    pairs and an entry count that is not a square.  Nothing here names a
+    field: :meth:`KrausSet.from_dict` checks a Kraus file's entries first.
     """
-    try:
-        pairs = np.asarray(data, dtype=float)
-    except OverflowError:
-        index = "".join(f"[{i}]" for i in _float_overflow(data))
-        raise ValueError(f"{where}{index} is out of the float range") from None
+    pairs = np.asarray(data, dtype=float)
     if pairs.ndim != 3 or pairs.shape[2] != 2:
         raise ValueError(
             f"expected [count][n*n][re, im] entries, got shape {pairs.shape}"
@@ -141,22 +157,6 @@ def matrices_from_pairs(data, where: str = "entry ") -> np.ndarray:
     if n * n != pairs.shape[1]:
         raise ValueError(f"matrix entry count {pairs.shape[1]} is not a square")
     return np.ascontiguousarray(pairs).view(complex).reshape(len(pairs), n, n)
-
-
-def _float_overflow(data, index=()) -> tuple | None:
-    """Index of the first integer in the nested lists ``data`` that is out
-    of the float range, or None."""
-    if isinstance(data, list):
-        for i, item in enumerate(data):
-            found = _float_overflow(item, (*index, i))
-            if found is not None:
-                return found
-    elif isinstance(data, int):
-        try:
-            float(data)
-        except OverflowError:
-            return index
-    return None
 
 
 def json_value(value, kind: type, name: str):
@@ -177,6 +177,64 @@ def json_value(value, kind: type, name: str):
         return float(value)
     except OverflowError:
         raise ValueError(f"{name} is out of the float range") from None
+
+
+def json_section(cls, data, where: str, document: str = "config"):
+    """A ``cls`` read from the JSON object ``data``, each field by its
+    annotation (:func:`json_field`); a field without a default is
+    required, and a key that is not a field is rejected.  ``where`` is
+    the section's path in the ``document`` ("" at its root), and its
+    fields are named from there (``sample.count``)."""
+    json_value(data, dict, where or document)
+    declared = fields(cls)
+    unknown = set(data) - {f.name for f in declared}
+    if unknown:
+        raise ValueError(f"unknown field(s) in {where or document}: {sorted(unknown)}")
+    hints, values = get_type_hints(cls), {}
+    for f in declared:
+        name = f"{where}.{f.name}" if where else f.name
+        if f.name in data:
+            values[f.name] = json_field(data[f.name], hints[f.name], name)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{document} is missing required field {name!r}")
+    return cls(**values)
+
+
+def json_field(value, hint, name: str):
+    """``value`` read as the type ``hint``: an optional type takes null, a
+    KrausSet is a Kraus file's dict, another dataclass a section of its
+    own, a list is checked item by item (``name[i]``), and anything else
+    is one JSON value (:func:`json_value`).  Lists nested around floats
+    are first checked a level at a time (:func:`_float_lists`); only
+    where that fails (an integer leaf, a wrong type) are they read item
+    by item, which converts integers and names a culprit."""
+    if type(None) in get_args(hint):
+        if value is None:
+            return None
+        (hint,) = set(get_args(hint)) - {type(None)}
+    if hint is KrausSet:
+        return KrausSet.from_dict(value, name)
+    if is_dataclass(hint):
+        return json_section(hint, value, name)
+    if get_origin(hint) is list:
+        if _float_lists(value, hint):
+            return value
+        (item,) = get_args(hint)
+        items = json_value(value, list, name)
+        return [json_field(x, item, f"{name}[{i}]") for i, x in enumerate(items)]
+    return json_value(value, hint, name)
+
+
+def _float_lists(value, hint) -> bool:
+    """Whether ``value`` already is ``hint``, lists nested around
+    ``float``, with float leaves: one pass per level, no name built."""
+    level = [value]
+    while get_origin(hint) is list:
+        (hint,) = get_args(hint)
+        if set(map(type, level)) - {list}:
+            return False
+        level = list(chain.from_iterable(level))
+    return hint is float and set(map(type, level)) <= {float}
 
 
 @dataclass(eq=False)

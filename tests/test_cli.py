@@ -1,5 +1,6 @@
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -76,7 +77,8 @@ MANIFEST = """{
       0.2,
       0.8
     ]
-  }
+  },
+ENVIRONMENT
 }
 """
 
@@ -336,17 +338,18 @@ class TestFieldTypes:
 
     @pytest.mark.parametrize("field", ["d", "m", "operators"])
     def test_custom_kraus_missing_field(self, tmp_path, capsys, field):
-        # used to print only "config error: 'd'"
+        # used to print only "config error: 'd'", then "Kraus set is
+        # missing required field 'd'" without the set's place
         kraus = flip_channel("bit_flip", 0.8).to_dict()
         del kraus[field]
         channel = {"kind": "custom", "n_qubits": 1, "custom_kraus": kraus}
         data = base_config(tmp_path / "run", channel=channel)
-        with pytest.raises(ConfigError, match=f"missing required field '{field}'"):
+        message = f"config is missing required field 'channel.custom_kraus.{field}'"
+        with pytest.raises(ConfigError, match=re.escape(message)):
             config_from_dict(data)
         path = write_config(tmp_path, data)
         assert main(["learn", "--config", str(path)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"Kraus set is missing required field '{field}'" in err
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_custom_kraus_non_finite(self, tmp_path, capsys, value):
@@ -527,7 +530,10 @@ class TestValidateChannelFile:
     @pytest.mark.parametrize(
         "change,match",
         [
-            ({"operators": [[[1, 0], [0, 0], [0, 0], [1, 0]], [[0, 0]]]}, "shape"),
+            (
+                {"operators": [[[1, 0], [0, 0], [0, 0], [1, 0]], [[0, 0]]]},
+                r"operators\[1\]",
+            ),
             ({"m": 1, "operators": [[[1, 0], [0, 0], [0, 0]]]}, "square"),
             ({"d": 4}, r"expected \(2, 4, 4\)"),
             ({"m": 1}, r"expected \(1, 2, 2\)"),
@@ -702,14 +708,30 @@ class TestMainExitCodes:
         code = main(["validate", str(tmp_path / "missing.json"), "--quiet"])
         assert code == EXIT_CONFIG
 
-    def test_manifest_bytes(self, tmp_path):
-        # the manifest is the format version and the config as read, each
-        # section with every field
+    def test_manifest_bytes(self, tmp_path, monkeypatch):
+        # the manifest is the format version, the config as read, each
+        # section with every field, and the environment the run had; an
+        # unset thread variable is null
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         data = base_config(tmp_path / "out", p_grid=[0.2, 0.8])
         data["optimizer"] = {"max_iters": 20, "init": "small_random", "seed": 5}
         path = write_config(tmp_path, data)
         assert main(["sample", "--config", str(path), "--quiet"]) == EXIT_OK
+        environment = {
+            "kraussphere": kraussphere.__version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "system": platform.system(),
+            "release": platform.release(),
+            "machine": platform.machine(),
+            "OMP_NUM_THREADS": "3",
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "MKL_NUM_THREADS": None,
+        }
+        stamp = json.dumps({"environment": environment}, indent=2)[2:-2]
         expected = MANIFEST.replace("OUT", str(tmp_path / "out"))
+        expected = expected.replace("ENVIRONMENT", stamp)
         assert (tmp_path / "out" / "manifest.json").read_text() == expected
 
     def test_out_of_memory_exit(self, tmp_path, capsys, monkeypatch):
@@ -754,6 +776,91 @@ class TestMainExitCodes:
         saved = tmp_path / "samples" / "states.json"
         states = matrices_from_pairs(json.loads(saved.read_text()))
         assert len(states) == 25
+
+
+def _set_entry(kraus, value):
+    kraus["operators"][1][2][0] = value
+
+
+BAD_KRAUS = {
+    # true and "1" used to load as 1.0 and null as NaN, a short pair or a
+    # ragged operator gave numpy's message naming no field, and an unknown
+    # key was ignored
+    "true": (
+        lambda kraus: _set_entry(kraus, True),
+        "{at}operators[1][2][0] must be a JSON number, got True",
+    ),
+    "string": (
+        lambda kraus: _set_entry(kraus, "1"),
+        "{at}operators[1][2][0] must be a JSON number, got '1'",
+    ),
+    "null": (
+        lambda kraus: _set_entry(kraus, None),
+        "{at}operators[1][2][0] must be a JSON number, got None",
+    ),
+    "short-pair": (
+        lambda kraus: kraus["operators"][1][2].pop(),
+        "{at}operators[1][2] is not an [re, im] pair",
+    ),
+    "ragged": (
+        lambda kraus: kraus["operators"][1].pop(),
+        "{at}operators[1] and {at}operators[0] differ in length",
+    ),
+    "unknown-key": (
+        lambda kraus: kraus.update(p=0.8),
+        "unknown field(s) in {set}: ['p']",
+    ),
+    "missing-d": (
+        lambda kraus: kraus.pop("d"),
+        "{document} is missing required field '{at}d'",
+    ),
+    "401-digits": (
+        lambda kraus: _set_entry(kraus, 10**400),
+        "{at}operators[1][2][0] is out of the float range",
+    ),
+}
+
+
+class TestKrausReader:
+    """A Kraus set is read by the config's reader in both places it comes
+    from: ``channel.custom_kraus`` in a config, named from there, and a
+    channel file given to ``validate``, named from its root."""
+
+    @pytest.mark.parametrize("row", BAD_KRAUS, ids=list(BAD_KRAUS))
+    def test_bad_input_is_a_named_config_error(self, tmp_path, capsys, row):
+        edit, message = BAD_KRAUS[row]
+        kraus = flip_channel("bit_flip", 0.8).to_dict()
+        edit(kraus)
+        channel = {"kind": "custom", "n_qubits": 1, "custom_kraus": kraus}
+        config = write_config(tmp_path, base_config(tmp_path / "run", channel=channel))
+        assert main(["learn", "--config", str(config)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        where = {"at": "channel.custom_kraus.", "set": "channel.custom_kraus"}
+        expected = message.format(document="config", **where)
+        assert captured.err == f"config error: {expected}\n"
+        assert captured.out == "" and not (tmp_path / "run").exists()
+
+        channel_file = tmp_path / "channel.json"
+        channel_file.write_text(json.dumps(kraus))
+        assert main(["validate", str(channel_file)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        expected = message.format(document="Kraus set", at="", set="Kraus set")
+        assert captured.err == (
+            f"config error: invalid channel structure in {channel_file}: "
+            f"{expected}\n"
+        )
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "channel.json",
+            "config.json",
+        ]
+
+    def test_integer_entries_read_as_floats(self):
+        # a hand-written file may give 1 for 1.0
+        data = {"d": 2, "m": 1, "operators": [[[1, 0], [0, 0], [0, 0], [1, 0]]]}
+        kraus = KrausSet.from_dict(data)
+        assert np.array_equal(kraus.operators, [np.eye(2)])
+        assert data["operators"][0][0] == [1, 0]  # the input is not changed
 
 
 class TestBlasThreads:
@@ -890,7 +997,7 @@ class TestHugeIntegers:
         captured = capsys.readouterr()
         assert captured.err == (
             f"config error: invalid channel structure in {channel_file}: "
-            f"entry [1][2][0] is out of the float range\n"
+            f"operators[1][2][0] is out of the float range\n"
         )
         assert captured.out == ""
 

@@ -46,6 +46,9 @@ def test_no_duplicate_exports():
         (transforms, "pairing_offsets"),
         (optimizer.TrainingRecord, "to_dict"),
         (cli, "RETIRED_OPTIMIZER_FIELDS"),
+        (cli, "_section"),
+        (cli, "_field_value"),
+        (geometry, "_float_overflow"),
     ],
 )
 def test_removed_names_stay_gone(module, name):
