@@ -33,7 +33,6 @@ from .sampling import (
     sample_hilbert_schmidt,
 )
 from .transforms import (
-    Generator,
     GeneratorBasis,
     angle_count,
     apply_angles,
@@ -44,7 +43,6 @@ from .transforms import (
 
 __all__ = [
     "ChannelSpec",
-    "Generator",
     "GeneratorBasis",
     "KrausFrame",
     "KrausSet",

@@ -206,8 +206,8 @@ def json_field(value, hint, name: str):
     own, a list is checked item by item (``name[i]``), and anything else
     is one JSON value (:func:`json_value`).  Lists nested around floats
     are first checked a level at a time (:func:`_float_lists`); only
-    where that fails (an integer leaf, a wrong type) are they read item
-    by item, which converts integers and names a culprit."""
+    where that fails (a wrong type, an integer beyond the float range)
+    are they read item by item, which names a culprit."""
     if type(None) in get_args(hint):
         if value is None:
             return None
@@ -217,24 +217,38 @@ def json_field(value, hint, name: str):
     if is_dataclass(hint):
         return json_section(hint, value, name)
     if get_origin(hint) is list:
-        if _float_lists(value, hint):
-            return value
+        floats = _float_lists(value, hint)
+        if floats is not None:
+            return floats
         (item,) = get_args(hint)
         items = json_value(value, list, name)
         return [json_field(x, item, f"{name}[{i}]") for i, x in enumerate(items)]
     return json_value(value, hint, name)
 
 
-def _float_lists(value, hint) -> bool:
-    """Whether ``value`` already is ``hint``, lists nested around
-    ``float``, with float leaves: one pass per level, no name built."""
+def _float_lists(value, hint):
+    """``value`` as ``hint``, lists nested around ``float``, if its leaves
+    are numbers but no booleans, else None: one pass per level, no name
+    built.  Integer leaves become floats, in new lists; an integer beyond
+    the float range gives None."""
     level = [value]
     while get_origin(hint) is list:
         (hint,) = get_args(hint)
         if set(map(type, level)) - {list}:
-            return False
+            return None
         level = list(chain.from_iterable(level))
-    return hint is float and set(map(type, level)) <= {float}
+    leaves = set(map(type, level))
+    if hint is not float or leaves - {float, int}:
+        return None
+    try:
+        return _as_floats(value) if int in leaves else value
+    except OverflowError:
+        return None
+
+
+def _as_floats(value):
+    """``value``, lists nested around numbers, with float leaves."""
+    return [_as_floats(x) for x in value] if type(value) is list else float(value)
 
 
 @dataclass(eq=False)

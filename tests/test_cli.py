@@ -24,6 +24,7 @@ from kraussphere.cli import (
     validate_channel_file,
 )
 from kraussphere.channels import flip_channel
+from kraussphere import geometry
 from kraussphere.geometry import KrausSet, matrices_from_pairs
 from kraussphere.linalg import PAULIS
 from kraussphere.optimizer import LossContext, OptimizerConfig
@@ -530,15 +531,20 @@ class TestValidateChannelFile:
     @pytest.mark.parametrize(
         "change,match",
         [
-            (
+            pytest.param(
                 {"operators": [[[1, 0], [0, 0], [0, 0], [1, 0]], [[0, 0]]]},
                 r"operators\[1\]",
+                id="ragged",
             ),
-            ({"m": 1, "operators": [[[1, 0], [0, 0], [0, 0]]]}, "square"),
-            ({"d": 4}, r"expected \(2, 4, 4\)"),
-            ({"m": 1}, r"expected \(1, 2, 2\)"),
-            ({"d": 2.0}, "d must be a JSON int"),
-            ({"m": True}, "m must be a JSON int"),
+            pytest.param(
+                {"m": 1, "operators": [[[1, 0], [0, 0], [0, 0]]]},
+                "square",
+                id="not_square",
+            ),
+            pytest.param({"d": 4}, r"expected \(2, 4, 4\)", id="d_mismatch"),
+            pytest.param({"m": 1}, r"expected \(1, 2, 2\)", id="m_mismatch"),
+            pytest.param({"d": 2.0}, "d must be a JSON int", id="float_d"),
+            pytest.param({"m": True}, "m must be a JSON int", id="boolean_m"),
         ],
     )
     def test_malformed_operators_are_config_errors(
@@ -861,6 +867,32 @@ class TestKrausReader:
         kraus = KrausSet.from_dict(data)
         assert np.array_equal(kraus.operators, [np.eye(2)])
         assert data["operators"][0][0] == [1, 0]  # the input is not changed
+
+    def test_integer_entries_take_one_pass(self, monkeypatch, tmp_path):
+        # integer leaves are converted by the level check: neither a Kraus
+        # file nor p_grid is read item by item
+        names, inner = [], geometry.json_field
+
+        def counted(value, hint, name):
+            names.append(name)
+            return inner(value, hint, name)
+
+        monkeypatch.setattr(geometry, "json_field", counted)
+        operators = [
+            [[1, 0], [0, 0], [0, 0], [1, 0]],
+            [[0, 0], [0, -1], [0, 1], [0, 0]],
+        ]
+        integers = {"d": 2, "m": 2, "operators": operators}
+        twin = [[[float(x) for x in pair] for pair in op] for op in operators]
+        expected = KrausSet.from_dict({**integers, "operators": twin}).operators
+        names.clear()
+        assert np.array_equal(KrausSet.from_dict(integers).operators, expected)
+        assert names == ["d", "m", "operators"]
+        names.clear()
+        config = config_from_dict(base_config(tmp_path / "run", p_grid=[0, 1]))
+        assert config.p_grid == [0.0, 1.0]
+        assert all(type(p) is float for p in config.p_grid)
+        assert "p_grid" in names and not [n for n in names if "[" in n]
 
 
 class TestBlasThreads:

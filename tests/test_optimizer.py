@@ -20,7 +20,12 @@ from kraussphere.optimizer import (
     learn_quasi_inverse,
 )
 from kraussphere.sampling import sample_bloch_ball, sample_bures
-from kraussphere.transforms import channel_from_angles, generator_basis, reverse_sweep
+from kraussphere.transforms import (
+    channel_from_angles,
+    forward_sweep,
+    generator_basis,
+    reverse_sweep,
+)
 
 from conftest import pure_density, random_density, random_hermitian, read_every_row
 from oracles import (
@@ -324,14 +329,41 @@ class TestGradient:
         assert loss == ctx.loss(angles) and grad.shape == (ctx.n_angles,)
 
 
+def evaluated_with_recovered(monkeypatch, ctx, angles) -> tuple:
+    """``ctx._evaluated(angles)`` and the recovered states its fidelity
+    pass was given (qubits: their Pauli coordinates), None where it made
+    no such pass (a unitary qubit point)."""
+    given = []
+    matrix, qubit = UhlmannFidelity.evaluate, optimizer.qubit_fidelity
+
+    def matrix_pass(self, recovered):
+        given.append(recovered)
+        return matrix(self, recovered)
+
+    def qubit_pass(recovered, *rest):
+        given.append(recovered)
+        return qubit(recovered, *rest)
+
+    monkeypatch.setattr(UhlmannFidelity, "evaluate", matrix_pass)
+    monkeypatch.setattr(optimizer, "qubit_fidelity", qubit_pass)
+    point = ctx._evaluated(angles)
+    return point, (given[0] if given else None)
+
+
+def cotangent_rows(ctx, rows, aux) -> np.ndarray:
+    """The (m, d^2) cotangent rows C = S M of an evaluation."""
+    return rows.reshape(ctx.m, ctx.d**2) @ ctx._ensemble.cotangent(aux)
+
+
 class TestFixedProducts:
-    """The context's fixed 2-D products against the einsum references."""
+    """The ensembles' fixed 2-D products against the einsum references
+    and against each other."""
 
     @pytest.mark.parametrize(
         "d,m", [(2, 1), (2, 2), (2, 3), (2, 4), (4, 1), (4, 2), (4, 16), (8, 1)]
     )
     @pytest.mark.parametrize("pattern", ["zero", "sparse", "dense"])
-    def test_transfer_and_cotangent_match_einsum(self, d, m, pattern):
+    def test_transfer_and_cotangent_match_einsum(self, monkeypatch, d, m, pattern):
         rng = np.random.default_rng(66 + d + m)
         count = 7
         originals = np.stack([random_density(rng, d) for _ in range(count)])
@@ -342,20 +374,21 @@ class TestFixedProducts:
             angles = rng.normal(0.0, 0.7, ctx.n_angles)
         if pattern == "sparse":
             angles[rng.random(ctx.n_angles) < 0.9] = 0.0
-        _, rows, _, recovered, aux = ctx._evaluated(angles)
+        point, recovered = evaluated_with_recovered(monkeypatch, ctx, angles)
+        _, rows, _, aux = point
         transfer = einsum_transfer(rows, d, m)
         if d == 2:
             states = pauli_coordinates(corrupted)
             expected = states @ pauli_sandwich(transfer)
-            # at a unitary point (m = 1 or zero angles) the context forms no
-            # per-state array, and its cotangent is the overlap term alone
-            unitary = recovered is None
-            assert unitary == (m == 1 or pattern == "zero")
+            # at a unitary point (m = 1 or zero angles) the ensemble forms
+            # no per-state array, and its cotangent is the overlap term alone
+            unitary = aux is None
+            assert unitary == (m == 1 or pattern == "zero") == (recovered is None)
             contraction = pauli_contraction(
                 pauli_coordinates(originals),
                 states,
                 expected if unitary else recovered,
-                np.zeros(count) if unitary else aux,
+                np.zeros(count) if unitary else aux[1],
             )
         else:
             flat = corrupted.reshape(count, d * d)
@@ -363,9 +396,64 @@ class TestFixedProducts:
             contraction = aux.reshape(count, d * d).T @ flat
         if recovered is not None:
             assert np.max(np.abs(recovered - expected)) <= 1e-14
-        cotangent = ctx._cotangent(rows, recovered, aux)
+        cotangent = cotangent_rows(ctx, rows, aux)
         reference = einsum_cotangent(contraction, rows, d, m, count)
         assert np.max(np.abs(cotangent - reference.reshape(m, d * d))) <= 1e-14
+
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("pattern", ["unitary", "sparse", "dense"])
+    def test_qubit_and_matrix_ensembles_agree(self, m, pattern):
+        # pairs 0-2 have pure originals, pairs 2-4 pure corrupted states
+        rng = np.random.default_rng(71 + m)
+        originals = [pure_density(rng, 2) for _ in range(3)]
+        originals += [random_density(rng, 2) for _ in range(6)]
+        corrupted = [random_density(rng, 2) for _ in range(2)]
+        corrupted += [pure_density(rng, 2) for _ in range(3)]
+        corrupted += [random_density(rng, 2) for _ in range(4)]
+        originals, corrupted = np.stack(originals), np.stack(corrupted)
+        ctx = LossContext(corrupted, originals, m)
+        assert isinstance(ctx._ensemble, optimizer._QubitEnsemble)
+        if pattern == "unitary":
+            angles = unitary_angles(ctx, rng)
+        else:
+            angles = rng.normal(0.0, 0.7, ctx.n_angles)
+        if pattern == "sparse":
+            angles[rng.random(ctx.n_angles) < 0.8] = 0.0
+        rows = ctx.base_rows.copy()
+        swept = forward_sweep(ctx.basis, angles, rows)
+        stack = rows.reshape(m, 4)
+        gram = stack.T @ stack.conj()
+        unitary = not rows[2:].any()
+        assert unitary == (m == 1 or pattern == "unitary")
+
+        # the qubit ensemble by its per-state path, which forms the full M
+        kinds = (optimizer._QubitEnsemble, optimizer._MatrixEnsemble)
+        qubit, matrix = (kind(corrupted, originals) for kind in kinds)
+        (loss, aux), (matrix_loss, matrix_aux) = (
+            ensemble.loss(gram, False) for ensemble in (qubit, matrix)
+        )
+        assert abs(loss - matrix_loss) <= 1e-12
+        pairs = (qubit, aux), (matrix, matrix_aux)
+        if unitary:
+            # a unitary point keeps pure corrupted states pure, where
+            # sqrt(det a) has no derivative: the ensembles take different
+            # finite M there, which pair to the same gradient (below), so
+            # M is compared on the other pairs
+            keep = [0, 1, 5, 6, 7, 8]
+            kept = [kind(corrupted[keep], originals[keep]) for kind in kinds]
+            pairs = [(ensemble, ensemble.loss(gram, False)[1]) for ensemble in kept]
+        qubit_m, matrix_m = (ensemble.cotangent(a) for ensemble, a in pairs)
+        assert np.max(np.abs(qubit_m - matrix_m)) <= 1e-12
+        if unitary:
+            # the linear path: the same loss, and M0 gives the same gradient
+            linear_loss, linear_aux = qubit.loss(gram, True)
+            assert linear_aux is None and abs(linear_loss - matrix_loss) <= 1e-12
+            grads = []
+            for ensemble, ensemble_aux in ((qubit, None), (matrix, matrix_aux)):
+                cotangent = stack @ ensemble.cotangent(ensemble_aux)
+                joined = np.concatenate([cotangent.reshape(-1, 2), rows], axis=1)
+                grads.append(reverse_sweep(ctx.basis, swept, joined))
+            assert np.max(np.abs(grads[0] - grads[1])) <= 1e-12
 
 
 def plan_pattern(basis, d, name):
@@ -433,8 +521,8 @@ class TestReversePlan:
         _, grad = ctx.gradient(angles)
         assert products == []  # every angle paired from its own two rows
         # C_n from the same evaluation, pulled back to C_0 in the dense chart
-        _, rows, swept, recovered, aux = ctx._evaluated(angles)
-        cotangent = ctx._cotangent(rows, recovered, aux).reshape(m * d, d)
+        _, rows, swept, aux = ctx._evaluated(angles)
+        cotangent = cotangent_rows(ctx, rows, aux).reshape(m * d, d)
         dense = dense_basis(2 * m * d)
         left = real_vectors(cotangent) @ dense_product(dense, angles)
         right = real_vectors(ctx.base_rows)

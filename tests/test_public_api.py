@@ -24,6 +24,7 @@ def test_no_duplicate_exports():
     [
         (kraussphere, "hermitian_eig"),
         (kraussphere, "psd_sqrt"),
+        (kraussphere, "Generator"),
         (linalg, "hermitian_eig"),
         (linalg, "psd_sqrt"),
         (linalg, "clamp_fidelity"),
