@@ -1,19 +1,13 @@
 """Dense complex linear algebra used throughout the package.
 
 The batched Uhlmann fidelity and its cotangent (one matrix path for
-every d), the qubit closed form the learner's loss uses instead, the
-eigenvalue floor both apply, and the density-matrix check of state
-ensembles.  The matrix path (:class:`UhlmannFidelity`) makes every
-product with sqrt(o) a float64 product against a real 2d x 2d form of
-sqrt(o), made once: the complex stacked products of numpy cost several
-times the float ones at these sizes.  For qubits the fidelity is also a
-closed form in Pauli coordinates c_alpha = Tr(sigma_alpha rho) (Jozsa
-1994): with q the recovered state's coordinates and s the original's,
-F = q.s / 2 + 2 sqrt(det a det o), and det = (c_0^2 - |c_r|^2) / 4, so
-no per-state matrix, trace or product is made (:func:`qubit_fidelity`).
-The eigenvalue floor, 64 * d * eps of the largest eigenvalue, sits
-clear of rounding noise, so the loss does not jump between nearby
-angles.
+every d), the eigenvalue floor it applies, and the density-matrix check
+of state ensembles.  The matrix path (:class:`UhlmannFidelity`) makes
+every product with sqrt(o) a float64 product against a real 2d x 2d
+form of sqrt(o), made once: the complex stacked products of numpy cost
+several times the float ones at these sizes.  The eigenvalue floor,
+64 * d * eps of the largest eigenvalue, sits clear of rounding noise, so
+the loss does not jump between nearby angles.
 """
 
 from __future__ import annotations
@@ -29,10 +23,7 @@ EIGENVALUE_FLOOR = 64 * EPS  # per dimension, relative to the largest eigenvalue
 PAULIS = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
 )  # sigma_0 = I, sigma_x, sigma_y, sigma_z
-PAULI_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])  # adj(c . sigma) = (eta c) . sigma
-_DET_SPLIT = np.array([[1.0, 0.0], [-1.0, 1.0], [-1.0, 1.0], [-1.0, 1.0]])
-for _array in (PAULIS, PAULI_SIGNS, _DET_SPLIT):
-    _array.setflags(write=False)
+PAULIS.setflags(write=False)
 
 
 def floor_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -51,53 +42,6 @@ def floor_eigenvalues(w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     top = np.maximum(w[..., -1:], 0.0)
     return np.where(w > EIGENVALUE_FLOOR * w.shape[-1] * top, w, 0.0)
-
-
-def pauli_coordinates(rho: np.ndarray) -> np.ndarray:
-    """(..., 2, 2) Hermitian matrices -> (..., 4) real Tr(sigma_alpha rho).
-
-    The inverse is rho = (c . sigma) / 2, sigma = :data:`PAULIS`.
-    """
-    flat = rho.reshape(*rho.shape[:-2], 4)
-    return (flat @ PAULIS.reshape(4, 4).conj().T).real  # vec(sigma^T) = conj
-
-
-def pauli_dets(coords: np.ndarray) -> np.ndarray:
-    """Determinants (c_0^2 - |c_r|^2) / 4 of the qubit states with Pauli
-    coordinates ``coords`` (..., 4), under the eigenvalue floor.
-
-    The eigenvalues are (c_0 +- |c_r|) / 2 and the smaller one is
-    det / top, so the determinant is zeroed exactly where
-    floor_eigenvalues would zero the smaller eigenvalue.
-    """
-    parts = (coords * coords) @ _DET_SPLIT  # c_0^2 - |c_r|^2, |c_r|^2
-    det = parts[..., 0] / 4.0
-    top = (coords[..., 0] + np.sqrt(parts[..., 1])) / 2.0
-    return np.where(det > EIGENVALUE_FLOOR * 2.0 * top**2, det, 0.0)
-
-
-def qubit_fidelity(
-    q: np.ndarray, s: np.ndarray, sqrt_det_o: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Qubit fidelities from Pauli coordinates, with no matrix made.
-
-    ``q`` holds the (..., N, 4) coordinates of the recovered states a,
-    ``s`` the (N, 4) coordinates of the originals o and ``sqrt_det_o``
-    their (N,) sqrt(det o), floored by :func:`pauli_dets`; any memory
-    layout works.  Returns the (..., N) fidelities
-    F = q.s / 2 + 2 sqrt(det a det o) and weights w = sqrt(det o / det a),
-    zero where det a is.  dF/dq = s / 2 + (w / 2) eta q with
-    eta = (1, -1, -1, -1): the second term is the adjugate of a, scaled.
-    Fidelities are checked and clamped as in
-    :meth:`UhlmannFidelity.evaluate`.
-    """
-    roots = np.sqrt(pauli_dets(q))
-    overlap = np.einsum("...i,...i->...", q, s)
-    fid = 0.5 * overlap + 2.0 * roots * sqrt_det_o
-    weights = np.divide(
-        sqrt_det_o, roots, out=np.zeros_like(roots), where=roots > 0.0
-    )
-    return _checked(fid), weights
 
 
 class UhlmannFidelity:
@@ -150,7 +94,11 @@ class UhlmannFidelity:
         # k; as conj(Z_ki) = Re - i Im, [I; real form of -i] adds them into Q_i
         gram = z.swapaxes(-1, -2) @ (z * scale[..., None])
         cotangent = gram.reshape(-1, 4 * self.dim) @ self._read_off
-        return _checked(total**2), cotangent.view(complex).reshape(a.shape)
+        fid = total**2
+        if fid.size:  # an empty batch has no range to check
+            check_fidelity_band(fid.min(), fid.max())
+        fid = np.minimum(np.maximum(fid, 0.0), 1.0)
+        return fid, cotangent.view(complex).reshape(a.shape)
 
 
 def real_form(s: np.ndarray) -> np.ndarray:
@@ -182,13 +130,6 @@ def check_fidelity_band(low: float, high: float) -> None:
         raise ValueError(
             f"fidelity outside [0, 1] beyond tolerance: range [{low}, {high}]"
         )
-
-
-def _checked(fid: np.ndarray) -> np.ndarray:
-    """Fidelities clamped to [0, 1]; any outside [-1e-8, 1 + 1e-8] raise."""
-    if fid.size:  # an empty batch has no range to check
-        check_fidelity_band(fid.min(), fid.max())
-    return np.minimum(np.maximum(fid, 0.0), 1.0)
 
 
 def uhlmann_fidelity(rho_a, rho_b) -> float | np.ndarray:

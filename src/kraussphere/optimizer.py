@@ -9,26 +9,20 @@ sweeps live in :mod:`transforms`, the one module that knows the chart's
 layout.  The same forward sweep gives the loss, so each descent step
 costs one ``(loss, grad)`` call.  Every constant of a step is made once
 per LossContext.
-A step splits in two halves.  The frame half, the same for every d,
-is kept by the LossContext: the forward sweep, the d^2 x d^2 Gram
-matrix G = S^T conj(S) of the swept rows S (row a is vec(K_a)), the
-cotangent rows C = S M and the reverse sweep.  The state ensemble half
-takes G to the loss and the fidelity cotangents to the one d^2 x d^2
-matrix M, and is chosen once per context.  The qubit ensemble forms no
-recovered state: one fixed real map takes G to the channel's 4 x 4
-Pauli transfer matrix, which maps the corrupted states' Pauli
-coordinates to the recovered ones, and the fidelities
-(:func:`linalg.qubit_fidelity`) and M are closed forms in those
-coordinates.  At a unitary point (every frame row below K^1 exactly
-zero: always at m = 1, and every iterate of a zeros start) its loss is
-linear in that matrix, one dot product with G's float view, and M is
-one fixed matrix, so such a step does not scale with N; the fidelity
-band over every unitary is checked once, when the ensemble is built.
-The matrix ensemble, for every other d, forms the recovered states
-through a fixed permutation of G, and :class:`linalg.UhlmannFidelity`
-makes one batched eigh per call; its products with the originals'
-square roots are float products against their real form
-(:func:`linalg.real_form`).
+A step splits in two halves.  The frame half is kept by the
+LossContext: the forward sweep, the d^2 x d^2 Gram matrix
+G = S^T conj(S) of the swept rows S (row a is vec(K_a)), the cotangent
+rows C = S M and the reverse sweep.  The state ensemble half, one
+object for every d, takes G to the loss and the fidelity cotangents to
+the one d^2 x d^2 matrix M: it forms the recovered states through a
+fixed permutation of G, and :class:`linalg.UhlmannFidelity` makes one
+batched eigh per call; its products with the originals' square roots
+are float products against their real form (:func:`linalg.real_form`).
+At a unitary qubit point (every frame row below K^1 exactly zero: always
+at m = 1, and every iterate of a zeros start) the loss is linear in G,
+one dot product with G's float view, and M is one fixed matrix, so such
+a step does not scale with N; the fidelity band over every unitary is
+checked once, when the ensemble is built.
 A gradient at the angles of the preceding loss call starts from that
 evaluation, so each iterate is evaluated once.
 Plain fixed-rate descent follows.  Every angle vector corresponds to a
@@ -45,13 +39,9 @@ import numpy as np
 from .channels import apply_channel_batch
 from .geometry import FRAME_TOL_LOOSE, KrausSet
 from .linalg import (
-    PAULI_SIGNS,
-    PAULIS,
     UhlmannFidelity,
     check_fidelity_band,
-    pauli_coordinates,
-    pauli_dets,
-    qubit_fidelity,
+    floor_eigenvalues,
     validate_density_matrix,
 )
 from .sampling import philox_rng
@@ -161,10 +151,10 @@ class LossContext:
     forward sweep, the d^2 x d^2 frame Gram matrix G = S^T conj(S),
     S = rows.reshape(m, d^2) (row a is vec(K_a)), the stack [C | W]
     with C = S M, and the reverse sweep.  The state ensemble half is one
-    private object chosen here, at d = 2 a :class:`_QubitEnsemble` and
-    otherwise a :class:`_MatrixEnsemble`; it turns G into the loss and
-    an opaque ``aux``, and ``aux`` into the d^2 x d^2 matrix M, each by
-    one product over the N states whatever m is.  Every per-context
+    private :class:`_MatrixEnsemble`, the same kind for every d; it
+    turns G into the loss and an opaque ``aux``, and ``aux`` into the
+    d^2 x d^2 matrix M, each by one product over the N states whatever
+    m is (none at a unitary qubit point).  Every per-context
     constant is made at construction, so a step is one forward sweep, a
     short fixed list of 2-D products and one reverse sweep.  Its mutable
     state is the point of the last :meth:`loss`, kept until the next
@@ -196,8 +186,7 @@ class LossContext:
         self._point = None  # (angles, evaluation) of the last loss call
         self.loss_evaluations = 0  # forward sweep + fidelity passes
         self.gradient_evaluations = 0  # reverse sweeps
-        ensemble = _QubitEnsemble if d == 2 else _MatrixEnsemble
-        self._ensemble = ensemble(corrupted, originals)
+        self._ensemble = _MatrixEnsemble(corrupted, originals)
 
     def loss(self, angles: np.ndarray) -> float:
         """Loss 1 - mean F at ``angles``: one forward sweep and one
@@ -252,89 +241,9 @@ class LossContext:
         return loss, rows, swept, aux
 
 
-class _QubitEnsemble:
-    """The d = 2 state ensemble, in real Pauli coordinates: p of the
-    corrupted states (held as its (4, N) transpose, so that per-state
-    work runs along rows) and s of the originals (column-major, like the
-    recovered coordinates).  No recovered matrix is formed: one fixed
-    real map takes G's float view to the 4 x 4 Pauli transfer matrix R
-    (R^T[b, a] = Re sum Pi[a, (j, k)] T[(j, k), (i, l)] conj(Pi[b, (i, l)])
-    / 2, Pi[a] = vec(sigma_a), T the transfer matrix of
-    :class:`_MatrixEnsemble`), the recovered coordinates are q = p R, and
-    :func:`linalg.qubit_fidelity` gives the fidelities and weights w.
-    M[(j, k), (i, l)] = -(2/N) X[(i, j), (k, l)] with
-    X = (eta Pi)^T Y Pi / 4 and Y = eta s^T p + (w q)^T p real 4 x 4, so
-    the complex entries of M, as floats, are vec(Y) times one fixed map;
-    the constant term eta s^T p is made once.
-    A unitary point (m = 1, or any iterate of a zeros start) has
-    det a_n = det sigma_n, so the loss is linear in R: the mean fidelity
-    is G's float view dotted with a fixed vector, from the moment s^T p,
-    plus c / N with c = 2 sum_n sqrt(det sigma_n) sqrt(det o_n), clamped
-    to [0, 1], and M is the fixed M0, the map of eta s^T p alone.  No
-    per-state array is formed, so that step does not scale with N; it is
-    exact because a unitary point moves no det a_n to first order (a
-    commutator has no trace against adj(a_n)), so the weighted term
-    pairs to 0.  Since no such iterate's fidelities are formed, every
-    state's fidelity range over all unitaries,
-    (p0 s0 -+ |p_r| |s_r|) / 2 + c_n, is checked against the band at
-    build time, raising the "outside" error of
-    :func:`linalg.check_fidelity_band` if it leaves it.  Every other
-    point (``small_random`` starts, a spread Kraus gauge, arbitrary
-    angles) takes the per-state path.
-    """
-
-    def __init__(self, corrupted: np.ndarray, originals: np.ndarray):
-        n_states = len(corrupted)
-        self._states = pauli_coordinates(corrupted).T.copy()  # p^T
-        self._originals = np.asfortranarray(pauli_coordinates(originals))  # s
-        self._sqrt_det_o = np.sqrt(pauli_dets(self._originals))
-        # rows 2g, 2g + 1 of the transfer map take Re G_g, Im G_g to R^T
-        coeffs = np.einsum("ajk,bil->ijlkba", PAULIS, PAULIS.conj()).reshape(16, 16)
-        coeffs /= 2.0
-        self._transfer_map = np.stack([coeffs.real, -coeffs.imag], 1).reshape(32, 16)
-        coeffs = np.einsum("a,aij,bkl->abjkil", PAULI_SIGNS, PAULIS, PAULIS)
-        self._cotangent_map = (coeffs.reshape(16, 16) * (-0.5 / n_states)).view(float)
-        moment = self._originals.T @ self._states.T  # s^T p
-        self._overlap = PAULI_SIGNS[:, None] * moment
-        offsets = 2.0 * np.sqrt(pauli_dets(self._states.T)) * self._sqrt_det_o
-        self._unitary_fidelity = self._transfer_map @ moment.ravel() / (2 * n_states)
-        self._unitary_offset = offsets.sum() / n_states
-        entries = self._overlap.ravel() @ self._cotangent_map  # M0 as floats
-        self._unitary_cotangent = entries.view(complex).reshape(4, 4)
-        # over every unitary q_n.s_n spans p0 s0 -+ |p_r| |s_r|, so no
-        # unitary iterate can leave the band if these bounds do not
-        centre = self._states[0] * self._originals[:, 0] / 2.0 + offsets
-        spread = (
-            np.linalg.norm(self._states[1:], axis=0)
-            * np.linalg.norm(self._originals[:, 1:], axis=1)
-            / 2.0
-        )
-        check_fidelity_band((centre - spread).min(), (centre + spread).max())
-
-    def loss(self, gram: np.ndarray, unitary: bool) -> tuple[float, tuple | None]:
-        """(loss, aux): aux is (q, w) of the per-state path, None at a
-        unitary point."""
-        floats = gram.view(float).ravel()
-        if unitary:
-            mean = floats @ self._unitary_fidelity + self._unitary_offset
-            return 1.0 - min(max(float(mean), 0.0), 1.0), None
-        recovered = ((floats @ self._transfer_map).reshape(4, 4) @ self._states).T
-        fid, weights = qubit_fidelity(recovered, self._originals, self._sqrt_det_o)
-        return float(1.0 - fid.sum() / fid.size), (recovered, weights)
-
-    def cotangent(self, aux: tuple | None) -> np.ndarray:
-        """M from :meth:`loss`'s aux; M0 at a unitary point (None)."""
-        if aux is None:
-            return self._unitary_cotangent
-        recovered, weights = aux
-        weighted = (recovered.T * weights) @ self._states.T + self._overlap
-        entries = weighted.ravel() @ self._cotangent_map  # M as floats
-        return entries.view(complex).reshape(4, 4)
-
-
 class _MatrixEnsemble:
-    """The state ensemble for any d, as matrices: the corrupted states
-    flattened to (N, d^2) rows vec(sigma_n) and the originals held by
+    """The state ensemble, as matrices: the corrupted states flattened to
+    (N, d^2) rows vec(sigma_n) and the originals held by
     :class:`linalg.UhlmannFidelity`, the matrix fidelity for every d.
     With the transfer matrix T[(j, k), (i, l)] = sum_a K_a[i, j]
     conj(K_a[l, k]) = G[(i, j), (l, k)], a fixed permutation of G, each
@@ -342,8 +251,24 @@ class _MatrixEnsemble:
     gives the fidelities and their cotangents Q_n.
     M[(j, k), (i, l)] = X[(i, j), (k, l)] is a fixed permutation of
     X = -(2/N) sum_n vec(Q_n)^T vec(sigma_n), one product over the
-    states against the prescaled rows.  A unitary point is no special
-    case here.
+    states against the prescaled rows.
+    At d = 2 a unitary point (m = 1, or any iterate of a zeros start)
+    takes a shortcut: a_n = U sigma_n U^H keeps det a_n = det sigma_n, so
+    F_n = Tr(a_n o_n) + 2 sqrt(det sigma_n det o_n) (Jozsa 1994) is linear
+    in G.  The mean fidelity is G's float view dotted with the fixed
+    weights of sum_n vec(sigma_n)^T conj(vec(o_n)), scattered into G's
+    order, plus c = (2/N) sum_n sqrt(det sigma_n det o_n), clamped to
+    [0, 1]; each det is the product of the eigenvalues under
+    :func:`linalg.floor_eigenvalues`.  M is the fixed M0 of Q_n = o_n: a
+    unitary point moves no det a_n to first order (a commutator has no
+    trace against adj(a_n)), so the adj(a_n) term of Q_n pairs to 0.
+    No per-state array is formed, so that step does not scale with N.
+    Since no such iterate's fidelities are formed, every state's range
+    over all unitaries, (1 -+ |r_sigma| |r_o|) / 2 + c_n with the Bloch
+    radius |r| the gap of the two eigenvalues, is checked against the
+    band at build time, raising the "outside" error of
+    :func:`linalg.check_fidelity_band` if it leaves it.  Every other
+    point takes the per-state path.
     """
 
     def __init__(self, corrupted: np.ndarray, originals: np.ndarray):
@@ -356,16 +281,37 @@ class _MatrixEnsemble:
         axes = np.arange(d**4).reshape(d, d, d, d)
         self._transfer_order = axes.transpose(1, 3, 0, 2).ravel()
         self._cotangent_order = axes.transpose(1, 2, 0, 3).ravel()
+        self._linear = None  # the unitary shortcut's weights, d = 2 only
+        if d == 2:
+            flat = originals.reshape(n_states, 4)
+            weights = np.empty(16, dtype=complex)
+            weights[self._transfer_order] = (self._states.T @ flat.conj()).ravel()
+            self._linear = weights.conj().view(float) / n_states  # [Re w, -Im w]
+            w = np.linalg.eigvalsh(np.stack([corrupted, originals]))  # (2, N, 2)
+            offsets = 2.0 * np.sqrt(floor_eigenvalues(w).prod(-1).prod(0))
+            self._offset = offsets.sum() / n_states
+            self._fixed_cotangent = self.cotangent(originals)  # M0
+            # over every unitary Tr(a_n o_n) spans (1 -+ |r_sigma| |r_o|) / 2,
+            # so no unitary iterate can leave the band if these bounds do not
+            radii = w[..., 1] - w[..., 0]  # Bloch radii |r|
+            centre, spread = 0.5 + offsets, radii[0] * radii[1] / 2.0
+            check_fidelity_band((centre - spread).min(), (centre + spread).max())
 
-    def loss(self, gram: np.ndarray, unitary: bool) -> tuple[float, np.ndarray]:
-        """(loss, aux): aux is the (N, d, d) cotangents Q_n."""
+    def loss(self, gram: np.ndarray, unitary: bool) -> tuple[float, np.ndarray | None]:
+        """(loss, aux): aux is the (N, d, d) cotangents Q_n, None where the
+        unitary shortcut was taken."""
+        if unitary and self._linear is not None:
+            mean = gram.view(float).ravel() @ self._linear + self._offset
+            return 1.0 - min(max(float(mean), 0.0), 1.0), None
         transfer = gram.ravel().take(self._transfer_order).reshape(gram.shape)
         recovered = (self._states @ transfer).reshape(self._shape)
         fid, cotangents = self._fidelity.evaluate(recovered)
         return float(1.0 - fid.sum() / fid.size), cotangents
 
-    def cotangent(self, aux: np.ndarray) -> np.ndarray:
-        """M from :meth:`loss`'s aux."""
+    def cotangent(self, aux: np.ndarray | None) -> np.ndarray:
+        """M from :meth:`loss`'s aux; M0 after the unitary shortcut (None)."""
+        if aux is None:
+            return self._fixed_cotangent
         moments = aux.reshape(len(self._states), -1).T @ self._scaled_states
         return moments.ravel().take(self._cotangent_order).reshape(moments.shape)
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from kraussphere import angle_count, channel_from_angles, generator_basis, transforms
+from kraussphere import (
+    KrausSet,
+    angle_count,
+    channel_from_angles,
+    generator_basis,
+    transforms,
+)
 
 
 def random_density(rng, dim):
@@ -28,6 +34,15 @@ def random_channel(rng, d, m, scale=0.7):
     """Random CPTP Kraus set reached by random angles from the identity."""
     angles = rng.normal(0.0, scale, angle_count(d, m))
     return channel_from_angles(d, m, angles)
+
+
+def amplitude_damping(gamma):
+    """The qubit amplitude-damping channel {[[1, 0], [0, sqrt(1 - gamma)]],
+    [[0, sqrt(gamma)], [0, 0]]}: non-unital, so its best recovery is not
+    unitary."""
+    keep = np.diag([1.0, np.sqrt(1.0 - gamma)])
+    decay = np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]])
+    return KrausSet([keep, decay])
 
 
 def read_every_row(monkeypatch):

@@ -13,17 +13,18 @@ Beside it: a Taylor-series matrix exponential independent of any closed
 form, the central-difference gradient, a per-pair Uhlmann fidelity by
 eigendecomposition and its mean over (recovered, original) pairs, the
 qubit fidelity and cotangent as a closed form on the four flat matrix
-entries (the reference of the package's Pauli-coordinate form), the
-batched fidelity and cotangent by complex stacked products (the
-reference of the package's real-form d > 2 path),
-the transfer matrix, Pauli sandwich and loss cotangent of the learner's
-contractions by einsum (the references of its fixed 2-D products), the
-per-state qubit loss and gradient built from them (the reference of the
-learner's unitary path), and
+entries and the batched fidelity and cotangent by complex stacked
+products (the references of the package's real-form matrix path), the
+transfer matrix and loss cotangent of the learner's contractions by
+einsum (the references of its fixed 2-D products), the per-state qubit
+loss and gradient built from them (the reference of the learner's
+unitary shortcut), and
 the three samplers drawn one state at a time, which the batched samplers
 must reproduce bit for bit, with the Haar-unitary draw of the Bures
-sampler.  Last, the exact Pauli recovery of a noisy ensemble, the bar a
-learned quasi-inverse has to reach on the same states.
+sampler.  Last, the bars a learned quasi-inverse has to reach on the
+same states: the exact Pauli recovery of a noisy ensemble, the
+transpose-channel (Petz) recovery, and a certified bound on the gap to
+the best CPTP recovery.
 """
 
 import functools
@@ -31,13 +32,6 @@ import functools
 import numpy as np
 
 from kraussphere.channels import apply_channel_batch
-from kraussphere.linalg import (
-    PAULI_SIGNS,
-    PAULIS,
-    pauli_coordinates,
-    pauli_dets,
-    qubit_fidelity,
-)
 from kraussphere.transforms import forward_sweep, generator_basis, reverse_sweep
 
 
@@ -139,25 +133,6 @@ def einsum_transfer(rows: np.ndarray, d: int, m: int) -> np.ndarray:
     return np.einsum("aij,alk->jkil", stack, stack.conj()).reshape(d * d, d * d)
 
 
-def pauli_sandwich(transfer: np.ndarray) -> np.ndarray:
-    """Re(Pi T Pi^H) / 2 of a qubit transfer matrix T, Pi holding the
-    vec(sigma_alpha) as rows: the real Pauli transfer matrix R with
-    q = p R for Pauli coordinates p of a state and q of its image."""
-    rows = PAULIS.reshape(4, 4)
-    return (rows @ transfer @ rows.conj().T).real / 2.0
-
-
-def pauli_contraction(originals, corrupted, recovered, weights) -> np.ndarray:
-    """X = sum_n vec(Q_n)^T vec(sigma_n) for qubits by the Pauli sandwich
-    Pi^T (s^T p / 4) Pi + (eta Pi)^T ((w q)^T p / 4) Pi, where s, p and q
-    are the (N, 4) Pauli coordinates of the originals, corrupted and
-    recovered states and w the weights sqrt(det o / det a)."""
-    rows = PAULIS.reshape(4, 4)
-    overlap = originals.T @ corrupted / 4.0
-    weighted = (weights[:, None] * recovered).T @ corrupted / 4.0
-    return rows.T @ overlap @ rows + (PAULI_SIGNS[:, None] * rows).T @ weighted @ rows
-
-
 def einsum_cotangent(
     contraction: np.ndarray, rows: np.ndarray, d: int, m: int, n_states: int
 ) -> np.ndarray:
@@ -173,20 +148,21 @@ def einsum_cotangent(
 
 def per_state_qubit_step(corrupted, originals, m: int, angles) -> tuple:
     """Loss and gradient of a qubit ensemble by the per-state path at any
-    angles: the swept rows' Pauli transfer matrix by the einsum references
-    above, every state's fidelity and weight by
-    :func:`linalg.qubit_fidelity`, the full cotangent contraction (the
-    weighted term included) and the package's reverse sweep."""
+    angles: the swept rows' transfer matrix by :func:`einsum_transfer`,
+    every state's fidelity and cotangent by :func:`flat_qubit_fidelity`
+    (clamped to [0, 1]), their contraction X = sum_n vec(Q_n)^T
+    vec(sigma_n), the cotangents by :func:`einsum_cotangent` and the
+    package's reverse sweep."""
     basis = generator_basis(4 * m)
     rows = np.eye(2 * m, 2, dtype=complex)
     swept = forward_sweep(basis, angles, rows)
-    states, targets = pauli_coordinates(corrupted), pauli_coordinates(originals)
-    recovered = states @ pauli_sandwich(einsum_transfer(rows, 2, m))
-    fid, weights = qubit_fidelity(recovered, targets, np.sqrt(pauli_dets(targets)))
-    contraction = pauli_contraction(targets, states, recovered, weights)
-    cotangent = einsum_cotangent(contraction, rows, 2, m, len(states))
+    flat = corrupted.reshape(-1, 4)
+    recovered = (flat @ einsum_transfer(rows, 2, m)).reshape(corrupted.shape)
+    fid, cotangents = flat_qubit_fidelity(originals, recovered)
+    contraction = cotangents.reshape(-1, 4).T @ flat
+    cotangent = einsum_cotangent(contraction, rows, 2, m, len(flat))
     stack = np.concatenate([cotangent.reshape(2 * m, 2), rows], axis=1)
-    return 1.0 - fid.mean(), reverse_sweep(basis, swept, stack)
+    return 1.0 - np.clip(fid, 0.0, 1.0).mean(), reverse_sweep(basis, swept, stack)
 
 
 def complex_rows(vectors: np.ndarray) -> np.ndarray:
@@ -343,6 +319,71 @@ def pauli_recovery_fidelity(channel, pauli, states) -> float:
     noisy = apply_channel_batch(channel.operators, held)
     recovered = unitary @ noisy @ unitary.conj().T
     return average_fidelity(zip(recovered, held))
+
+
+def petz_recovery(noise: np.ndarray, states) -> np.ndarray:
+    """The transpose-channel (Petz) recovery of the (m, d, d) ``noise``
+    operators K_a against the ensemble mean s of ``states``: the
+    operators R_a = s^(1/2) K_a^H E(s)^(-1/2) (Barnum & Knill 2002), a
+    CPTP recovery in closed form wherever E(s) has full rank."""
+    mean = np.mean(states, axis=0)
+
+    def power(h, exponent):
+        w, v = np.linalg.eigh(h)
+        return (v * w**exponent) @ v.conj().T
+
+    root = power(mean, 0.5)
+    inverse_root = power(apply_channel_batch(noise, mean[None])[0], -0.5)
+    return np.stack([root @ k.conj().T @ inverse_root for k in noise])
+
+
+def recovery_loss(noise: np.ndarray, recovery: np.ndarray, states) -> float:
+    """f = 1 - mean F of ``states`` sent through the (m, d, d) ``noise``
+    operators, then the ``recovery`` operators, by the complex-product
+    fidelity."""
+    originals = np.asarray(states, dtype=complex)
+    recovered = apply_channel_batch(recovery, apply_channel_batch(noise, originals))
+    fid, _ = complex_product_fidelity(originals, recovered)
+    return 1.0 - float(fid.mean())
+
+
+def optimality_gap(noise: np.ndarray, recovery: np.ndarray, states) -> float:
+    """An upper bound on f(J) - min f over every CPTP recovery, for the
+    (m, d, d) ``recovery`` operators R_a of the (m', d, d) ``noise``
+    operators on ``states``, with f = :func:`recovery_loss`.
+
+    f is convex in the recovery's Choi matrix J = sum_a vec(R_a)
+    vec(R_a)^H (row-major vec, so J[(i, j), (l, k)] is the coefficient
+    of sigma[j, k] in tau[i, l]), as each F is concave in the recovered
+    state tau_n, which is linear in J.  Its gradient is
+    Z = -(1/N) sum_n Q_n (x) sigma_n^T, Q_n = dF/dtau at tau_n and
+    sigma_n the corrupted states.  Every CPTP J' has Tr_out J' = I, so
+    for any Hermitian Y on the input space, with S = Z - I (x) Y,
+    f(J) - f(J') <= <S, J - J'> <= |Tr(S J)| + d max(0, -lambda_min(S))
+    (Tr J' = d).  Y = Tr_out(Z J), Hermitian part, makes Tr(S J) vanish
+    up to J's completeness error, and is the multiplier of the KKT
+    point S >= 0, S J = 0 when J is optimal, where the bound is 0.
+    Q_n is :func:`complex_product_fidelity`'s cotangent, in which the
+    eigenvalue floor zeroes the terms of the eigenvalues it zeroes (a
+    pseudo-inverse).  That Q_n is a supergradient of F where tau_n is
+    full rank above the floor, or o_n is pure (F then linear in tau);
+    at a singular tau_n against a mixed o_n, F has no finite
+    supergradient and the bound is not claimed.
+    """
+    originals = np.asarray(states, dtype=complex)
+    n_states, d = originals.shape[:2]
+    corrupted = apply_channel_batch(noise, originals)
+    recovered = apply_channel_batch(recovery, corrupted)
+    _, cotangents = complex_product_fidelity(originals, recovered)
+    gradient = -np.einsum("nil,nkj->ijlk", cotangents, corrupted) / n_states
+    gradient = gradient.reshape(d * d, d * d)
+    flat = recovery.reshape(len(recovery), d * d)
+    choi = flat.T @ flat.conj()
+    multiplier = np.einsum("ijik->jk", (gradient @ choi).reshape(d, d, d, d))
+    multiplier = (multiplier + multiplier.conj().T) / 2.0
+    slack = gradient - np.kron(np.eye(d), multiplier)
+    lowest = np.linalg.eigvalsh(slack)[0]
+    return d * max(0.0, -lowest) + abs(np.trace(slack @ choi))
 
 
 def sample_one_at_a_time(measure: str, seed: int, count: int, dim: int) -> list:

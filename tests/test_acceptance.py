@@ -52,14 +52,17 @@ from kraussphere.transforms import (
     generator_basis,
 )
 
-from conftest import random_density
+from conftest import amplitude_damping, random_density
 from oracles import (
     central_difference,
     dense_basis,
     dense_generator,
     embed_transform,
     matrix_exp_series,
+    optimality_gap,
     pauli_recovery_fidelity,
+    petz_recovery,
+    recovery_loss,
     reference_fidelity,
 )
 
@@ -77,6 +80,9 @@ TWO_QUBIT_BEFORE = {
 }
 TWO_QUBIT_ENSEMBLE = {"seed": 21, "count": 100, "dim": 4}
 P_GRID = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+# the certified optimality gap of criteria 1-3 and 5, fixed before any gap
+# of these learns was computed (1.45e-6 was the largest measured on 1-3)
+GAP_TOLERANCE = 1e-5
 
 
 def report(number, passed, detail):
@@ -119,8 +125,13 @@ def _learn_two_qubit(states):
 
 
 @pytest.fixture(scope="session")
-def two_qubit_results():
-    return _learn_two_qubit(sample_hilbert_schmidt(**TWO_QUBIT_ENSEMBLE))
+def two_qubit_states():
+    return sample_hilbert_schmidt(**TWO_QUBIT_ENSEMBLE)
+
+
+@pytest.fixture(scope="session")
+def two_qubit_results(two_qubit_states):
+    return _learn_two_qubit(two_qubit_states)
 
 
 @pytest.fixture(scope="session")
@@ -262,6 +273,65 @@ def test_criterion_05_bures_learns_reach_pauli_recovery(
             f"after={result.fidelity_after:.4f} (>= exact P(x)P {exact:.4f} - 1e-3)"
         )
     assert report("5-bures", ok, "; ".join(details))
+
+
+@pytest.mark.parametrize("kind", list(FLIP_CASES))
+def test_criteria_01_to_03_learns_are_certified_optimal(
+    kind, single_qubit_results, training_states
+):
+    # no CPTP recovery of any Kraus rank beats these unitary learns by more
+    # than the gap (every recovered state is full rank, so the bound holds)
+    noise = flip_channel(kind, 0.8).operators
+    recovery = single_qubit_results[kind].channel.operators
+    gap = optimality_gap(noise, recovery, np.stack(training_states))
+    assert gap <= GAP_TOLERANCE, f"{kind}: optimality gap {gap:.3e}"
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "bit_flip",
+        "phase_flip",
+        pytest.param(
+            "bit_phase_flip",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the learn ends at its 800-iteration budget with gradient "
+                "norm 4.4e-4 and a certified gap of 1.25e-4; see ROADMAP item 13",
+            ),
+        ),
+    ],
+)
+def test_criterion_05_learns_are_certified_optimal(
+    kind, two_qubit_results, two_qubit_states
+):
+    noise = tensor_flip_channel(kind, 0.8, 2).operators
+    recovery = two_qubit_results[kind].channel.operators
+    gap = optimality_gap(noise, recovery, np.stack(two_qubit_states))
+    assert gap <= GAP_TOLERANCE, f"{kind}: optimality gap {gap:.3e}"
+
+
+def test_amplitude_damping_ansatz_capacity():
+    """The m = 4 ansatz can represent a non-unitary best recovery: from a
+    ``small_random`` start, the learn on amplitude damping gamma = 0.9 (a
+    ``custom`` channel; 300 Bloch-ball states of seed 7, optimizer seed
+    1, 3000 iterations, loss_tol 0) reaches the transpose-channel (Petz)
+    recovery's fidelity and is certified optimal.  It checks capacity
+    only: the default zeros start stays on the unitaries (ROADMAP item
+    14)."""
+    states = np.stack(sample_bloch_ball(seed=7, count=300))
+    noise = amplitude_damping(0.9)
+    cfg = OptimizerConfig(
+        m=4, init="small_random", seed=1, max_iters=3000, loss_tol=0.0
+    )
+    result = learn_quasi_inverse(noise, states, cfg)
+    petz = petz_recovery(noise.operators, states)
+    petz_fidelity = 1.0 - recovery_loss(noise.operators, petz, states)
+    gap = optimality_gap(noise.operators, result.channel.operators, states)
+    assert result.fidelity_after >= petz_fidelity - 1e-3, (
+        f"after={result.fidelity_after:.6f} < Petz {petz_fidelity:.6f} - 1e-3"
+    )
+    assert gap <= 1e-4, f"optimality gap {gap:.3e}"
 
 
 def test_criterion_06_depolarizing_no_recovery(depolarizing_result, held_out_states):

@@ -3,13 +3,8 @@ import pytest
 
 from kraussphere.linalg import (
     EIGENVALUE_FLOOR,
-    PAULI_SIGNS,
-    PAULIS,
     UhlmannFidelity,
     floor_eigenvalues,
-    pauli_coordinates,
-    pauli_dets,
-    qubit_fidelity,
     real_form,
     uhlmann_fidelity,
     validate_density_matrix,
@@ -20,7 +15,6 @@ from oracles import (
     complex_product_fidelity,
     flat_qubit_fidelity,
     matrix_exp_series,
-    qubit_dets,
     reference_fidelity,
 )
 
@@ -133,30 +127,10 @@ class TestEigenvalueFloor:
             floor_eigenvalues(w), [[0.0, 0.0, 1e-3, 0.5], [0.0, 0.25, 0.25, 0.5]]
         )
 
-    def test_qubit_dets_match_the_floor(self):
-        rng = np.random.default_rng(6)
-        pure, mixed = pure_density(rng, 2), random_density(rng, 2)
-        dets = pauli_dets(pauli_coordinates(np.stack([pure, mixed])))
-        assert dets[0] == 0.0
-        assert dets[1] == pytest.approx(np.linalg.det(mixed).real, rel=1e-12)
-
-    @pytest.mark.parametrize("factor,zeroed", [(0.5, True), (0.9, True), (2.0, False)])
-    def test_qubit_floor_boundary(self, factor, zeroed):
-        # the smaller eigenvalue just under or over the floor: the Pauli
-        # determinants are zeroed exactly where the flat-entry ones are
-        rng = np.random.default_rng(13)
-        low = factor * QUBIT_FLOOR
-        states = np.stack([rotated_qubit(rng, low) for _ in range(50)])
-        dets = pauli_dets(pauli_coordinates(states))
-        reference = qubit_dets(states)
-        assert np.array_equal(dets == 0.0, reference == 0.0)
-        assert np.all(dets == 0.0) if zeroed else np.all(dets > 0.0)
-        assert np.max(np.abs(dets - reference)) <= 1e-15
-
 
 class TestQubitPauliPath:
-    """The Pauli-coordinate qubit fidelity against the flat-entry closed form
-    and the matrix path."""
+    """The matrix path at d = 2 against the qubit closed form on flat
+    entries, F = Tr(a o) + 2 sqrt(det a det o) (Jozsa 1994)."""
 
     @staticmethod
     def ensemble(seed):
@@ -170,51 +144,12 @@ class TestQubitPauliPath:
         recovered = pure[:10] + mixed[10:] + boundary[10:] + boundary[:10] + mixed[:10]
         return np.stack(originals), np.stack(recovered)
 
-    @staticmethod
-    def closed_form(originals, recovered):
-        """qubit_fidelity's (F, w) and the coordinates q, s it was given."""
-        q, s = pauli_coordinates(recovered), pauli_coordinates(originals)
-        return (*qubit_fidelity(q, s, np.sqrt(pauli_dets(s))), q, s)
-
-    def test_matches_flat_entries(self):
-        originals, recovered = self.ensemble(14)
-        batch = np.stack([recovered, originals, recovered[::-1]])  # extra batch axis
-        fid, weights, q, s = self.closed_form(originals, batch)
-        # Q = ((s + w eta q) / 2) . sigma
-        slope = 0.5 * (s + weights[..., None] * PAULI_SIGNS * q)
-        cotangent = (slope @ PAULIS.reshape(4, 4)).reshape(batch.shape)
-        expected, expected_cotangent = flat_qubit_fidelity(originals, batch)
-        assert fid.shape == (3, 50) and cotangent.shape == (3, 50, 2, 2)
-        assert np.max(np.abs(fid - expected)) <= 1e-12
-        assert np.max(np.abs(cotangent - expected_cotangent)) <= 1e-12
-
-    def test_qubit_coordinates_give_the_same_fidelities(self):
-        originals, recovered = self.ensemble(15)
-        fid, weights, _, _ = self.closed_form(originals, recovered)
-        expected, _ = flat_qubit_fidelity(originals, recovered)
-        assert np.max(np.abs(fid - expected)) <= 1e-12
-        # w = sqrt(det o / det a), zero where det a is floored to zero
-        dets, original_dets = qubit_dets(recovered), qubit_dets(originals)
-        assert np.all(weights[dets == 0.0] == 0.0)
-        live = dets > 0.0
-        expected = np.sqrt(original_dets[live] / dets[live])
-        assert np.max(np.abs(weights[live] - expected)) <= 1e-12
-
     @pytest.mark.parametrize("seed", [14, 15])
     def test_matrix_path_agrees_at_d2(self, seed):
         originals, recovered = self.ensemble(seed)
         fid, _ = UhlmannFidelity(originals).evaluate(recovered)
-        closed, _, _, _ = self.closed_form(originals, recovered)
+        closed, _ = flat_qubit_fidelity(originals, recovered)
         assert np.max(np.abs(fid - closed)) <= 1e-12
-
-    def test_coordinates_round_trip(self):
-        rng = np.random.default_rng(16)
-        states = np.stack([random_density(rng, 2) for _ in range(6)])
-        states = states.reshape(2, 3, 2, 2)
-        coords = pauli_coordinates(states)
-        assert coords.shape == (2, 3, 4) and coords.dtype == float
-        rebuilt = np.einsum("...a,aij->...ij", coords, PAULIS) / 2.0
-        assert np.max(np.abs(rebuilt - states)) <= 1e-15
 
 
 def spread_density(rng, dim):

@@ -11,7 +11,7 @@ from kraussphere.channels import (
 )
 from kraussphere.geometry import KrausSet
 from kraussphere import optimizer, transforms
-from kraussphere.linalg import UhlmannFidelity, pauli_coordinates, uhlmann_fidelity
+from kraussphere.linalg import UhlmannFidelity, uhlmann_fidelity
 from kraussphere.optimizer import (
     LossContext,
     NonFiniteLossError,
@@ -27,7 +27,14 @@ from kraussphere.transforms import (
     reverse_sweep,
 )
 
-from conftest import pure_density, random_density, random_hermitian, read_every_row
+from conftest import (
+    amplitude_damping,
+    pure_density,
+    random_channel,
+    random_density,
+    random_hermitian,
+    read_every_row,
+)
 from oracles import (
     average_fidelity,
     central_difference,
@@ -36,11 +43,12 @@ from oracles import (
     einsum_cotangent,
     einsum_transfer,
     haar_unitary,
-    pauli_contraction,
-    pauli_sandwich,
+    optimality_gap,
     per_state_qubit_step,
+    petz_recovery,
     prefix_pairings,
     real_vectors,
+    recovery_loss,
     reference_fidelity,
 )
 
@@ -316,36 +324,19 @@ class TestGradient:
             angles[rng.random(ctx.n_angles) < 0.3] = 0.0
             assert self._oracle_gap(ctx, angles) <= 1e-7
 
-    def test_qubit_gradient_skips_the_matrix_path(self, monkeypatch):
-        # the d = 2 loss and gradient work on Pauli coordinates only
-        ctx, rng = self._small_context(seed=65, m=4)
-
-        def refuse(*args):
-            raise AssertionError("matrix fidelity path used at d = 2")
-
-        monkeypatch.setattr(UhlmannFidelity, "evaluate", refuse)
-        angles = rng.normal(0, 0.5, ctx.n_angles)
-        loss, grad = ctx.gradient(angles)
-        assert loss == ctx.loss(angles) and grad.shape == (ctx.n_angles,)
-
 
 def evaluated_with_recovered(monkeypatch, ctx, angles) -> tuple:
     """``ctx._evaluated(angles)`` and the recovered states its fidelity
-    pass was given (qubits: their Pauli coordinates), None where it made
-    no such pass (a unitary qubit point)."""
+    pass was given, None where it made no such pass (the unitary qubit
+    shortcut)."""
     given = []
-    matrix, qubit = UhlmannFidelity.evaluate, optimizer.qubit_fidelity
+    inner = UhlmannFidelity.evaluate
 
     def matrix_pass(self, recovered):
         given.append(recovered)
-        return matrix(self, recovered)
-
-    def qubit_pass(recovered, *rest):
-        given.append(recovered)
-        return qubit(recovered, *rest)
+        return inner(self, recovered)
 
     monkeypatch.setattr(UhlmannFidelity, "evaluate", matrix_pass)
-    monkeypatch.setattr(optimizer, "qubit_fidelity", qubit_pass)
     point = ctx._evaluated(angles)
     return point, (given[0] if given else None)
 
@@ -376,26 +367,16 @@ class TestFixedProducts:
             angles[rng.random(ctx.n_angles) < 0.9] = 0.0
         point, recovered = evaluated_with_recovered(monkeypatch, ctx, angles)
         _, rows, _, aux = point
-        transfer = einsum_transfer(rows, d, m)
-        if d == 2:
-            states = pauli_coordinates(corrupted)
-            expected = states @ pauli_sandwich(transfer)
-            # at a unitary point (m = 1 or zero angles) the ensemble forms
-            # no per-state array, and its cotangent is the overlap term alone
-            unitary = aux is None
-            assert unitary == (m == 1 or pattern == "zero") == (recovered is None)
-            contraction = pauli_contraction(
-                pauli_coordinates(originals),
-                states,
-                expected if unitary else recovered,
-                np.zeros(count) if unitary else aux[1],
-            )
-        else:
-            flat = corrupted.reshape(count, d * d)
-            expected = (flat @ transfer).reshape(count, d, d)
-            contraction = aux.reshape(count, d * d).T @ flat
-        if recovered is not None:
+        flat = corrupted.reshape(count, d * d)
+        expected = (flat @ einsum_transfer(rows, d, m)).reshape(count, d, d)
+        # the qubit shortcut (m = 1 or zero angles) forms no recovered
+        # state, and its fixed M0 is the contraction of Q_n = o_n
+        shortcut = d == 2 and (m == 1 or pattern == "zero")
+        assert (aux is None) == (recovered is None) == shortcut
+        if not shortcut:
             assert np.max(np.abs(recovered - expected)) <= 1e-14
+        cotangents = originals if shortcut else aux
+        contraction = cotangents.reshape(count, d * d).T @ flat
         cotangent = cotangent_rows(ctx, rows, aux)
         reference = einsum_cotangent(contraction, rows, d, m, count)
         assert np.max(np.abs(cotangent - reference.reshape(m, d * d))) <= 1e-14
@@ -403,7 +384,10 @@ class TestFixedProducts:
     @pytest.mark.parametrize("m", [1, 2, 4])
     @pytest.mark.parametrize("pattern", ["unitary", "sparse", "dense"])
     def test_qubit_and_matrix_ensembles_agree(self, m, pattern):
-        # pairs 0-2 have pure originals, pairs 2-4 pure corrupted states
+        # at d = 2 the per-state matrix path agrees with the flat-entry
+        # oracle, and at a unitary point the linear shortcut agrees with
+        # both; pairs 0-2 have pure originals, pairs 2-4 pure corrupted
+        # states
         rng = np.random.default_rng(71 + m)
         originals = [pure_density(rng, 2) for _ in range(3)]
         originals += [random_density(rng, 2) for _ in range(6)]
@@ -412,7 +396,6 @@ class TestFixedProducts:
         corrupted += [random_density(rng, 2) for _ in range(4)]
         originals, corrupted = np.stack(originals), np.stack(corrupted)
         ctx = LossContext(corrupted, originals, m)
-        assert isinstance(ctx._ensemble, optimizer._QubitEnsemble)
         if pattern == "unitary":
             angles = unitary_angles(ctx, rng)
         else:
@@ -426,34 +409,20 @@ class TestFixedProducts:
         unitary = not rows[2:].any()
         assert unitary == (m == 1 or pattern == "unitary")
 
-        # the qubit ensemble by its per-state path, which forms the full M
-        kinds = (optimizer._QubitEnsemble, optimizer._MatrixEnsemble)
-        qubit, matrix = (kind(corrupted, originals) for kind in kinds)
-        (loss, aux), (matrix_loss, matrix_aux) = (
-            ensemble.loss(gram, False) for ensemble in (qubit, matrix)
-        )
-        assert abs(loss - matrix_loss) <= 1e-12
-        pairs = (qubit, aux), (matrix, matrix_aux)
-        if unitary:
-            # a unitary point keeps pure corrupted states pure, where
-            # sqrt(det a) has no derivative: the ensembles take different
-            # finite M there, which pair to the same gradient (below), so
-            # M is compared on the other pairs
-            keep = [0, 1, 5, 6, 7, 8]
-            kept = [kind(corrupted[keep], originals[keep]) for kind in kinds]
-            pairs = [(ensemble, ensemble.loss(gram, False)[1]) for ensemble in kept]
-        qubit_m, matrix_m = (ensemble.cotangent(a) for ensemble, a in pairs)
-        assert np.max(np.abs(qubit_m - matrix_m)) <= 1e-12
-        if unitary:
-            # the linear path: the same loss, and M0 gives the same gradient
-            linear_loss, linear_aux = qubit.loss(gram, True)
-            assert linear_aux is None and abs(linear_loss - matrix_loss) <= 1e-12
-            grads = []
-            for ensemble, ensemble_aux in ((qubit, None), (matrix, matrix_aux)):
-                cotangent = stack @ ensemble.cotangent(ensemble_aux)
-                joined = np.concatenate([cotangent.reshape(-1, 2), rows], axis=1)
-                grads.append(reverse_sweep(ctx.basis, swept, joined))
-            assert np.max(np.abs(grads[0] - grads[1])) <= 1e-12
+        steps = [per_state_qubit_step(corrupted, originals, m, angles)]
+        for shortcut in [False, True] if unitary else [False]:
+            loss, aux = ctx._ensemble.loss(gram, shortcut)
+            assert (aux is None) == shortcut
+            # a pure corrupted state stays pure at a unitary point, where
+            # sqrt(det a) has no derivative: the paths take different
+            # finite M there, which pair to the same gradient
+            cotangent = stack @ ctx._ensemble.cotangent(aux)
+            joined = np.concatenate([cotangent.reshape(-1, 2), rows], axis=1)
+            steps.append((loss, reverse_sweep(ctx.basis, swept, joined)))
+        (expected_loss, expected_grad), *paths = steps
+        for loss, grad in paths:
+            assert abs(loss - expected_loss) <= 1e-12
+            assert np.max(np.abs(grad - expected_grad)) <= 1e-12
 
 
 def plan_pattern(basis, d, name):
@@ -690,27 +659,27 @@ def unitary_angles(ctx, rng) -> np.ndarray:
     return angles
 
 
-def count_qubit_fidelity(monkeypatch) -> list:
-    """Record every call of the per-state qubit fidelity a context binds."""
+def count_fidelity_passes(monkeypatch) -> list:
+    """Record every per-state fidelity pass (UhlmannFidelity.evaluate)."""
     calls = []
-    inner = optimizer.qubit_fidelity
+    inner = UhlmannFidelity.evaluate
 
     def counted(*args, **kwargs):
         calls.append(None)
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(optimizer, "qubit_fidelity", counted)
+    monkeypatch.setattr(UhlmannFidelity, "evaluate", counted)
     return calls
 
 
 class TestUnitaryPath:
-    """At a unitary qubit point the loss is linear in the Pauli transfer
-    matrix and the context forms no per-state fidelity."""
+    """At a unitary qubit point the loss is linear in the frame Gram
+    matrix G and the context forms no per-state fidelity."""
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_matches_the_per_state_path(self, monkeypatch, m):
         rng = np.random.default_rng(95 + m)
-        calls = count_qubit_fidelity(monkeypatch)
+        calls = count_fidelity_passes(monkeypatch)
         for draw in range(20):
             # pure originals or corrupted states in some draws: det = 0
             pick = pure_density if draw % 3 == 0 else random_density
@@ -729,7 +698,7 @@ class TestUnitaryPath:
                 assert ctx.loss(angles) == loss
 
     def test_zeros_start_learn_forms_no_fidelity(self, monkeypatch):
-        calls = count_qubit_fidelity(monkeypatch)
+        calls = count_fidelity_passes(monkeypatch)
         states = sample_bloch_ball(seed=59, count=50)
         cfg = OptimizerConfig(max_iters=30, m=4, loss_tol=0.0, patience=30)
         result = learn_quasi_inverse(flip_channel("bit_flip", 0.8), states, cfg)
@@ -737,7 +706,7 @@ class TestUnitaryPath:
         assert calls == []
 
     def test_small_random_learn_takes_the_per_state_path(self, monkeypatch):
-        calls = count_qubit_fidelity(monkeypatch)
+        calls = count_fidelity_passes(monkeypatch)
         states = sample_bloch_ball(seed=59, count=50)
         cfg = OptimizerConfig(
             max_iters=5, m=4, loss_tol=0.0, patience=5, init="small_random"
@@ -754,7 +723,7 @@ class TestUnitaryPath:
         rng = np.random.default_rng(97)
         originals = np.stack([random_density(rng, 2) for _ in range(9)])
         corrupted = np.stack([random_density(rng, 2) for _ in range(9)])
-        calls = count_qubit_fidelity(monkeypatch)
+        calls = count_fidelity_passes(monkeypatch)
         ctx = LossContext(corrupted, originals, 4)
         pairs, kinds = ctx.basis.pairs.tolist(), ctx.basis.kinds.tolist()
         index = {(kind, *pair): a for a, (pair, kind) in enumerate(zip(pairs, kinds))}
@@ -781,7 +750,7 @@ class TestUnitaryPath:
         rng = np.random.default_rng(98)
         originals = np.stack([random_density(rng, 2) for _ in range(9)])
         corrupted = np.stack([random_density(rng, 2) for _ in range(9)])
-        calls = count_qubit_fidelity(monkeypatch)
+        calls = count_fidelity_passes(monkeypatch)
         ctx = LossContext(corrupted, originals, 2)
         pairs, kinds = ctx.basis.pairs.tolist(), ctx.basis.kinds.tolist()
         angles = unitary_angles(ctx, rng)
@@ -1044,6 +1013,43 @@ class TestLearnQuasiInverse:
         assert parsed["best_iteration"] == result.best_iteration
         assert parsed["loss_evaluations"] == result.loss_evaluations == 5
         assert parsed["gradient_evaluations"] == result.gradient_evaluations == 5
+
+
+class TestOptimalityGap:
+    """The certified bound on f(J) - min f over every CPTP recovery."""
+
+    def test_exact_inverse_of_a_unitary_noise_has_no_gap(self):
+        rng = np.random.default_rng(122)
+        noise = channel_from_angles(2, 1, rng.normal(0.0, 1.0, 3))
+        inverse = noise.operators.conj().transpose(0, 2, 1)
+        states = np.stack([random_density(rng, 2) for _ in range(30)])
+        assert optimality_gap(noise.operators, inverse, states) <= 1e-12
+
+    def test_identity_on_strong_amplitude_damping_is_far_from_optimal(self):
+        states = np.stack(sample_bloch_ball(seed=7, count=100))
+        noise = amplitude_damping(0.9).operators
+        assert optimality_gap(noise, np.eye(2)[None], states) > 0.1
+
+    def test_petz_recovery_is_complete(self):
+        states = np.stack(sample_bloch_ball(seed=7, count=100))
+        petz = petz_recovery(amplitude_damping(0.6).operators, states)
+        completeness = np.einsum("aji,ajk->ik", petz.conj(), petz)
+        assert np.max(np.abs(completeness - np.eye(2))) <= 1e-12
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.6, 0.9])
+    def test_bounds_the_gain_of_the_petz_recovery(self, gamma):
+        # f(J) - f(J') <= gap(J) for every CPTP J', here J' the Petz
+        # recovery and J the identity, the Petz recovery itself and random
+        # channels of m = 1, 2 and 4 operators
+        rng = np.random.default_rng(int(gamma * 10))
+        states = np.stack(sample_bloch_ball(seed=7, count=100))
+        noise = amplitude_damping(gamma).operators
+        best = recovery_loss(noise, petz_recovery(noise, states), states)
+        recoveries = [np.eye(2)[None], petz_recovery(noise, states)]
+        recoveries += [random_channel(rng, 2, m).operators for m in (1, 2, 4)]
+        for recovery in recoveries:
+            gain = recovery_loss(noise, recovery, states) - best
+            assert optimality_gap(noise, recovery, states) >= gain - 1e-12
 
 
 class TestDominantKrausReport:

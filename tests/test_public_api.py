@@ -30,6 +30,11 @@ def test_no_duplicate_exports():
         (linalg, "clamp_fidelity"),
         (linalg, "qubit_dets"),
         (linalg.UhlmannFidelity, "qubit"),
+        (linalg, "qubit_fidelity"),
+        (linalg, "pauli_coordinates"),
+        (linalg, "pauli_dets"),
+        (linalg, "PAULI_SIGNS"),
+        (optimizer, "_QubitEnsemble"),
         (cli, "load_states"),
         (cli.ExperimentConfig, "format_version"),
         (geometry.KrausSet, "stack"),
