@@ -19,7 +19,6 @@ do not fit in memory: one "out of memory" line), 2 numerical failure.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import platform
@@ -171,7 +170,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    """``json.dumps(obj, indent=2) + "\\n"``, streamed into the file, so the
+    document is never held whole in memory."""
+    with open(path, "w") as handle:
+        json.dump(obj, handle, indent=2)
+        handle.write("\n")
 
 
 def _write_manifest(out_dir: Path, config: ExperimentConfig) -> None:
@@ -283,7 +286,9 @@ def run_sample(config: ExperimentConfig) -> list:
     return states
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse  # the CLI's alone: the library never loads it
+
     parser = argparse.ArgumentParser(
         prog="kraussphere",
         description="Learn quasi-inverse quantum channels on the Kraus sphere.",

@@ -8,7 +8,9 @@ fidelity cotangent, and one reverse sweep (the adjoint method); both
 sweeps live in :mod:`transforms`, the one module that knows the chart's
 layout.  The same forward sweep gives the loss, so each descent step
 costs one ``(loss, grad)`` call.  Every constant of a step is made once
-per LossContext.
+per LossContext, at its construction, except the qubit per-state
+fidelity: at d = 2 it is made at the first step off the unitaries, so a
+learn that never leaves them never builds it.
 A step splits in two halves.  The frame half is kept by the
 LossContext: the forward sweep, the d^2 x d^2 Gram matrix
 G = S^T conj(S) of the swept rows S (row a is vec(K_a)), the cotangent
@@ -154,9 +156,10 @@ class LossContext:
     private :class:`_MatrixEnsemble`, the same kind for every d; it
     turns G into the loss and an opaque ``aux``, and ``aux`` into the
     d^2 x d^2 matrix M, each by one product over the N states whatever
-    m is (none at a unitary qubit point).  Every per-context
-    constant is made at construction, so a step is one forward sweep, a
-    short fixed list of 2-D products and one reverse sweep.  Its mutable
+    m is (none at a unitary qubit point).  Every per-context constant is
+    made at construction, save the per-state fidelity at d = 2, made at
+    the first non-unitary point, so a step is one forward sweep, a short
+    fixed list of 2-D products and one reverse sweep.  Its mutable
     state is the point of the last :meth:`loss`, kept until the next
     :meth:`gradient`, and the counts of both kinds of evaluation
     (``loss_evaluations``: forward sweep and fidelity passes;
@@ -244,7 +247,9 @@ class LossContext:
 class _MatrixEnsemble:
     """The state ensemble, as matrices: the corrupted states flattened to
     (N, d^2) rows vec(sigma_n) and the originals held by
-    :class:`linalg.UhlmannFidelity`, the matrix fidelity for every d.
+    :class:`linalg.UhlmannFidelity`, the matrix fidelity for every d
+    (at d = 2 built from a copy of the originals at the first per-state
+    pass, which a zeros start never makes).
     With the transfer matrix T[(j, k), (i, l)] = sum_a K_a[i, j]
     conj(K_a[l, k]) = G[(i, j), (l, k)], a fixed permutation of G, each
     flattened recovered state is vec(sigma_n) T, and one batched eigh
@@ -276,7 +281,10 @@ class _MatrixEnsemble:
         self._shape = corrupted.shape
         self._states = corrupted.reshape(n_states, d * d)
         self._scaled_states = self._states * (-2.0 / n_states)
-        self._fidelity = UhlmannFidelity(originals)
+        # every d > 2 step is per-state; at d = 2 the fidelity is built at the
+        # first per-state pass, which a zeros start never makes
+        self._originals = originals.copy() if d == 2 else None
+        self._fidelity = None if d == 2 else UhlmannFidelity(originals)
         # flat orders of T in G and of M in X
         axes = np.arange(d**4).reshape(d, d, d, d)
         self._transfer_order = axes.transpose(1, 3, 0, 2).ravel()
@@ -303,6 +311,8 @@ class _MatrixEnsemble:
         if unitary and self._linear is not None:
             mean = gram.view(float).ravel() @ self._linear + self._offset
             return 1.0 - min(max(float(mean), 0.0), 1.0), None
+        if self._fidelity is None:
+            self._fidelity = UhlmannFidelity(self._originals)
         transfer = gram.ravel().take(self._transfer_order).reshape(gram.shape)
         recovered = (self._states @ transfer).reshape(self._shape)
         fid, cotangents = self._fidelity.evaluate(recovered)

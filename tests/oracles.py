@@ -23,8 +23,10 @@ the three samplers drawn one state at a time, which the batched samplers
 must reproduce bit for bit, with the Haar-unitary draw of the Bures
 sampler.  Last, the bars a learned quasi-inverse has to reach on the
 same states: the exact Pauli recovery of a noisy ensemble, the
-transpose-channel (Petz) recovery, and a certified bound on the gap to
-the best CPTP recovery.
+transpose-channel (Petz) recovery, the best unitary qubit recovery in
+closed form, and a certified bound on the gap to the best CPTP
+recovery; and the loss Hessian's spectrum, the second-order check that
+a learn did not stop at a saddle.
 """
 
 import functools
@@ -32,6 +34,7 @@ import functools
 import numpy as np
 
 from kraussphere.channels import apply_channel_batch
+from kraussphere.linalg import PAULIS
 from kraussphere.transforms import forward_sweep, generator_basis, reverse_sweep
 
 
@@ -222,6 +225,24 @@ def central_difference(func, x: np.ndarray, epsilon: float) -> np.ndarray:
     return grad
 
 
+def hessian_spectrum(ctx, angles, h: float = 1e-5) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending eigenvalues and the Hessian of ``ctx``'s loss at
+    ``angles``: column i is the central difference
+    [g(x + h e_i) - g(x - h e_i)] / 2h of the exact gradient g, and the
+    result is symmetrized.  2 * n_angles gradient calls."""
+    angles = np.asarray(angles, dtype=float)
+    columns = []
+    for i in range(angles.size):
+        shift = np.zeros_like(angles)
+        shift[i] = h
+        _, ahead = ctx.gradient(angles + shift)
+        _, behind = ctx.gradient(angles - shift)
+        columns.append((ahead - behind) / (2.0 * h))
+    hessian = np.array(columns)
+    hessian = (hessian + hessian.T) / 2.0
+    return np.linalg.eigvalsh(hessian), hessian
+
+
 def reference_fidelity(rho_a, rho_b) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2 of one pair.
 
@@ -335,6 +356,31 @@ def petz_recovery(noise: np.ndarray, states) -> np.ndarray:
     root = power(mean, 0.5)
     inverse_root = power(apply_channel_batch(noise, mean[None])[0], -0.5)
     return np.stack([root @ k.conj().T @ inverse_root for k in noise])
+
+
+def best_unitary_qubit_fidelity(noise: np.ndarray, states) -> float:
+    """The mean fidelity of the best unitary recovery of qubit ``states``
+    sent through the (m, 2, 2) ``noise`` operators, in closed form.
+
+    A unitary turns the corrupted state's Bloch vector s_n by a rotation
+    R, and F_n = (1 + p_n . R s_n) / 2 + 2 sqrt(det sigma_n det o_n),
+    p_n the original's Bloch vector (Jozsa 1994).  So the best R
+    maximizes Tr(R^T B), B = sum_n p_n s_n^T: Wahba's problem, solved by
+    one SVD B = U diag(w) V^T as R = U diag(1, 1, det U det V) V^T
+    (Markley 1988).  Each det is floored as :func:`qubit_dets` does.
+    """
+    originals = np.asarray(states, dtype=complex)
+    corrupted = apply_channel_batch(noise, originals)
+
+    def bloch(rho):
+        return np.einsum("kji,nij->nk", PAULIS[1:], rho).real
+
+    p, s = bloch(originals), bloch(corrupted)
+    u, _, vt = np.linalg.svd(p.T @ s)
+    rotation = u @ np.diag([1.0, 1.0, np.linalg.det(u @ vt)]) @ vt
+    overlaps = np.einsum("ni,ij,nj->n", p, rotation, s)
+    offsets = 2.0 * np.sqrt(qubit_dets(corrupted) * qubit_dets(originals))
+    return float(np.mean((1.0 + overlaps) / 2.0 + offsets))
 
 
 def recovery_loss(noise: np.ndarray, recovery: np.ndarray, states) -> float:

@@ -24,7 +24,7 @@ from kraussphere.cli import (
     validate_channel_file,
 )
 from kraussphere.channels import flip_channel
-from kraussphere import geometry
+from kraussphere import cli, geometry
 from kraussphere.geometry import KrausSet, matrices_from_pairs
 from kraussphere.linalg import PAULIS
 from kraussphere.optimizer import LossContext, OptimizerConfig
@@ -440,6 +440,22 @@ class TestRunSingle:
         blob_a = (tmp_path / "a" / "result.json").read_bytes()
         blob_b = (tmp_path / "b" / "result.json").read_bytes()
         assert blob_a == blob_b
+
+    def test_files_hold_the_dumps_bytes(self, tmp_path, monkeypatch):
+        # each file is streamed, with the bytes of json.dumps(obj, indent=2)
+        written = {}
+        inner = cli._write_json
+
+        def recorded(path, obj):
+            written[path.name] = obj
+            inner(path, obj)
+
+        monkeypatch.setattr(cli, "_write_json", recorded)
+        run_single(config_from_dict(base_config(tmp_path / "run")))
+        assert sorted(written) == ["manifest.json", "result.json", "states.json"]
+        for name, obj in written.items():
+            expected = (json.dumps(obj, indent=2) + "\n").encode()
+            assert (tmp_path / "run" / name).read_bytes() == expected, name
 
     def test_learned_channel_reloads(self, tmp_path):
         config = config_from_dict(base_config(tmp_path / "run"))
@@ -920,6 +936,20 @@ class TestBlasThreads:
             subprocess.run(command, env=env, check=True, timeout=300)
             blobs.append((out / "result.json").read_bytes())
         assert blobs[0] == blobs[1]
+
+
+def test_library_does_not_load_argparse():
+    # only the command line parses arguments; a fresh interpreter that
+    # imports the CLI module, as the library's callers do, leaves it out
+    paths = [str(Path(kraussphere.__file__).parents[1])]
+    paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    code = "import sys, kraussphere.cli; print('argparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    command = [sys.executable, "-c", code]
+    done = subprocess.run(
+        command, env=env, check=True, capture_output=True, text=True, timeout=120
+    )
+    assert done.stdout == "False\n"
 
 
 CUSTOM_CHANNEL = {

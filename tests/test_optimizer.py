@@ -37,12 +37,14 @@ from conftest import (
 )
 from oracles import (
     average_fidelity,
+    best_unitary_qubit_fidelity,
     central_difference,
     dense_basis,
     dense_product,
     einsum_cotangent,
     einsum_transfer,
     haar_unitary,
+    hessian_spectrum,
     optimality_gap,
     per_state_qubit_step,
     petz_recovery,
@@ -672,6 +674,19 @@ def count_fidelity_passes(monkeypatch) -> list:
     return calls
 
 
+def count_fidelity_builds(monkeypatch) -> list:
+    """Record every UhlmannFidelity the optimizer builds."""
+    builds = []
+
+    class Counted(UhlmannFidelity):
+        def __init__(self, originals):
+            builds.append(None)
+            super().__init__(originals)
+
+    monkeypatch.setattr(optimizer, "UhlmannFidelity", Counted)
+    return builds
+
+
 class TestUnitaryPath:
     """At a unitary qubit point the loss is linear in the frame Gram
     matrix G and the context forms no per-state fidelity."""
@@ -698,22 +713,27 @@ class TestUnitaryPath:
                 assert ctx.loss(angles) == loss
 
     def test_zeros_start_learn_forms_no_fidelity(self, monkeypatch):
+        # it does not even build the per-state fidelity
         calls = count_fidelity_passes(monkeypatch)
+        builds = count_fidelity_builds(monkeypatch)
         states = sample_bloch_ball(seed=59, count=50)
         cfg = OptimizerConfig(max_iters=30, m=4, loss_tol=0.0, patience=30)
         result = learn_quasi_inverse(flip_channel("bit_flip", 0.8), states, cfg)
         assert result.iterations_used == 30 and result.loss_evaluations == 30
-        assert calls == []
+        assert calls == [] and builds == []
 
     def test_small_random_learn_takes_the_per_state_path(self, monkeypatch):
         calls = count_fidelity_passes(monkeypatch)
+        builds = count_fidelity_builds(monkeypatch)
         states = sample_bloch_ball(seed=59, count=50)
         cfg = OptimizerConfig(
             max_iters=5, m=4, loss_tol=0.0, patience=5, init="small_random"
         )
         result = learn_quasi_inverse(flip_channel("bit_flip", 0.8), states, cfg)
-        # the identity's loss is a unitary point; every iterate is not
+        # the identity's loss is a unitary point; every iterate is not, and
+        # the first of them builds the per-state fidelity
         assert len(calls) == result.loss_evaluations - 1 == 5
+        assert len(builds) == 1
 
     def test_spread_gauge_unitary_takes_the_per_state_path(self, monkeypatch):
         # a unitary W inside K^1 (its sym and anti rotations on rows 0, 1),
@@ -774,6 +794,34 @@ class TestUnitaryPath:
             LossContext(corrupted, originals, 1)
         fid, _ = UhlmannFidelity(originals[:1]).evaluate(bad[None])
         assert fid == pytest.approx([0.5], abs=1e-12)  # the identity alone passes
+
+
+class TestDeferredFidelity:
+    """At d = 2 the per-state fidelity is built at the first per-state
+    pass (see :class:`TestUnitaryPath` for the learns); at d > 2 every
+    step is per-state and it is built with the context."""
+
+    def test_two_qubit_context_builds_one_at_construction(self, monkeypatch):
+        builds = count_fidelity_builds(monkeypatch)
+        rng = np.random.default_rng(131)
+        originals = np.stack([random_density(rng, 4) for _ in range(6)])
+        corrupted = np.stack([random_density(rng, 4) for _ in range(6)])
+        ctx = LossContext(corrupted, originals, 1)
+        assert len(builds) == 1
+        ctx.loss(np.zeros(ctx.n_angles))
+        ctx.gradient(rng.normal(0.0, 0.3, ctx.n_angles))
+        assert len(builds) == 1
+
+    def test_qubit_context_holds_its_own_originals(self):
+        # the fidelity is built after the caller has changed its array
+        rng = np.random.default_rng(132)
+        originals = np.stack([random_density(rng, 2) for _ in range(8)])
+        corrupted = np.stack([random_density(rng, 2) for _ in range(8)])
+        angles = rng.normal(0.0, 0.3, LossContext(corrupted, originals, 2).n_angles)
+        expected = LossContext(corrupted, originals, 2).loss(angles)
+        ctx = LossContext(corrupted, originals, 2)
+        originals[:] = np.eye(2) / 2.0
+        assert ctx.loss(angles) == expected
 
 
 class TestLearnQuasiInverse:
@@ -1050,6 +1098,63 @@ class TestOptimalityGap:
         for recovery in recoveries:
             gain = recovery_loss(noise, recovery, states) - best
             assert optimality_gap(noise, recovery, states) >= gain - 1e-12
+
+
+class TestBestUnitaryQubitFidelity:
+    """The closed-form best unitary recovery of a qubit ensemble."""
+
+    def test_inverts_a_unitary_noise(self):
+        rng = np.random.default_rng(133)
+        noise = channel_from_angles(2, 1, rng.normal(0.0, 1.0, 3)).operators
+        states = np.stack([random_density(rng, 2) for _ in range(30)])
+        assert abs(best_unitary_qubit_fidelity(noise, states) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "noise",
+        [depolarizing_channel(0.8), amplitude_damping(0.6)],
+        ids=["depolarizing", "amplitude_damping"],
+    )
+    def test_no_unitary_recovers_better(self, noise):
+        # depolarizing p = 0.8 inverts every Bloch vector, which no
+        # rotation undoes: there the det sign fix decides the value
+        rng = np.random.default_rng(134)
+        states = np.stack(sample_bloch_ball(seed=7, count=100))
+        best = best_unitary_qubit_fidelity(noise.operators, states)
+        unitaries = [haar_unitary(rng, 2) for _ in range(50)] + [PAULI_X, np.eye(2)]
+        for unitary in unitaries:
+            loss = recovery_loss(noise.operators, unitary[None], states)
+            assert 1.0 - loss <= best + 1e-12
+
+
+class TestHessianSpectrum:
+    """The oracle Hessian against second differences of the loss."""
+
+    @pytest.mark.parametrize("d,m", [(2, 2), (4, 1)])
+    def test_matches_second_differences_of_the_loss(self, d, m):
+        # tolerance fixed before the run: second differences at step 1e-3
+        # carry ~1e-6 truncation and ~1e-10 rounding error
+        rng = np.random.default_rng(135 + d)
+        originals = np.stack([random_density(rng, d) for _ in range(12)])
+        corrupted = np.stack([random_density(rng, d) for _ in range(12)])
+        ctx = LossContext(corrupted, originals, m)
+        angles = rng.normal(0.0, 0.3, ctx.n_angles)
+        eigenvalues, hessian = hessian_spectrum(ctx, angles)
+        step, n = 1e-3, ctx.n_angles
+        shifts = step * np.eye(n)
+        second = np.empty((n, n))
+        for i in range(n):
+            for j in range(n):
+                corners = [
+                    ctx.loss(angles + a * shifts[i] + b * shifts[j])
+                    for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+                ]
+                second[i, j] = (corners[0] - corners[1] - corners[2] + corners[3]) / (
+                    4.0 * step**2
+                )
+        assert np.max(np.abs(hessian - second)) <= 1e-5
+        assert np.array_equal(hessian, hessian.T)
+        assert np.allclose(eigenvalues, np.linalg.eigvalsh(second), atol=1e-5)
+        assert np.all(np.diff(eigenvalues) >= 0.0)
 
 
 class TestDominantKrausReport:
