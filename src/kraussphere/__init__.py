@@ -1,5 +1,22 @@
 """Hyperspherical Kraus-operator parameterization of CPTP channels and
-gradient-based learning of quasi-inverse channels."""
+gradient-based learning of quasi-inverse channels.
+
+Importing the package before numpy sets ``OPENBLAS_NUM_THREADS=1``
+unless one of :data:`BLAS_THREAD_VARIABLES` has a non-empty value:
+every product the package makes is small, so a second OpenBLAS thread
+only spins, burning CPU time without shortening the wall time.  Set any
+of those variables, or import numpy first, to keep OpenBLAS's own
+choice.
+"""
+
+import os
+import sys
+
+# OpenBLAS reads its own variable, else OMP_NUM_THREADS, when numpy loads.
+BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+if "numpy" not in sys.modules and not any(map(os.environ.get, BLAS_THREAD_VARIABLES)):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .channels import (
     ChannelSpec,

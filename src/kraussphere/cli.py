@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import BLAS_THREAD_VARIABLES, __version__
 from .channels import ChannelSpec
 from .geometry import (
     FRAME_TOL_LOOSE,
@@ -48,8 +48,6 @@ from .optimizer import (
 from .sampling import SampleConfig
 
 FORMAT_VERSION = 1
-
-BLAS_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

@@ -572,15 +572,22 @@ def test_optional_general_two_qubit_ansatz():
     )
 
 
-def test_three_qubit_bit_flip_reaches_pauli_recovery():
-    """The multi-qubit claim beyond two qubits: bit flip p=0.8 on three
-    qubits (d=8, m=1, 63 angles), 100 Hilbert-Schmidt states of seed 21.
-    At the fixed step the learn first comes within 1e-3 of the exact
-    X(x)X(x)X recovery at iteration 1237, so the budget is 1300."""
+@pytest.fixture(scope="module")
+def three_qubit_bit_flip():
+    """Bit flip p=0.8 on three qubits (d=8, m=1, 63 angles), 100
+    Hilbert-Schmidt states of seed 21: the channel, the states and the
+    1300-iteration learn."""
     states = sample_hilbert_schmidt(seed=21, count=100, dim=8)
     channel = tensor_flip_channel("bit_flip", 0.8, 3)
     cfg = OptimizerConfig(m=1, max_iters=1300, loss_tol=0.0, patience=1300)
-    result = learn_quasi_inverse(channel, states, cfg)
+    return channel, states, learn_quasi_inverse(channel, states, cfg)
+
+
+def test_three_qubit_bit_flip_reaches_pauli_recovery(three_qubit_bit_flip):
+    """The multi-qubit claim beyond two qubits.  At the fixed step the
+    learn first comes within 1e-3 of the exact X(x)X(x)X recovery at
+    iteration 1237, so the budget is 1300."""
+    channel, states, result = three_qubit_bit_flip
     exact = pauli_recovery_fidelity(channel, PAULI_X, states)
     assert report(
         "3-qubit",
@@ -589,3 +596,15 @@ def test_three_qubit_bit_flip_reaches_pauli_recovery():
         f"after={result.fidelity_after:.6f} (>= exact X(x)X(x)X {exact:.6f} - 1e-3), "
         f"{result.iterations_used} iterations",
     )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the learn stops by max_iters (best iteration 1299) at 0.893140 "
+    "with gradient norm 6.6e-3 and a certified gap of 1.86e-3; the fixed "
+    "step is too slow at d = 8, see ROADMAP items 1 and 6",
+)
+def test_three_qubit_bit_flip_learn_is_certified_optimal(three_qubit_bit_flip):
+    channel, states, result = three_qubit_bit_flip
+    gap = optimality_gap(channel.operators, result.channel.operators, np.stack(states))
+    assert gap <= GAP_TOLERANCE, f"optimality gap {gap:.3e}"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import kraussphere
+from kraussphere import BLAS_THREAD_VARIABLES
 from kraussphere.cli import (
     CSV_HEADER,
     EXIT_CONFIG,
@@ -911,40 +912,108 @@ class TestKrausReader:
         assert "p_grid" in names and not [n for n in names if "[" in n]
 
 
+def package_env(**variables):
+    """The test's environment with the package on PYTHONPATH, none of the
+    BLAS thread variables, and then the given ones."""
+    paths = [str(Path(kraussphere.__file__).parents[1])]
+    paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    return {**env, **variables, "PYTHONPATH": os.pathsep.join(paths)}
+
+
 class TestBlasThreads:
     def test_result_bytes_do_not_depend_on_blas_threads(self, tmp_path):
-        # BLAS reads its thread count when numpy loads, so each count gets
+        # BLAS reads its thread count when numpy loads, so each setting gets
         # its own process: a small two-qubit learn must write the same bytes
+        # with one thread, two, and the package's default (none set); each
+        # manifest records the setting the run used
         data = base_config(tmp_path / "run")
         data["channel"] = {"kind": "bit_flip", "p": 0.8, "n_qubits": 2}
         data["sample"] = {"n_qubits": 2, "count": 40, "seed": 21, "measure": "bures"}
         data["optimizer"] = {"max_iters": 100, "m": 2}
         path = write_config(tmp_path, data)
-        paths = [str(Path(kraussphere.__file__).parents[1])]
-        paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
+        settings = [
+            {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1"},
+            {"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "2"},
+            {},
+        ]
         blobs = []
-        for threads in ("1", "2"):
-            out = tmp_path / f"threads_{threads}"
-            env = {
-                **os.environ,
-                "OMP_NUM_THREADS": threads,
-                "OPENBLAS_NUM_THREADS": threads,
-                "PYTHONPATH": os.pathsep.join(paths),
-            }
+        for number, variables in enumerate(settings):
+            out = tmp_path / f"setting_{number}"
             command = [sys.executable, "-m", "kraussphere.cli", "learn"]
             command += ["--config", str(path), "--out", str(out), "--quiet"]
+            env = package_env(**variables)
             subprocess.run(command, env=env, check=True, timeout=300)
             blobs.append((out / "result.json").read_bytes())
-        assert blobs[0] == blobs[1]
+            environment = json.loads((out / "manifest.json").read_text())["environment"]
+            used = {"OPENBLAS_NUM_THREADS": "1", **variables}
+            assert {name: environment[name] for name in BLAS_THREAD_VARIABLES} == {
+                name: used.get(name) for name in BLAS_THREAD_VARIABLES
+            }
+        assert blobs[0] == blobs[1] == blobs[2]
+
+
+# Imports the package in a fresh interpreter (after numpy if argv[1] says
+# so) and prints the variables the import changed and the process's thread
+# count (null where /proc/self/task is absent).
+IMPORT_PROBE = """
+import json, os, sys
+if sys.argv[1] == "numpy":
+    import numpy
+before = dict(os.environ)
+import kraussphere
+changed = {k: os.environ.get(k) for k in {*before, *os.environ}
+           if before.get(k) != os.environ.get(k)}
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+print(json.dumps({"changed": changed, "threads": threads}))
+"""
+
+
+@pytest.mark.parametrize(
+    "variables,first,changed,threads",
+    [
+        pytest.param({}, "kraussphere", {"OPENBLAS_NUM_THREADS": "1"}, 1, id="default"),
+        pytest.param(
+            {"OMP_NUM_THREADS": ""},
+            "kraussphere",
+            {"OPENBLAS_NUM_THREADS": "1"},
+            1,
+            id="empty_is_unset",
+        ),
+        pytest.param({"OMP_NUM_THREADS": "2"}, "kraussphere", {}, 2, id="omp_chosen"),
+        pytest.param(
+            {"OPENBLAS_NUM_THREADS": "2"}, "kraussphere", {}, 2, id="openblas_chosen"
+        ),
+        pytest.param({"MKL_NUM_THREADS": "2"}, "kraussphere", {}, None, id="mkl_set"),
+        pytest.param({}, "numpy", {}, None, id="numpy_first"),
+    ],
+)
+def test_blas_thread_default(variables, first, changed, threads):
+    # the package sets OPENBLAS_NUM_THREADS=1 only when numpy has not loaded
+    # and the caller set none of the three variables; otherwise it writes
+    # nothing (threads None: OpenBLAS's own count, one per CPU)
+    command = [sys.executable, "-c", IMPORT_PROBE, first]
+    done = subprocess.run(
+        command,
+        env=package_env(**variables),
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    probe = json.loads(done.stdout)
+    assert probe["changed"] == changed
+    if threads is not None and probe["threads"] is not None:
+        # OpenBLAS starts no more threads than the process may run on
+        assert probe["threads"] == min(threads, len(os.sched_getaffinity(0)))
 
 
 def test_library_does_not_load_argparse():
     # only the command line parses arguments; a fresh interpreter that
     # imports the CLI module, as the library's callers do, leaves it out
-    paths = [str(Path(kraussphere.__file__).parents[1])]
-    paths += [os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []
     code = "import sys, kraussphere.cli; print('argparse' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    env = package_env()
     command = [sys.executable, "-c", code]
     done = subprocess.run(
         command, env=env, check=True, capture_output=True, text=True, timeout=120
