@@ -1,4 +1,4 @@
-"""Standard Pauli noise channels and channel application.
+"""The Pauli matrices, standard Pauli noise channels and channel application.
 
 Single-qubit flip channels {sqrt(1-p) I, sqrt(p) P} with P one of X, Z,
 Y; the depolarizing channel with the conventional p/3 Pauli weights; and
@@ -13,8 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import COMPLETENESS_TOL, KrausSet
-from .linalg import PAULIS
 
+PAULIS = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
+)  # sigma_0 = I, sigma_x, sigma_y, sigma_z
+PAULIS.setflags(write=False)
 PAULI_I, PAULI_X, PAULI_Y, PAULI_Z = PAULIS
 
 FLIP_PAULIS = {

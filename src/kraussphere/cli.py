@@ -239,7 +239,7 @@ def run_curve(config: ExperimentConfig) -> list[CurveRow]:
     return rows
 
 
-def validate_channel_file(path, quiet: bool = False) -> dict:
+def validate_channel_file(path) -> dict:
     """Load a serialized Kraus set and report its health.
 
     Returns the report dict; raises ConfigError on malformed files.
@@ -262,16 +262,6 @@ def validate_channel_file(path, quiet: bool = False) -> dict:
         report["weights"] = weights.tolist()
         report["spectrum"] = spectrum.tolist()
         report["effectively_unitary"] = unitary
-    if not quiet:
-        print(f"d={kraus.d} m={kraus.m}")
-        print(f"completeness deviation: {deviation:.3e}")
-        if complete:
-            print("weights: " + " ".join(_sig6(w) for w in report["weights"]))
-            print("spectrum: " + " ".join(_sig6(w) for w in report["spectrum"]))
-            print(f"effectively unitary: {report['effectively_unitary']}")
-        else:
-            tol = np.format_float_scientific(FRAME_TOL_LOOSE, trim="-", exp_digits=1)
-            print(f"channel is NOT complete within {tol}")
     return report
 
 
@@ -312,7 +302,19 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "validate":
-            report = validate_channel_file(args.path, quiet=args.quiet)
+            report = validate_channel_file(args.path)
+            if not args.quiet:
+                print(f"d={report['d']} m={report['m']}")
+                print(f"completeness deviation: {report['completeness_deviation']:.3e}")
+                if report["complete"]:
+                    print("weights: " + " ".join(map(_sig6, report["weights"])))
+                    print("spectrum: " + " ".join(map(_sig6, report["spectrum"])))
+                    print(f"effectively unitary: {report['effectively_unitary']}")
+                else:
+                    tol = np.format_float_scientific(
+                        FRAME_TOL_LOOSE, trim="-", exp_digits=1
+                    )
+                    print(f"channel is NOT complete within {tol}")
             return EXIT_OK if report["complete"] else EXIT_NUMERIC
         config = load_config(args.config)
         if args.out is not None:

@@ -20,10 +20,6 @@ PSD_EIG_FLOOR = -1e-10
 FIDELITY_BAND = 1e-8
 EPS = np.finfo(float).eps
 EIGENVALUE_FLOOR = 64 * EPS  # per dimension, relative to the largest eigenvalue
-PAULIS = np.array(
-    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]]
-)  # sigma_0 = I, sigma_x, sigma_y, sigma_z
-PAULIS.setflags(write=False)
 
 
 def floor_eigenvalues(w: np.ndarray) -> np.ndarray:

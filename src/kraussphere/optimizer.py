@@ -2,30 +2,16 @@
 
 The loss is 1 minus the ensemble-average Uhlmann fidelity between
 original states and the states recovered by the angle-parameterized
-channel.  Its exact gradient comes from one forward sweep of the 2 x 2
-one-angle rotations over the md x d complex frame rows, the analytic
-fidelity cotangent, and one reverse sweep (the adjoint method); both
-sweeps live in :mod:`transforms`, the one module that knows the chart's
-layout.  The same forward sweep gives the loss, so each descent step
-costs one ``(loss, grad)`` call.  Every constant of a step is made once
-per LossContext, at its construction, except the qubit per-state
-fidelity: at d = 2 it is made at the first step off the unitaries, so a
-learn that never leaves them never builds it.
-A step splits in two halves.  The frame half is kept by the
-LossContext: the forward sweep, the d^2 x d^2 Gram matrix
-G = S^T conj(S) of the swept rows S (row a is vec(K_a)), the cotangent
-rows C = S M and the reverse sweep.  The state ensemble half, one
-object for every d, takes G to the loss and the fidelity cotangents to
-the one d^2 x d^2 matrix M: it forms the recovered states through a
-fixed permutation of G, and :class:`linalg.UhlmannFidelity` makes one
-batched eigh per call; its products with the originals' square roots
-are float products against their real form (:func:`linalg.real_form`).
-At a unitary qubit point (every frame row below K^1 exactly zero: always
-at m = 1, and every iterate of a zeros start) the loss is linear in G,
-one dot product with G's float view, and M is one fixed matrix, so such
-a step does not scale with N; the fidelity band over every unitary is
-checked once, when the ensemble is built.
-A gradient at the angles of the preceding loss call starts from that
+channel.  One step at given angles is one forward sweep of the 2 x 2
+one-angle rotations over the md x d complex frame rows, one batched
+fidelity pass over the recovered states, which the frame's d^2 x d^2
+Gram matrix fixes, the fidelity cotangents folded into one d^2 x d^2
+matrix M, and one reverse sweep (the adjoint method) from M to the exact
+gradient.  Both sweeps live in :mod:`transforms`, the one module that
+knows the chart's layout; :class:`LossContext` makes every constant of a
+step once and runs the rest.  The loss comes from the same forward
+sweep, so each descent step costs one ``(loss, grad)`` call, and a
+gradient at the angles of the preceding loss call starts from that
 evaluation, so each iterate is evaluated once.
 Plain fixed-rate descent follows.  Every angle vector corresponds to a
 CPTP channel by construction, so no iterate ever leaves the physical set.
@@ -148,20 +134,42 @@ class LossContext:
     """Precomputed state for repeated loss and gradient evaluations.
 
     Built from the corrupted/original ensembles, both (N, d, d), which
-    fix d, and the ``m``-operator ansatz.  The context keeps the frame
-    half of a step, the same for every d: the checked angles and the
-    forward sweep, the d^2 x d^2 frame Gram matrix G = S^T conj(S),
-    S = rows.reshape(m, d^2) (row a is vec(K_a)), the stack [C | W]
-    with C = S M, and the reverse sweep.  The state ensemble half is one
-    private :class:`_MatrixEnsemble`, the same kind for every d; it
-    turns G into the loss and an opaque ``aux``, and ``aux`` into the
-    d^2 x d^2 matrix M, each by one product over the N states whatever
-    m is (none at a unitary qubit point).  Every per-context constant is
-    made at construction, save the per-state fidelity at d = 2, made at
-    the first non-unitary point, so a step is one forward sweep, a short
-    fixed list of 2-D products and one reverse sweep.  Its mutable
-    state is the point of the last :meth:`loss`, kept until the next
-    :meth:`gradient`, and the counts of both kinds of evaluation
+    fix d, and the ``m``-operator ansatz.  A step at checked angles runs
+    the forward sweep to the final frame rows W and takes the d^2 x d^2
+    Gram matrix G = S^T conj(S) of S = rows.reshape(m, d^2) (row a is
+    vec(K_a)).  With the transfer matrix T[(j, k), (i, l)] = sum_a
+    K_a[i, j] conj(K_a[l, k]) = G[(i, j), (l, k)], a fixed permutation of
+    G, each flattened recovered state is vec(sigma_n) T, and
+    :class:`linalg.UhlmannFidelity` gives the fidelities and their
+    cotangents Q_n by one batched eigh.  The loss is 1 - mean F, and
+    M[(j, k), (i, l)] = X[(i, j), (k, l)], a fixed permutation of
+    X = -(2/N) sum_n vec(Q_n)^T vec(sigma_n), is one product over the
+    states against the prescaled rows vec(sigma_n), whatever m is.  An
+    evaluation is (loss, W, the forward sweep's outputs, M), and
+    :meth:`gradient` sends the stack [S M | W] through
+    :func:`transforms.reverse_sweep`.
+    At a unitary qubit point (d = 2 and every frame row below K^1
+    exactly zero: always at m = 1, and every iterate of a zeros start)
+    the loss is linear in G and M is fixed, so that step forms no
+    per-state array and does not scale with N.  a_n = U sigma_n U^H
+    keeps det a_n = det sigma_n, so F_n = Tr(a_n o_n) + 2 sqrt(det
+    sigma_n det o_n) (Jozsa 1994): the mean fidelity is G's float view
+    dotted with the fixed weights of sum_n vec(sigma_n)^T conj(vec(o_n)),
+    scattered into G's order, plus c = (2/N) sum_n sqrt(det sigma_n det
+    o_n), clamped to [0, 1]; each det is the product of the eigenvalues
+    under :func:`linalg.floor_eigenvalues`.  M is the fixed M0 of
+    Q_n = o_n: a unitary point moves no det a_n to first order (a
+    commutator has no trace against adj(a_n)), so the adj(a_n) term of
+    Q_n pairs to 0.  Since no such iterate's fidelities are formed, every
+    state's range over all unitaries, (1 -+ |r_sigma| |r_o|) / 2 + c_n
+    with the Bloch radius |r| the gap of the two eigenvalues, is checked
+    against the band at construction, raising the "outside" error of
+    :func:`linalg.check_fidelity_band` if it leaves it.
+    Every constant of a step is made at construction, save the per-state
+    fidelity at d = 2, built from a copy of the originals at the first
+    point off the unitaries, which a zeros start never reaches.  The
+    mutable state is the point of the last :meth:`loss`, kept until the
+    next :meth:`gradient`, and the counts of both kinds of evaluation
     (``loss_evaluations``: forward sweep and fidelity passes;
     ``gradient_evaluations``: reverse sweeps); the basis keeps the
     reverse sweep's plan (:func:`transforms.reverse_sweep`), so a
@@ -181,7 +189,7 @@ class LossContext:
         shape = corrupted.shape
         if len(shape) != 3 or shape[1] != shape[2]:
             raise ValueError(f"expected states of shape (N, d, d), got {shape}")
-        d = shape[1]
+        n_states, d = shape[:2]
         self.d, self.m = d, m
         self.basis = generator_basis(2 * m * d)
         self.n_angles = angle_count(d, m)
@@ -189,7 +197,32 @@ class LossContext:
         self._point = None  # (angles, evaluation) of the last loss call
         self.loss_evaluations = 0  # forward sweep + fidelity passes
         self.gradient_evaluations = 0  # reverse sweeps
-        self._ensemble = _MatrixEnsemble(corrupted, originals)
+        self._shape = shape
+        self._states = corrupted.reshape(n_states, d * d)
+        self._scaled_states = self._states * (-2.0 / n_states)
+        # every d > 2 step is per-state; at d = 2 the fidelity is built at the
+        # first per-state pass, which a zeros start never makes
+        self._originals = originals.copy() if d == 2 else None
+        self._fidelity = None if d == 2 else UhlmannFidelity(originals)
+        # flat orders of T in G and of M in X
+        axes = np.arange(d**4).reshape(d, d, d, d)
+        self._transfer_order = axes.transpose(1, 3, 0, 2).ravel()
+        self._cotangent_order = axes.transpose(1, 2, 0, 3).ravel()
+        self._linear = None  # the unitary shortcut's weights, d = 2 only
+        if d == 2:
+            flat = originals.reshape(n_states, 4)
+            weights = np.empty(16, dtype=complex)
+            weights[self._transfer_order] = (self._states.T @ flat.conj()).ravel()
+            self._linear = weights.conj().view(float) / n_states  # [Re w, -Im w]
+            w = np.linalg.eigvalsh(np.stack([corrupted, originals]))  # (2, N, 2)
+            offsets = 2.0 * np.sqrt(floor_eigenvalues(w).prod(-1).prod(0))
+            self._offset = offsets.sum() / n_states
+            self._fixed_cotangent = self._cotangent_matrix(originals)  # M0
+            # over every unitary Tr(a_n o_n) spans (1 -+ |r_sigma| |r_o|) / 2,
+            # so no unitary iterate can leave the band if these bounds do not
+            radii = w[..., 1] - w[..., 0]  # Bloch radii |r|
+            centre, spread = 0.5 + offsets, radii[0] * radii[1] / 2.0
+            check_fidelity_band((centre - spread).min(), (centre + spread).max())
 
     def loss(self, angles: np.ndarray) -> float:
         """Loss 1 - mean F at ``angles``: one forward sweep and one
@@ -210,9 +243,9 @@ class LossContext:
         C_n = dL/dW_n comes from the fidelity cotangent Q of each state:
         dL/dK_a = -(2/N) sum_n Q_n K_a sigma_n, sigma_n the corrupted
         states, stacked like the frame rows; that is C = S M for the
-        d^2 x d^2 matrix M the ensemble makes, and the stack [C | W]
-        goes through :func:`transforms.reverse_sweep`.  The loss is the
-        one :meth:`loss` returns, from the same forward sweep and the same
+        evaluation's M, and the stack [C | W] goes through
+        :func:`transforms.reverse_sweep`.  The loss is the one
+        :meth:`loss` returns, from the same forward sweep and the same
         fidelities.
         Called at the angles of the last :meth:`loss`, it starts from
         that evaluation instead of repeating the forward sweep and the
@@ -225,104 +258,35 @@ class LossContext:
         else:
             point = self._evaluated(angles)
         self.gradient_evaluations += 1
-        loss, rows, swept, aux = point
-        cotangent = rows.reshape(self.m, -1) @ self._ensemble.cotangent(aux)  # S M
+        loss, rows, swept, cotangent_matrix = point
+        cotangent = rows.reshape(self.m, -1) @ cotangent_matrix  # S M
         stack = np.concatenate([cotangent.reshape(rows.shape), rows], 1)  # [C | W]
         return loss, reverse_sweep(self.basis, swept, stack)
 
     def _evaluated(self, angles: np.ndarray) -> tuple:
-        """The forward-and-fidelity half of a step at checked ``angles``:
-        the loss, the final frame rows W_n, forward_sweep's outputs and
-        the ensemble's ``aux``.  The channel is unitary when every frame
-        row below K^1 is exactly zero."""
+        """(loss, rows, swept, M) at checked ``angles``: the loss, the
+        final frame rows W, forward_sweep's outputs and the d^2 x d^2
+        matrix M (the shortcut's loss and M0 at a unitary qubit point)."""
         self.loss_evaluations += 1
         rows = self.base_rows.copy()
         swept = forward_sweep(self.basis, angles, rows)
         stack = rows.reshape(self.m, self.d**2)  # S
-        unitary = not rows[self.d :].any()
-        loss, aux = self._ensemble.loss(stack.T @ stack.conj(), unitary)
-        return loss, rows, swept, aux
-
-
-class _MatrixEnsemble:
-    """The state ensemble, as matrices: the corrupted states flattened to
-    (N, d^2) rows vec(sigma_n) and the originals held by
-    :class:`linalg.UhlmannFidelity`, the matrix fidelity for every d
-    (at d = 2 built from a copy of the originals at the first per-state
-    pass, which a zeros start never makes).
-    With the transfer matrix T[(j, k), (i, l)] = sum_a K_a[i, j]
-    conj(K_a[l, k]) = G[(i, j), (l, k)], a fixed permutation of G, each
-    flattened recovered state is vec(sigma_n) T, and one batched eigh
-    gives the fidelities and their cotangents Q_n.
-    M[(j, k), (i, l)] = X[(i, j), (k, l)] is a fixed permutation of
-    X = -(2/N) sum_n vec(Q_n)^T vec(sigma_n), one product over the
-    states against the prescaled rows.
-    At d = 2 a unitary point (m = 1, or any iterate of a zeros start)
-    takes a shortcut: a_n = U sigma_n U^H keeps det a_n = det sigma_n, so
-    F_n = Tr(a_n o_n) + 2 sqrt(det sigma_n det o_n) (Jozsa 1994) is linear
-    in G.  The mean fidelity is G's float view dotted with the fixed
-    weights of sum_n vec(sigma_n)^T conj(vec(o_n)), scattered into G's
-    order, plus c = (2/N) sum_n sqrt(det sigma_n det o_n), clamped to
-    [0, 1]; each det is the product of the eigenvalues under
-    :func:`linalg.floor_eigenvalues`.  M is the fixed M0 of Q_n = o_n: a
-    unitary point moves no det a_n to first order (a commutator has no
-    trace against adj(a_n)), so the adj(a_n) term of Q_n pairs to 0.
-    No per-state array is formed, so that step does not scale with N.
-    Since no such iterate's fidelities are formed, every state's range
-    over all unitaries, (1 -+ |r_sigma| |r_o|) / 2 + c_n with the Bloch
-    radius |r| the gap of the two eigenvalues, is checked against the
-    band at build time, raising the "outside" error of
-    :func:`linalg.check_fidelity_band` if it leaves it.  Every other
-    point takes the per-state path.
-    """
-
-    def __init__(self, corrupted: np.ndarray, originals: np.ndarray):
-        n_states, d = corrupted.shape[:2]
-        self._shape = corrupted.shape
-        self._states = corrupted.reshape(n_states, d * d)
-        self._scaled_states = self._states * (-2.0 / n_states)
-        # every d > 2 step is per-state; at d = 2 the fidelity is built at the
-        # first per-state pass, which a zeros start never makes
-        self._originals = originals.copy() if d == 2 else None
-        self._fidelity = None if d == 2 else UhlmannFidelity(originals)
-        # flat orders of T in G and of M in X
-        axes = np.arange(d**4).reshape(d, d, d, d)
-        self._transfer_order = axes.transpose(1, 3, 0, 2).ravel()
-        self._cotangent_order = axes.transpose(1, 2, 0, 3).ravel()
-        self._linear = None  # the unitary shortcut's weights, d = 2 only
-        if d == 2:
-            flat = originals.reshape(n_states, 4)
-            weights = np.empty(16, dtype=complex)
-            weights[self._transfer_order] = (self._states.T @ flat.conj()).ravel()
-            self._linear = weights.conj().view(float) / n_states  # [Re w, -Im w]
-            w = np.linalg.eigvalsh(np.stack([corrupted, originals]))  # (2, N, 2)
-            offsets = 2.0 * np.sqrt(floor_eigenvalues(w).prod(-1).prod(0))
-            self._offset = offsets.sum() / n_states
-            self._fixed_cotangent = self.cotangent(originals)  # M0
-            # over every unitary Tr(a_n o_n) spans (1 -+ |r_sigma| |r_o|) / 2,
-            # so no unitary iterate can leave the band if these bounds do not
-            radii = w[..., 1] - w[..., 0]  # Bloch radii |r|
-            centre, spread = 0.5 + offsets, radii[0] * radii[1] / 2.0
-            check_fidelity_band((centre - spread).min(), (centre + spread).max())
-
-    def loss(self, gram: np.ndarray, unitary: bool) -> tuple[float, np.ndarray | None]:
-        """(loss, aux): aux is the (N, d, d) cotangents Q_n, None where the
-        unitary shortcut was taken."""
-        if unitary and self._linear is not None:
+        gram = stack.T @ stack.conj()
+        if self._linear is not None and not rows[self.d :].any():
             mean = gram.view(float).ravel() @ self._linear + self._offset
-            return 1.0 - min(max(float(mean), 0.0), 1.0), None
+            loss = 1.0 - min(max(float(mean), 0.0), 1.0)
+            return loss, rows, swept, self._fixed_cotangent
         if self._fidelity is None:
             self._fidelity = UhlmannFidelity(self._originals)
         transfer = gram.ravel().take(self._transfer_order).reshape(gram.shape)
         recovered = (self._states @ transfer).reshape(self._shape)
         fid, cotangents = self._fidelity.evaluate(recovered)
-        return float(1.0 - fid.sum() / fid.size), cotangents
+        loss = float(1.0 - fid.sum() / fid.size)
+        return loss, rows, swept, self._cotangent_matrix(cotangents)
 
-    def cotangent(self, aux: np.ndarray | None) -> np.ndarray:
-        """M from :meth:`loss`'s aux; M0 after the unitary shortcut (None)."""
-        if aux is None:
-            return self._fixed_cotangent
-        moments = aux.reshape(len(self._states), -1).T @ self._scaled_states
+    def _cotangent_matrix(self, cotangents: np.ndarray) -> np.ndarray:
+        """M from the (N, d, d) fidelity cotangents Q_n."""
+        moments = cotangents.reshape(len(self._states), -1).T @ self._scaled_states
         return moments.ravel().take(self._cotangent_order).reshape(moments.shape)
 
 

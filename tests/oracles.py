@@ -33,8 +33,7 @@ import functools
 
 import numpy as np
 
-from kraussphere.channels import apply_channel_batch
-from kraussphere.linalg import PAULIS
+from kraussphere.channels import PAULIS, apply_channel_batch
 from kraussphere.transforms import forward_sweep, generator_basis, reverse_sweep
 
 

@@ -24,10 +24,9 @@ from kraussphere.cli import (
     run_single,
     validate_channel_file,
 )
-from kraussphere.channels import flip_channel
+from kraussphere.channels import PAULIS, depolarizing_channel, flip_channel
 from kraussphere import cli, geometry
 from kraussphere.geometry import KrausSet, matrices_from_pairs
-from kraussphere.linalg import PAULIS
 from kraussphere.optimizer import LossContext, OptimizerConfig
 from kraussphere.sampling import SampleConfig
 
@@ -526,7 +525,7 @@ class TestValidateChannelFile:
         path = tmp_path / "identity.json"
         ops = [np.eye(2, dtype=complex)] + [np.zeros((2, 2), dtype=complex)] * 3
         path.write_text(json.dumps(KrausSet(ops).to_dict()))
-        report = validate_channel_file(path, quiet=True)
+        report = validate_channel_file(path)
         assert report["complete"]
         assert report["completeness_deviation"] <= 1e-12
         assert report["effectively_unitary"]
@@ -534,7 +533,7 @@ class TestValidateChannelFile:
     def test_bit_flip_weights(self, tmp_path):
         path = tmp_path / "bf.json"
         path.write_text(json.dumps(flip_channel("bit_flip", 0.8).to_dict()))
-        report = validate_channel_file(path, quiet=True)
+        report = validate_channel_file(path)
         assert np.allclose(report["weights"], [0.2, 0.8])
         assert np.allclose(report["spectrum"], [0.8, 0.2])
         assert not report["effectively_unitary"]
@@ -543,7 +542,7 @@ class TestValidateChannelFile:
         path = tmp_path / "broken.json"
         path.write_text('{"d": 2, "m": 2, "operators": [[')
         with pytest.raises(ConfigError, match="malformed JSON in .* at line 1, column 33"):
-            validate_channel_file(path, quiet=True)
+            validate_channel_file(path)
 
     @pytest.mark.parametrize(
         "change,match",
@@ -571,7 +570,7 @@ class TestValidateChannelFile:
         data = {**flip_channel("bit_flip", 0.8).to_dict(), **change}
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match=match):
-            validate_channel_file(path, quiet=True)
+            validate_channel_file(path)
         assert main(["validate", str(path), "--quiet"]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error") and "Traceback" not in err
@@ -583,7 +582,7 @@ class TestValidateChannelFile:
         del data[field]
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match=f"missing required field '{field}'"):
-            validate_channel_file(path, quiet=True)
+            validate_channel_file(path)
         assert main(["validate", str(path), "--quiet"]) == EXIT_CONFIG
         assert f"missing required field '{field}'" in capsys.readouterr().err
 
@@ -596,7 +595,7 @@ class TestValidateChannelFile:
         data["operators"][0][3][1] = value
         path.write_text(json.dumps(data))
         with pytest.raises(ConfigError, match=r"Kraus operators \[0\] have non-finite"):
-            validate_channel_file(path, quiet=True)
+            validate_channel_file(path)
         assert main(["validate", str(path)]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.err.startswith("config error") and captured.out == ""
@@ -607,14 +606,14 @@ class TestValidateChannelFile:
         path.write_text(json.dumps(five_operator_channel().to_dict()))
         assert main(["validate", str(path)]) == EXIT_OK
         assert capsys.readouterr().out.startswith("d=2 m=5\n")
-        report = validate_channel_file(path, quiet=True)
+        report = validate_channel_file(path)
         assert report["complete"] is True
 
     def test_non_object_file(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="Kraus set must be a JSON dict"):
-            validate_channel_file(path, quiet=True)
+            validate_channel_file(path)
 
 
 class TestMainExitCodes:
@@ -680,6 +679,22 @@ class TestMainExitCodes:
         assert main(["validate", str(path), "--quiet"]) == EXIT_NUMERIC
         assert main(["validate", str(path)]) == EXIT_NUMERIC
         assert "channel is NOT complete within 1e-6\n" in capsys.readouterr().out
+
+    def test_validate_prints_the_report(self, tmp_path, capsys):
+        # off completeness by 2e-8, inside the 1e-6 tolerance
+        path = tmp_path / "depolarizing.json"
+        operators = depolarizing_channel(0.25).operators * (1 + 1e-8)
+        path.write_text(json.dumps(KrausSet(operators).to_dict()))
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "d=2 m=4\n"
+            "completeness deviation: 2.000e-08\n"
+            "weights: 0.75 0.0833333 0.0833333 0.0833333\n"
+            "spectrum: 0.75 0.0833333 0.0833333 0.0833333\n"
+            "effectively unitary: False\n"
+        )
+        assert main(["validate", str(path), "--quiet"]) == EXIT_OK
+        assert capsys.readouterr().out == ""
 
     def test_validate_ok_exit(self, tmp_path):
         path = tmp_path / "bf.json"

@@ -327,25 +327,28 @@ class TestGradient:
             assert self._oracle_gap(ctx, angles) <= 1e-7
 
 
-def evaluated_with_recovered(monkeypatch, ctx, angles) -> tuple:
+def evaluated_with_pass(monkeypatch, ctx, angles) -> tuple:
     """``ctx._evaluated(angles)`` and the recovered states its fidelity
-    pass was given, None where it made no such pass (the unitary qubit
-    shortcut)."""
-    given = []
+    pass was given with the cotangents Q_n it returned, None where it made
+    no such pass (the unitary qubit shortcut)."""
+    passes = []
     inner = UhlmannFidelity.evaluate
 
     def matrix_pass(self, recovered):
-        given.append(recovered)
-        return inner(self, recovered)
+        fid, cotangents = inner(self, recovered)
+        passes.append((recovered, cotangents))
+        return fid, cotangents
 
     monkeypatch.setattr(UhlmannFidelity, "evaluate", matrix_pass)
     point = ctx._evaluated(angles)
-    return point, (given[0] if given else None)
+    return point, (passes[0] if passes else None)
 
 
-def cotangent_rows(ctx, rows, aux) -> np.ndarray:
-    """The (m, d^2) cotangent rows C = S M of an evaluation."""
-    return rows.reshape(ctx.m, ctx.d**2) @ ctx._ensemble.cotangent(aux)
+def cotangent_rows(ctx, point) -> np.ndarray:
+    """The (m, d^2) cotangent rows C = S M of an evaluation (loss, rows,
+    swept, M)."""
+    _, rows, _, cotangent = point
+    return rows.reshape(ctx.m, ctx.d**2) @ cotangent
 
 
 class TestFixedProducts:
@@ -367,25 +370,27 @@ class TestFixedProducts:
             angles = rng.normal(0.0, 0.7, ctx.n_angles)
         if pattern == "sparse":
             angles[rng.random(ctx.n_angles) < 0.9] = 0.0
-        point, recovered = evaluated_with_recovered(monkeypatch, ctx, angles)
-        _, rows, _, aux = point
+        point, fidelity_pass = evaluated_with_pass(monkeypatch, ctx, angles)
+        rows = point[1]
         flat = corrupted.reshape(count, d * d)
         expected = (flat @ einsum_transfer(rows, d, m)).reshape(count, d, d)
         # the qubit shortcut (m = 1 or zero angles) forms no recovered
         # state, and its fixed M0 is the contraction of Q_n = o_n
         shortcut = d == 2 and (m == 1 or pattern == "zero")
-        assert (aux is None) == (recovered is None) == shortcut
-        if not shortcut:
+        assert (fidelity_pass is None) == shortcut
+        if shortcut:
+            cotangents = originals
+        else:
+            recovered, cotangents = fidelity_pass
             assert np.max(np.abs(recovered - expected)) <= 1e-14
-        cotangents = originals if shortcut else aux
         contraction = cotangents.reshape(count, d * d).T @ flat
-        cotangent = cotangent_rows(ctx, rows, aux)
+        cotangent = cotangent_rows(ctx, point)
         reference = einsum_cotangent(contraction, rows, d, m, count)
         assert np.max(np.abs(cotangent - reference.reshape(m, d * d))) <= 1e-14
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     @pytest.mark.parametrize("pattern", ["unitary", "sparse", "dense"])
-    def test_qubit_and_matrix_ensembles_agree(self, m, pattern):
+    def test_qubit_and_matrix_ensembles_agree(self, monkeypatch, m, pattern):
         # at d = 2 the per-state matrix path agrees with the flat-entry
         # oracle, and at a unitary point the linear shortcut agrees with
         # both; pairs 0-2 have pure originals, pairs 2-4 pure corrupted
@@ -398,6 +403,8 @@ class TestFixedProducts:
         corrupted += [random_density(rng, 2) for _ in range(4)]
         originals, corrupted = np.stack(originals), np.stack(corrupted)
         ctx = LossContext(corrupted, originals, m)
+        probe = LossContext(corrupted, originals, m)
+        probe._linear = None  # the shortcut switched off: per-state everywhere
         if pattern == "unitary":
             angles = unitary_angles(ctx, rng)
         else:
@@ -405,22 +412,17 @@ class TestFixedProducts:
         if pattern == "sparse":
             angles[rng.random(ctx.n_angles) < 0.8] = 0.0
         rows = ctx.base_rows.copy()
-        swept = forward_sweep(ctx.basis, angles, rows)
-        stack = rows.reshape(m, 4)
-        gram = stack.T @ stack.conj()
+        forward_sweep(ctx.basis, angles, rows)
         unitary = not rows[2:].any()
         assert unitary == (m == 1 or pattern == "unitary")
 
+        calls = count_fidelity_passes(monkeypatch)
         steps = [per_state_qubit_step(corrupted, originals, m, angles)]
-        for shortcut in [False, True] if unitary else [False]:
-            loss, aux = ctx._ensemble.loss(gram, shortcut)
-            assert (aux is None) == shortcut
-            # a pure corrupted state stays pure at a unitary point, where
-            # sqrt(det a) has no derivative: the paths take different
-            # finite M there, which pair to the same gradient
-            cotangent = stack @ ctx._ensemble.cotangent(aux)
-            joined = np.concatenate([cotangent.reshape(-1, 2), rows], axis=1)
-            steps.append((loss, reverse_sweep(ctx.basis, swept, joined)))
+        # a pure corrupted state stays pure at a unitary point, where
+        # sqrt(det a) has no derivative: the paths take different finite M
+        # there, which pair to the same gradient
+        steps += [probe.gradient(angles), ctx.gradient(angles)]
+        assert len(calls) == (1 if unitary else 2)
         (expected_loss, expected_grad), *paths = steps
         for loss, grad in paths:
             assert abs(loss - expected_loss) <= 1e-12
@@ -492,8 +494,9 @@ class TestReversePlan:
         _, grad = ctx.gradient(angles)
         assert products == []  # every angle paired from its own two rows
         # C_n from the same evaluation, pulled back to C_0 in the dense chart
-        _, rows, swept, aux = ctx._evaluated(angles)
-        cotangent = cotangent_rows(ctx, rows, aux).reshape(m * d, d)
+        point = ctx._evaluated(angles)
+        _, rows, swept, _ = point
+        cotangent = cotangent_rows(ctx, point).reshape(m * d, d)
         dense = dense_basis(2 * m * d)
         left = real_vectors(cotangent) @ dense_product(dense, angles)
         right = real_vectors(ctx.base_rows)
@@ -573,13 +576,24 @@ class TestEvaluationReuse:
         assert np.array_equal(grad, expected_grad)
 
     @pytest.mark.parametrize("d,m,pattern", CASES)
-    def test_gradient_after_loss_reuses_the_point(self, d, m, pattern):
+    def test_gradient_after_loss_reuses_the_point(self, monkeypatch, d, m, pattern):
         ctx = self._context(d, m)
         angles = self._angles(ctx, pattern)
         fresh_step = self._fresh_gradient(ctx, angles)
+        formed = []
+        inner = LossContext._cotangent_matrix
+
+        def counted(*args):
+            formed.append(None)
+            return inner(*args)
+
+        monkeypatch.setattr(LossContext, "_cotangent_matrix", counted)
         assert ctx.loss(angles) == fresh_step[0]
         self._same(ctx.gradient(angles), fresh_step)
         assert (ctx.loss_evaluations, ctx.gradient_evaluations) == (1, 1)
+        # M is formed once, by the loss; the qubit zero angles take the
+        # M0 formed at construction
+        assert len(formed) == (0 if (d, pattern) == (2, "zero") else 1)
 
     @pytest.mark.parametrize("d,m,pattern", CASES)
     def test_gradient_at_other_angles_recomputes(self, d, m, pattern):

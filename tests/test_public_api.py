@@ -34,7 +34,9 @@ def test_no_duplicate_exports():
         (linalg, "pauli_coordinates"),
         (linalg, "pauli_dets"),
         (linalg, "PAULI_SIGNS"),
+        (linalg, "PAULIS"),
         (optimizer, "_QubitEnsemble"),
+        (optimizer, "_MatrixEnsemble"),
         (cli, "load_states"),
         (cli.ExperimentConfig, "format_version"),
         (geometry.KrausSet, "stack"),
