@@ -144,22 +144,23 @@ class LossContext:
     cotangents Q_n by one batched eigh.  The loss is 1 - mean F, and
     M[(j, k), (i, l)] = X[(i, j), (k, l)], a fixed permutation of
     X = -(2/N) sum_n vec(Q_n)^T vec(sigma_n), is one product over the
-    states against the prescaled rows vec(sigma_n), whatever m is.  An
-    evaluation is (loss, W, the forward sweep's outputs, M), and
-    :meth:`gradient` sends the stack [S M | W] through
-    :func:`transforms.reverse_sweep`.
+    states against the prescaled rows vec(sigma_n), whatever m is; the
+    cotangent rows are C = S M.  An evaluation is (loss, W, the forward
+    sweep's outputs, C), and :meth:`gradient` sends the stack [C | W]
+    through :func:`transforms.reverse_sweep`.
     At a unitary qubit point (d = 2 and every frame row below K^1
     exactly zero: always at m = 1, and every iterate of a zeros start)
-    the loss is linear in G and M is fixed, so that step forms no
-    per-state array and does not scale with N.  a_n = U sigma_n U^H
-    keeps det a_n = det sigma_n, so F_n = Tr(a_n o_n) + 2 sqrt(det
-    sigma_n det o_n) (Jozsa 1994): the mean fidelity is G's float view
-    dotted with the fixed weights of sum_n vec(sigma_n)^T conj(vec(o_n)),
-    scattered into G's order, plus c = (2/N) sum_n sqrt(det sigma_n det
-    o_n), clamped to [0, 1]; each det is the product of the eigenvalues
-    under :func:`linalg.floor_eigenvalues`.  M is the fixed M0 of
-    Q_n = o_n: a unitary point moves no det a_n to first order (a
-    commutator has no trace against adj(a_n)), so the adj(a_n) term of
+    M is the fixed M0 of Q_n = o_n and the loss comes from C alone, so
+    that step forms no G and no per-state array and does not scale with
+    N.  a_n = U sigma_n U^H keeps det a_n = det sigma_n, so F_n = Tr(a_n
+    o_n) + 2 sqrt(det sigma_n det o_n) (Jozsa 1994).  The first term is
+    a quadratic form in S, and C = S M0 is the cotangent of -mean_n of
+    it, so mean_n Tr(a_n o_n) = -1/2 Re <S, C> (Euler's relation for a
+    quadratic form); the mean fidelity is that plus c = (2/N) sum_n
+    sqrt(det sigma_n det o_n), clamped to [0, 1], each det the product
+    of the eigenvalues under :func:`linalg.floor_eigenvalues`.  M0 is
+    the whole of M there: a unitary point moves no det a_n to first order
+    (a commutator has no trace against adj(a_n)), so the adj(a_n) term of
     Q_n pairs to 0.  Since no such iterate's fidelities are formed, every
     state's range over all unitaries, (1 -+ |r_sigma| |r_o|) / 2 + c_n
     with the Bloch radius |r| the gap of the two eigenvalues, is checked
@@ -208,12 +209,8 @@ class LossContext:
         axes = np.arange(d**4).reshape(d, d, d, d)
         self._transfer_order = axes.transpose(1, 3, 0, 2).ravel()
         self._cotangent_order = axes.transpose(1, 2, 0, 3).ravel()
-        self._linear = None  # the unitary shortcut's weights, d = 2 only
+        self._fixed_cotangent = None  # M0 of the unitary shortcut, d = 2 only
         if d == 2:
-            flat = originals.reshape(n_states, 4)
-            weights = np.empty(16, dtype=complex)
-            weights[self._transfer_order] = (self._states.T @ flat.conj()).ravel()
-            self._linear = weights.conj().view(float) / n_states  # [Re w, -Im w]
             w = np.linalg.eigvalsh(np.stack([corrupted, originals]))  # (2, N, 2)
             offsets = 2.0 * np.sqrt(floor_eigenvalues(w).prod(-1).prod(0))
             self._offset = offsets.sum() / n_states
@@ -242,8 +239,8 @@ class LossContext:
 
         C_n = dL/dW_n comes from the fidelity cotangent Q of each state:
         dL/dK_a = -(2/N) sum_n Q_n K_a sigma_n, sigma_n the corrupted
-        states, stacked like the frame rows; that is C = S M for the
-        evaluation's M, and the stack [C | W] goes through
+        states, stacked like the frame rows; that is the evaluation's
+        C = S M, and the stack [C | W] goes through
         :func:`transforms.reverse_sweep`.  The loss is the one
         :meth:`loss` returns, from the same forward sweep and the same
         fidelities.
@@ -258,31 +255,32 @@ class LossContext:
         else:
             point = self._evaluated(angles)
         self.gradient_evaluations += 1
-        loss, rows, swept, cotangent_matrix = point
-        cotangent = rows.reshape(self.m, -1) @ cotangent_matrix  # S M
+        loss, rows, swept, cotangent = point
         stack = np.concatenate([cotangent.reshape(rows.shape), rows], 1)  # [C | W]
         return loss, reverse_sweep(self.basis, swept, stack)
 
     def _evaluated(self, angles: np.ndarray) -> tuple:
-        """(loss, rows, swept, M) at checked ``angles``: the loss, the
-        final frame rows W, forward_sweep's outputs and the d^2 x d^2
-        matrix M (the shortcut's loss and M0 at a unitary qubit point)."""
+        """(loss, rows, swept, C) at checked ``angles``: the loss, the
+        final frame rows W, forward_sweep's outputs and the (m, d^2)
+        cotangent rows C = S M (C = S M0 and the loss read off it at a
+        unitary qubit point)."""
         self.loss_evaluations += 1
         rows = self.base_rows.copy()
         swept = forward_sweep(self.basis, angles, rows)
         stack = rows.reshape(self.m, self.d**2)  # S
-        gram = stack.T @ stack.conj()
-        if self._linear is not None and not rows[self.d :].any():
-            mean = gram.view(float).ravel() @ self._linear + self._offset
+        if self._fixed_cotangent is not None and not rows[self.d :].any():
+            cotangent = stack @ self._fixed_cotangent
+            mean = -0.5 * np.vdot(stack, cotangent).real + self._offset
             loss = 1.0 - min(max(float(mean), 0.0), 1.0)
-            return loss, rows, swept, self._fixed_cotangent
+            return loss, rows, swept, cotangent
         if self._fidelity is None:
             self._fidelity = UhlmannFidelity(self._originals)
+        gram = stack.T @ stack.conj()
         transfer = gram.ravel().take(self._transfer_order).reshape(gram.shape)
         recovered = (self._states @ transfer).reshape(self._shape)
         fid, cotangents = self._fidelity.evaluate(recovered)
         loss = float(1.0 - fid.sum() / fid.size)
-        return loss, rows, swept, self._cotangent_matrix(cotangents)
+        return loss, rows, swept, stack @ self._cotangent_matrix(cotangents)
 
     def _cotangent_matrix(self, cotangents: np.ndarray) -> np.ndarray:
         """M from the (N, d, d) fidelity cotangents Q_n."""

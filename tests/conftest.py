@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,11 @@ from kraussphere import (
     generator_basis,
     transforms,
 )
+
+
+def exactly(message: str) -> str:
+    """A ``pytest.raises`` pattern that matches ``message`` and nothing more."""
+    return f"^{re.escape(message)}$"
 
 
 def random_density(rng, dim):

@@ -14,7 +14,7 @@ from kraussphere.channels import (
 )
 from kraussphere.geometry import KrausSet
 
-from conftest import random_channel, random_density
+from conftest import exactly, random_channel, random_density
 
 PLUS = np.full((2, 2), 0.5, dtype=complex)  # |+><+|
 ZERO = np.diag([1.0, 0.0]).astype(complex)
@@ -109,6 +109,18 @@ class TestTensorFlipChannel:
         assert channel.d == 8 and channel.m == 8
         assert channel.completeness_deviation() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: tensor_flip_channel("bit_flip", 0.1, 0),
+            lambda: ChannelSpec("bit_flip", n_qubits=0),
+        ],
+        ids=["tensor_flip_channel", "ChannelSpec"],
+    )
+    def test_rejects_zero_qubits(self, build):
+        with pytest.raises(ValueError, match=exactly("n_qubits must be >= 1, got 0")):
+            build()
+
 
 class TestApplyChannel:
     def test_identity_channel(self):
@@ -183,6 +195,11 @@ class TestChannelSpec:
     def test_custom_requires_kraus(self):
         with pytest.raises(ValueError, match="custom_kraus"):
             ChannelSpec(kind="custom", p=0.0)
+
+    def test_custom_kraus_needs_kind_custom(self):
+        message = "custom_kraus only valid with kind='custom'"
+        with pytest.raises(ValueError, match=exactly(message)):
+            ChannelSpec("bit_flip", custom_kraus=flip_channel("bit_flip", 0.5))
 
     def test_custom_builds(self):
         kraus = flip_channel("bit_flip", 0.5)

@@ -27,7 +27,7 @@ from kraussphere.cli import (
 from kraussphere.channels import PAULIS, depolarizing_channel, flip_channel
 from kraussphere import cli, geometry
 from kraussphere.geometry import KrausSet, matrices_from_pairs
-from kraussphere.optimizer import LossContext, OptimizerConfig
+from kraussphere.optimizer import LossContext, OptimizerConfig, learn_quasi_inverse
 from kraussphere.sampling import SampleConfig
 
 
@@ -292,7 +292,8 @@ class TestOptimizerFieldChecks:
 class TestFieldTypes:
     """Numbers of the wrong JSON type are config errors naming the field:
     integer fields take integers only, real fields numbers only, and
-    neither takes a boolean or a string.  They used to be coerced."""
+    neither takes a boolean or a string.  They used to be coerced.  An
+    empty p_grid is refused the same way."""
 
     @pytest.mark.parametrize(
         "path,value,field",
@@ -312,6 +313,7 @@ class TestFieldTypes:
             (("p_grid",), [True], r"p_grid\[0\]"),
             (("p_grid",), 0.5, "p_grid"),
             (("sample",), [1], "sample"),
+            (("p_grid",), [], "p_grid must be non-empty in curve mode"),
         ],
     )
     def test_rejected(self, tmp_path, capsys, path, value, field):
@@ -722,6 +724,34 @@ class TestMainExitCodes:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["sample"]["seed"] == 61
         assert (out / "states.json").exists()
+
+    def test_learn_depolarizing(self, tmp_path):
+        channel = {"kind": "depolarizing", "p": 0.3}
+        data = base_config(tmp_path / "run", channel=channel)
+        data["sample"]["count"] = 20
+        data["optimizer"]["max_iters"] = 3
+        path = write_config(tmp_path, data)
+        assert main(["learn", "--config", str(path), "--quiet"]) == EXIT_OK
+        saved = json.loads((tmp_path / "run" / "result.json").read_text())
+        states = matrices_from_pairs(
+            json.loads((tmp_path / "run" / "states.json").read_text())
+        )
+        assert len(states) == 20
+        cfg = OptimizerConfig(max_iters=3, m=2)
+        direct = learn_quasi_inverse(depolarizing_channel(0.3), states, cfg)
+        assert saved["fidelity_before"] == direct.fidelity_before
+
+    def test_unwritable_output_dir(self, tmp_path, capsys):
+        # the output directory would sit under a regular file
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory")
+        path = write_config(tmp_path, base_config(blocker / "run"))
+        assert main(["learn", "--config", str(path)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot write outputs: ")
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
+        assert blocker.read_text() == "not a directory"
 
     def test_curve_ok(self, tmp_path, capsys):
         data = base_config(tmp_path / "curve", p_grid=[0.0])

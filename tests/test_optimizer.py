@@ -29,6 +29,7 @@ from kraussphere.transforms import (
 
 from conftest import (
     amplitude_damping,
+    exactly,
     pure_density,
     random_channel,
     random_density,
@@ -203,6 +204,9 @@ class TestLoss:
             LossContext([], [], 4)
         with pytest.raises(ValueError, match="shapes differ"):
             LossContext(states, states[:2], 4)
+        message = "expected states of shape (N, d, d), got (3, 2, 3)"
+        with pytest.raises(ValueError, match=exactly(message)):
+            LossContext(np.zeros((3, 2, 3)), np.zeros((3, 2, 3)), 1)
 
 
 class TestCentralDifference:
@@ -344,13 +348,6 @@ def evaluated_with_pass(monkeypatch, ctx, angles) -> tuple:
     return point, (passes[0] if passes else None)
 
 
-def cotangent_rows(ctx, point) -> np.ndarray:
-    """The (m, d^2) cotangent rows C = S M of an evaluation (loss, rows,
-    swept, M)."""
-    _, rows, _, cotangent = point
-    return rows.reshape(ctx.m, ctx.d**2) @ cotangent
-
-
 class TestFixedProducts:
     """The ensembles' fixed 2-D products against the einsum references
     and against each other."""
@@ -371,7 +368,7 @@ class TestFixedProducts:
         if pattern == "sparse":
             angles[rng.random(ctx.n_angles) < 0.9] = 0.0
         point, fidelity_pass = evaluated_with_pass(monkeypatch, ctx, angles)
-        rows = point[1]
+        _, rows, _, cotangent = point  # C = S M, (m, d^2)
         flat = corrupted.reshape(count, d * d)
         expected = (flat @ einsum_transfer(rows, d, m)).reshape(count, d, d)
         # the qubit shortcut (m = 1 or zero angles) forms no recovered
@@ -384,7 +381,6 @@ class TestFixedProducts:
             recovered, cotangents = fidelity_pass
             assert np.max(np.abs(recovered - expected)) <= 1e-14
         contraction = cotangents.reshape(count, d * d).T @ flat
-        cotangent = cotangent_rows(ctx, point)
         reference = einsum_cotangent(contraction, rows, d, m, count)
         assert np.max(np.abs(cotangent - reference.reshape(m, d * d))) <= 1e-14
 
@@ -404,7 +400,7 @@ class TestFixedProducts:
         originals, corrupted = np.stack(originals), np.stack(corrupted)
         ctx = LossContext(corrupted, originals, m)
         probe = LossContext(corrupted, originals, m)
-        probe._linear = None  # the shortcut switched off: per-state everywhere
+        probe._fixed_cotangent = None  # no M0, no shortcut: per-state everywhere
         if pattern == "unitary":
             angles = unitary_angles(ctx, rng)
         else:
@@ -494,9 +490,8 @@ class TestReversePlan:
         _, grad = ctx.gradient(angles)
         assert products == []  # every angle paired from its own two rows
         # C_n from the same evaluation, pulled back to C_0 in the dense chart
-        point = ctx._evaluated(angles)
-        _, rows, swept, _ = point
-        cotangent = cotangent_rows(ctx, point).reshape(m * d, d)
+        _, rows, swept, cotangent = ctx._evaluated(angles)
+        cotangent = cotangent.reshape(m * d, d)
         dense = dense_basis(2 * m * d)
         left = real_vectors(cotangent) @ dense_product(dense, angles)
         right = real_vectors(ctx.base_rows)
@@ -702,8 +697,9 @@ def count_fidelity_builds(monkeypatch) -> list:
 
 
 class TestUnitaryPath:
-    """At a unitary qubit point the loss is linear in the frame Gram
-    matrix G and the context forms no per-state fidelity."""
+    """At a unitary qubit point the loss is read off the cotangent rows
+    C = S M0 and the context forms no Gram matrix and no per-state
+    fidelity."""
 
     @pytest.mark.parametrize("m", [1, 2, 4])
     def test_matches_the_per_state_path(self, monkeypatch, m):
@@ -1053,6 +1049,11 @@ class TestLearnQuasiInverse:
         cfg = OptimizerConfig(max_iters=2)
         with pytest.raises(ValueError, match=r"2 x 2 states, .* shape \(4, 4\)"):
             learn_quasi_inverse(flip_channel("bit_flip", 0.2), states, cfg)
+
+    def test_rejects_an_empty_ensemble(self):
+        cfg = OptimizerConfig(max_iters=5, m=1)
+        with pytest.raises(ValueError, match=exactly("state ensemble is empty")):
+            learn_quasi_inverse(flip_channel("bit_flip", 0.8), [], cfg)
 
     def test_rejects_incomplete_channel(self):
         broken = KrausSet([0.5 * np.eye(2)])

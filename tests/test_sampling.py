@@ -13,6 +13,7 @@ from kraussphere.sampling import (
     sample_hilbert_schmidt,
 )
 
+from conftest import exactly
 from oracles import haar_unitary, sample_one_at_a_time
 
 
@@ -53,8 +54,8 @@ class TestBlochBall:
         assert ks.statistic <= 0.02
 
     def test_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            sample_bloch_ball(seed=1, count=0)
+        with pytest.raises(ValueError, match=exactly("count must be >= 1, got 0")):
+            sample_bloch_ball(0, 0)
 
 
 class TestBures:
@@ -165,6 +166,11 @@ class TestSampleConfig:
         with pytest.raises(ValueError, match="unknown measure"):
             SampleConfig(n_qubits=1, count=1, seed=0, measure="not_a_measure")
 
+    def test_rejects_an_empty_count(self):
+        message = "need n_qubits >= 1 and count >= 1, got 1, 0"
+        with pytest.raises(ValueError, match=exactly(message)):
+            SampleConfig(n_qubits=1, count=0, seed=0, measure="hilbert_schmidt")
+
     @pytest.mark.parametrize("n_qubits", [1, 2, 3])
     def test_count_beyond_any_array(self, n_qubits):
         # count * 4^n * 16 bytes at the largest array numpy can index; one
@@ -204,6 +210,11 @@ class TestStateSerialization:
     def test_rejects_ragged(self):
         with pytest.raises(ValueError):
             matrices_from_pairs([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]])
+
+    def test_rejects_entries_that_are_not_pairs(self):
+        message = "expected [count][n*n][re, im] entries, got shape (1, 2)"
+        with pytest.raises(ValueError, match=exactly(message)):
+            matrices_from_pairs([[1.0, 2.0]])
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
