@@ -15,6 +15,8 @@ typed reader (:func:`geometry.json_section`).
 
 Exit codes: 0 success, 1 usage/config error (also a config whose arrays
 do not fit in memory: one "out of memory" line), 2 numerical failure.
+The output directory is made when the first file is written, so a run
+that fails before then leaves none.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .geometry import (
     KrausSet,
     json_section,
     json_value,
-    matrices_to_pairs,
 )
 from .optimizer import (
     NonFiniteLossError,
@@ -175,6 +176,26 @@ def _write_json(path: Path, obj) -> None:
         handle.write("\n")
 
 
+def _write_states(path: Path, states: np.ndarray) -> None:
+    """``json.dumps(geometry.matrices_to_pairs(states), indent=2) + "\\n"``,
+    written one matrix at a time from a ``%r`` template of one matrix's
+    [re, im] pairs: ``repr`` is how json writes a finite float.  A NaN or
+    infinite entry, which json writes as ``NaN`` or ``Infinity``, raises
+    ValueError before the file is opened."""
+    rows = np.ascontiguousarray(states, dtype=complex).view(float)
+    rows = rows.reshape(len(rows), -1)
+    if not np.isfinite(rows).all():
+        raise ValueError(f"non-finite entry in the states for {path}")
+    pair = "[\n      %r,\n      %r\n    ]"
+    matrix = "[\n    " + ",\n    ".join([pair] * (rows.shape[1] // 2)) + "\n  ]"
+    lead = "[\n  "
+    with open(path, "w") as handle:
+        for row in rows:
+            handle.write(lead + matrix % tuple(row.tolist()))
+            lead = ",\n  "
+        handle.write("\n]\n")
+
+
 def _write_manifest(out_dir: Path, config: ExperimentConfig) -> None:
     """The format version, the config, and the environment a rerun needs
     to reproduce the run's bytes, since Philox streams repeat only on the
@@ -193,11 +214,11 @@ def _write_manifest(out_dir: Path, config: ExperimentConfig) -> None:
 
 def run_single(config: ExperimentConfig) -> QuasiInverseResult:
     """One sampling -> corruption -> learning run, persisted to disk."""
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     states = config.sample.draw()
     result = learn_quasi_inverse(config.channel.build(), states, config.optimizer)
-    _write_json(out_dir / "states.json", matrices_to_pairs(states))
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_states(out_dir / "states.json", states)
     _write_json(out_dir / "result.json", result.to_dict())
     _write_manifest(out_dir, config)
     return result
@@ -215,8 +236,6 @@ def run_curve(config: ExperimentConfig) -> list[CurveRow]:
         raise ConfigError("curve mode requires p_grid")
     if config.channel.kind == "custom":
         raise ConfigError("curve mode sweeps p, which channel.kind 'custom' ignores")
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for index, p in enumerate(config.p_grid):
         spec = replace(config.channel, p=p)
@@ -234,6 +253,8 @@ def run_curve(config: ExperimentConfig) -> list[CurveRow]:
             )
         )
     lines = [CSV_HEADER] + [row.to_csv_line() for row in rows]
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "curve.csv").write_text("\n".join(lines) + "\n")
     _write_manifest(out_dir, config)
     return rows
@@ -265,11 +286,11 @@ def validate_channel_file(path) -> dict:
     return report
 
 
-def run_sample(config: ExperimentConfig) -> list:
+def run_sample(config: ExperimentConfig) -> np.ndarray:
+    states = config.sample.draw()
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    states = config.sample.draw()
-    _write_json(out_dir / "states.json", matrices_to_pairs(states))
+    _write_states(out_dir / "states.json", states)
     _write_manifest(out_dir, config)
     return states
 

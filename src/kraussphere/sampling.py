@@ -16,8 +16,9 @@ so a given (seed, count, dim) reproduces the same ensemble exactly on a
 platform.  Each sampler returns one (count, dim, dim) array, drawn in a
 single batch: per sample the Ginibre matrix comes first, then (Bures
 only) the Gaussian matrix that is orthonormalized into the Haar unitary,
-so the stream is the one a state-by-state loop would read.  States are
-written to disk with :func:`geometry.matrices_to_pairs`.
+so the stream is the one a state-by-state loop would read.  The command
+line writes states to disk with the bytes of
+:func:`geometry.matrices_to_pairs` through ``json``.
 """
 
 from __future__ import annotations

@@ -444,7 +444,8 @@ class TestRunSingle:
         assert blob_a == blob_b
 
     def test_files_hold_the_dumps_bytes(self, tmp_path, monkeypatch):
-        # each file is streamed, with the bytes of json.dumps(obj, indent=2)
+        # each file is streamed, with the bytes of json.dumps(obj, indent=2):
+        # states.json from its template, the others through _write_json
         written = {}
         inner = cli._write_json
 
@@ -453,8 +454,11 @@ class TestRunSingle:
             inner(path, obj)
 
         monkeypatch.setattr(cli, "_write_json", recorded)
-        run_single(config_from_dict(base_config(tmp_path / "run")))
+        config = config_from_dict(base_config(tmp_path / "run"))
+        run_single(config)
+        written["states.json"] = geometry.matrices_to_pairs(config.sample.draw())
         assert sorted(written) == ["manifest.json", "result.json", "states.json"]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == sorted(written)
         for name, obj in written.items():
             expected = (json.dumps(obj, indent=2) + "\n").encode()
             assert (tmp_path / "run" / name).read_bytes() == expected, name
@@ -467,6 +471,37 @@ class TestRunSingle:
         assert decoded.tobytes() == result.channel.operators.tobytes()
         channel = KrausSet.from_dict(saved["channel"])
         assert channel.operators.tobytes() == result.channel.operators.tobytes()
+
+
+def dumps_bytes(states) -> bytes:
+    """The oracle for states.json: json's own encoding of the pairs."""
+    return (json.dumps(geometry.matrices_to_pairs(states), indent=2) + "\n").encode()
+
+
+class TestWriteStates:
+    def test_awkward_floats(self, tmp_path):
+        # signed zero, the least subnormal, repr's switches to exponent form
+        # and a sum that rounds: each written as json writes it
+        values = np.array([-0.0, 5e-324, 1e16, 1e-07, 0.1 + 0.2, 1.0])
+        real = np.concatenate([values, -values])
+        states = (real + 1j * np.roll(real, 5)).reshape(3, 2, 2)
+        cli._write_states(tmp_path / "states.json", states)
+        assert (tmp_path / "states.json").read_bytes() == dumps_bytes(states)
+
+    @pytest.mark.parametrize("n_qubits, count", [(1, 7), (2, 7), (3, 7), (1, 1)])
+    def test_sampled_ensembles(self, tmp_path, n_qubits, count):
+        config = SampleConfig(n_qubits=n_qubits, count=count, seed=11, measure="bures")
+        states = config.draw()
+        cli._write_states(tmp_path / "states.json", states)
+        assert (tmp_path / "states.json").read_bytes() == dumps_bytes(states)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+    def test_non_finite_entry_writes_no_file(self, tmp_path, value):
+        states = SampleConfig(n_qubits=1, count=3, seed=2, measure="bures").draw()
+        states[1, 0, 1] = value
+        with pytest.raises(ValueError, match="non-finite entry"):
+            cli._write_states(tmp_path / "states.json", states)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunCurve:
@@ -649,6 +684,20 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure: non-finite gradient" in err
         assert "at iteration 0" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_non_finite_gradient_in_a_curve_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def nan_gradient(ctx, angles):
+            return 0.5, np.full(ctx.n_angles, np.nan)
+
+        monkeypatch.setattr(LossContext, "gradient", nan_gradient)
+        data = base_config(tmp_path / "run", p_grid=[0.2, 0.8])
+        path = write_config(tmp_path, data)
+        assert main(["curve", "--config", str(path)]) == EXIT_NUMERIC
+        assert "numerical failure: non-finite gradient" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_learn_with_more_noise_operators_than_d_squared(self, tmp_path):
         channel = {
@@ -844,6 +893,7 @@ class TestMainExitCodes:
         saved = tmp_path / "samples" / "states.json"
         states = matrices_from_pairs(json.loads(saved.read_text()))
         assert len(states) == 25
+        assert saved.read_bytes() == dumps_bytes(load_config(path).sample.draw())
 
 
 def _set_entry(kraus, value):

@@ -19,6 +19,8 @@ def test_a_checkout_matches_itself_on_the_smoke_workload():
         "smoke",
         "  result.json    identical",
         "  states.json    identical",
+        "  manifest.json  equal (output_dir dropped)",
+        "  sample         states.json identical",
         "  angles         equal",
         "  channel        equal",
         "  stop           equal",
