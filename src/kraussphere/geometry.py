@@ -24,7 +24,8 @@ is a flat row-major list of ``[re, im]`` pairs.
 Every JSON input, a config and a Kraus file alike, is read by one typed
 reader: :func:`json_section` reads a dataclass's fields from an object
 and rejects unknown keys, :func:`json_field` reads one field by its
-annotation, and :func:`json_value` holds the rule for a single value
+annotation, each list item by item into a new list, and
+:func:`json_value` holds the rule for a single value
 (nothing coerced, no booleans as numbers).  Errors name the field from
 the document's root (``channel.custom_kraus.operators[1][2][0]`` in a
 config, ``operators[1][2][0]`` in a Kraus file).
@@ -33,7 +34,6 @@ config, ``operators[1][2][0]`` in a Kraus file).
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from itertools import chain
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -203,11 +203,8 @@ def json_section(cls, data, where: str, document: str = "config"):
 def json_field(value, hint, name: str):
     """``value`` read as the type ``hint``: an optional type takes null, a
     KrausSet is a Kraus file's dict, another dataclass a section of its
-    own, a list is checked item by item (``name[i]``), and anything else
-    is one JSON value (:func:`json_value`).  Lists nested around floats
-    are first checked a level at a time (:func:`_float_lists`); only
-    where that fails (a wrong type, an integer beyond the float range)
-    are they read item by item, which names a culprit."""
+    own, a list is read item by item into a new list (an error names
+    ``name[i]``), and anything else is one JSON value (:func:`json_value`)."""
     if type(None) in get_args(hint):
         if value is None:
             return None
@@ -217,38 +214,10 @@ def json_field(value, hint, name: str):
     if is_dataclass(hint):
         return json_section(hint, value, name)
     if get_origin(hint) is list:
-        floats = _float_lists(value, hint)
-        if floats is not None:
-            return floats
         (item,) = get_args(hint)
         items = json_value(value, list, name)
         return [json_field(x, item, f"{name}[{i}]") for i, x in enumerate(items)]
     return json_value(value, hint, name)
-
-
-def _float_lists(value, hint):
-    """``value`` as ``hint``, lists nested around ``float``, if its leaves
-    are numbers but no booleans, else None: one pass per level, no name
-    built.  Integer leaves become floats, in new lists; an integer beyond
-    the float range gives None."""
-    level = [value]
-    while get_origin(hint) is list:
-        (hint,) = get_args(hint)
-        if set(map(type, level)) - {list}:
-            return None
-        level = list(chain.from_iterable(level))
-    leaves = set(map(type, level))
-    if hint is not float or leaves - {float, int}:
-        return None
-    try:
-        return _as_floats(value) if int in leaves else value
-    except OverflowError:
-        return None
-
-
-def _as_floats(value):
-    """``value``, lists nested around numbers, with float leaves."""
-    return [_as_floats(x) for x in value] if type(value) is list else float(value)
 
 
 @dataclass(eq=False)

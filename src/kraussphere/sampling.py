@@ -42,9 +42,7 @@ def sample_bloch_ball(seed: int, count: int) -> np.ndarray:
     Direction is uniform on the sphere; the radius is u^(1/3) with u
     uniform, which makes the density uniform in volume.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = philox_rng(seed)
+    rng = _ensemble_rng(seed, count, 2)
     directions = rng.normal(size=(count, 3))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     radii = rng.uniform(size=count) ** (1.0 / 3.0)

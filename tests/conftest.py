@@ -68,12 +68,3 @@ def read_every_row(monkeypatch):
 def basis_16():
     return generator_basis(16)
 
-
-@pytest.fixture(scope="session")
-def basis_8():
-    return generator_basis(8)
-
-
-@pytest.fixture(scope="session")
-def basis_4():
-    return generator_basis(4)

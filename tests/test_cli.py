@@ -980,16 +980,7 @@ class TestKrausReader:
         assert np.array_equal(kraus.operators, [np.eye(2)])
         assert data["operators"][0][0] == [1, 0]  # the input is not changed
 
-    def test_integer_entries_take_one_pass(self, monkeypatch, tmp_path):
-        # integer leaves are converted by the level check: neither a Kraus
-        # file nor p_grid is read item by item
-        names, inner = [], geometry.json_field
-
-        def counted(value, hint, name):
-            names.append(name)
-            return inner(value, hint, name)
-
-        monkeypatch.setattr(geometry, "json_field", counted)
+    def test_integer_entries_equal_their_float_twins(self, tmp_path):
         operators = [
             [[1, 0], [0, 0], [0, 0], [1, 0]],
             [[0, 0], [0, -1], [0, 1], [0, 0]],
@@ -997,14 +988,10 @@ class TestKrausReader:
         integers = {"d": 2, "m": 2, "operators": operators}
         twin = [[[float(x) for x in pair] for pair in op] for op in operators]
         expected = KrausSet.from_dict({**integers, "operators": twin}).operators
-        names.clear()
         assert np.array_equal(KrausSet.from_dict(integers).operators, expected)
-        assert names == ["d", "m", "operators"]
-        names.clear()
         config = config_from_dict(base_config(tmp_path / "run", p_grid=[0, 1]))
         assert config.p_grid == [0.0, 1.0]
         assert all(type(p) is float for p in config.p_grid)
-        assert "p_grid" in names and not [n for n in names if "[" in n]
 
 
 def package_env(**variables):
@@ -1147,6 +1134,12 @@ class TestSchemaReader:
         assert config.p_grid is None and config.channel.custom_kraus is None
         unset = config_from_dict(base_config(tmp_path / "run"))
         assert config.to_dict() == unset.to_dict()
+
+    @pytest.mark.parametrize("p_grid", [[0.1, 0.2], [0, 0.5]], ids=["floats", "mixed"])
+    def test_config_owns_its_lists(self, tmp_path, p_grid):
+        data = base_config(tmp_path / "run", p_grid=list(p_grid))
+        config_from_dict(data).p_grid.append(0.9)
+        assert data["p_grid"] == p_grid
 
     def test_optimizer_section_may_be_left_out(self, tmp_path):
         data = base_config(tmp_path / "run")
